@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"pcmap/internal/cache"
+	"pcmap/internal/coherence"
 	"pcmap/internal/config"
 	"pcmap/internal/ecc"
 	"pcmap/internal/exp"
@@ -16,6 +17,7 @@ import (
 	"pcmap/internal/obs"
 	"pcmap/internal/pcm"
 	"pcmap/internal/sim"
+	"pcmap/internal/stats"
 	"pcmap/internal/system"
 	"pcmap/internal/workloads"
 
@@ -575,6 +577,66 @@ func BenchmarkGeneratorNext(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.Next(&op)
+	}
+}
+
+// BenchmarkDirectory measures coherence directory lookups: a
+// Load/Store/Evict mix over 128K lines, the L2's line count, with the
+// table already grown to hold them. Pinned at 0 allocs/op: entries
+// live by value in the table.
+func BenchmarkDirectory(b *testing.B) {
+	const lines = 128 << 10
+	d := coherence.NewDirectory()
+	for i := uint64(0); i < lines; i++ {
+		d.Load(i*64, int(i%8))
+	}
+	rng := sim.NewRNG(11)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		addr := uint64(rng.Intn(lines)) * 64
+		core := i & 7
+		switch i & 3 {
+		case 0, 1:
+			d.Load(addr, core)
+		case 2:
+			d.Store(addr, core)
+		default:
+			d.Evict(addr, core)
+		}
+	}
+}
+
+// BenchmarkIRLPStream measures IRLP accounting as the controller
+// drives it: one Advance per request, then a read's nine chip services
+// or (every fourth request) a write window with two essential chips.
+// Pinned at 0 allocs/op: the heap holds only in-flight edges, so it
+// stops growing once warm.
+func BenchmarkIRLPStream(b *testing.B) {
+	x := stats.NewIRLP()
+	read, prog := sim.Nanosecond.Times(60), sim.Nanosecond.Times(400)
+	var now sim.Time
+	step := func(i int) {
+		now += sim.Nanosecond.Times(10)
+		x.Advance(now, 8)
+		if i&3 == 0 {
+			t0 := now + sim.Nanosecond.Times(20)
+			x.AddWriteWindow(t0, t0+prog)
+			x.AddChipService(t0, t0+prog)
+			x.AddChipService(t0, t0+prog/2)
+			return
+		}
+		for c := 0; c < 9; c++ {
+			x.AddChipService(now, now+read)
+		}
+	}
+	for i := 0; i < 1024; i++ {
+		step(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step(i)
 	}
 }
 

@@ -171,3 +171,221 @@ func TestProtocolInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// refDirectory is the map-based directory the table replaced, kept as
+// the reference for the differential tests.
+type refDirectory struct {
+	lines map[uint64]*line
+
+	Invalidations, Forwards, WriteBacks uint64
+}
+
+func newRefDirectory() *refDirectory { return &refDirectory{lines: make(map[uint64]*line)} }
+
+func (d *refDirectory) get(addr uint64) *line {
+	l, ok := d.lines[addr]
+	if !ok {
+		l = &line{state: Invalid, owner: -1}
+		d.lines[addr] = l
+	}
+	return l
+}
+
+func (d *refDirectory) Load(addr uint64, core int) Action {
+	a := Action{ForwardFrom: -1}
+	l := d.get(addr)
+	bit := uint16(1) << uint(core)
+	switch l.state {
+	case Invalid:
+		l.state = Exclusive
+		l.owner = int8(core)
+		l.sharers = bit
+	case Exclusive:
+		if l.sharers&bit == 0 {
+			a.ForwardFrom = int(l.owner)
+			d.Forwards++
+			l.state = Shared
+			l.sharers |= bit
+		}
+	case Modified:
+		if l.sharers&bit == 0 {
+			a.ForwardFrom = int(l.owner)
+			d.Forwards++
+			l.state = Owned
+			l.sharers |= bit
+		}
+	case Owned:
+		if l.sharers&bit == 0 {
+			a.ForwardFrom = int(l.owner)
+			d.Forwards++
+			l.sharers |= bit
+		}
+	case Shared:
+		l.sharers |= bit
+	}
+	return a
+}
+
+func (d *refDirectory) Store(addr uint64, core int) Action {
+	a := Action{ForwardFrom: -1}
+	l := d.get(addr)
+	bit := uint16(1) << uint(core)
+	others := l.sharers &^ bit
+	if others != 0 {
+		a.Invalidate = others
+		d.Invalidations += uint64(popcount(others))
+	}
+	if (l.state == Modified || l.state == Owned) && int(l.owner) != core {
+		a.ForwardFrom = int(l.owner)
+		d.Forwards++
+	}
+	l.state = Modified
+	l.owner = int8(core)
+	l.sharers = bit
+	return a
+}
+
+func (d *refDirectory) Evict(addr uint64, core int) Action {
+	a := Action{ForwardFrom: -1}
+	l, ok := d.lines[addr]
+	if !ok {
+		return a
+	}
+	bit := uint16(1) << uint(core)
+	l.sharers &^= bit
+	if int(l.owner) == core {
+		if l.state == Modified || l.state == Owned {
+			a.WriteBack = true
+			d.WriteBacks++
+		}
+		l.owner = -1
+		if l.sharers != 0 {
+			l.state = Shared
+		}
+	}
+	if l.sharers == 0 {
+		delete(d.lines, addr)
+	}
+	return a
+}
+
+// diffTrace drives n random Load/Store/Evict operations over addrs
+// through the table and the reference, comparing the action, the
+// touched line's state and sharers, the entry count and the counters
+// after every operation. Every fullEvery operations (and at the end)
+// it also compares every address, which catches entries a delete left
+// unreachable. It returns the peak entry count.
+func diffTrace(t *testing.T, rng *sim.RNG, addrs []uint64, n, fullEvery int) int {
+	t.Helper()
+	d, ref := NewDirectory(), newRefDirectory()
+	check := func(op int, a uint64) {
+		want, sharers := Invalid, uint16(0)
+		if l, ok := ref.lines[a]; ok {
+			want, sharers = l.state, l.sharers
+		}
+		if d.StateOf(a) != want || d.Sharers(a) != sharers {
+			t.Fatalf("op %d: line %#x: state %v sharers %b, reference %v %b",
+				op, a, d.StateOf(a), d.Sharers(a), want, sharers)
+		}
+	}
+	full := func(op int) {
+		for _, a := range addrs {
+			check(op, a)
+		}
+	}
+	peak := 0
+	for op := 0; op < n; op++ {
+		addr := addrs[rng.Intn(len(addrs))]
+		core := rng.Intn(8)
+		var got, want Action
+		switch r := rng.Intn(10); {
+		case r < 4:
+			got, want = d.Load(addr, core), ref.Load(addr, core)
+		case r < 7:
+			got, want = d.Store(addr, core), ref.Store(addr, core)
+		default:
+			got, want = d.Evict(addr, core), ref.Evict(addr, core)
+		}
+		if got != want {
+			t.Fatalf("op %d on %#x core %d: action %+v, reference %+v", op, addr, core, got, want)
+		}
+		check(op, addr)
+		if d.Entries() != len(ref.lines) {
+			t.Fatalf("op %d: %d entries, reference %d", op, d.Entries(), len(ref.lines))
+		}
+		if d.Invalidations != ref.Invalidations || d.Forwards != ref.Forwards || d.WriteBacks != ref.WriteBacks {
+			t.Fatalf("op %d: counters inv/fwd/wb %d/%d/%d, reference %d/%d/%d", op,
+				d.Invalidations, d.Forwards, d.WriteBacks, ref.Invalidations, ref.Forwards, ref.WriteBacks)
+		}
+		if d.Entries() > peak {
+			peak = d.Entries()
+		}
+		if op%fullEvery == fullEvery-1 {
+			full(op)
+		}
+	}
+	full(n)
+	return peak
+}
+
+// TestDirectoryMatchesMapGrowth spreads traffic over 300K distinct
+// lines (address 0 among them), so the table doubles many times while
+// entries come and go.
+func TestDirectoryMatchesMapGrowth(t *testing.T) {
+	const lines = 300_000
+	addrs := make([]uint64, lines)
+	for i := range addrs {
+		addrs[i] = uint64(i) * 64
+	}
+	rng := sim.NewRNG(41)
+	if peak := diffTrace(t, rng, addrs, 1_500_000, 250_000); peak < 200_000 {
+		t.Fatalf("peak %d entries: the trace did not grow the table past 200K lines", peak)
+	}
+}
+
+// TestDirectoryMatchesMapClustered confines traffic to lines whose
+// home slots are the last few of a new directory's table, so probe
+// runs wrap around the table's end and backward-shift deletes move
+// entries across it. The set stays small enough that the table never
+// grows, and every line is compared after every operation.
+func TestDirectoryMatchesMapClustered(t *testing.T) {
+	probe := NewDirectory()
+	last := len(probe.table) - 1
+	addrs := []uint64{0}
+	for a := uint64(64); len(addrs) < 64; a += 64 {
+		if probe.home(a|1) >= last-3 {
+			addrs = append(addrs, a)
+		}
+	}
+	for seed := uint64(1); seed <= 10; seed++ {
+		diffTrace(t, sim.NewRNG(seed), addrs, 5_000, 1)
+	}
+	d := NewDirectory()
+	for _, a := range addrs {
+		d.Load(a, 0)
+	}
+	if len(d.table) != len(probe.table) {
+		t.Fatalf("table grew to %d slots; the clustered set must fit the initial %d", len(d.table), len(probe.table))
+	}
+}
+
+// TestDirectoryWarmAllocFree pins warm Load/Store/Evict at zero
+// allocations: entries live by value in the table, so tracking a line
+// once the table has grown allocates nothing.
+func TestDirectoryWarmAllocFree(t *testing.T) {
+	d := NewDirectory()
+	const lines = 4096
+	for i := uint64(0); i < lines; i++ {
+		d.Load(i*64, 0)
+	}
+	var i uint64
+	if n := testing.AllocsPerRun(1000, func() {
+		a := (i % lines) * 64
+		d.Load(a, int(i%8))
+		d.Store(a, int(i%8))
+		d.Evict(a, int(i%8))
+		i++
+	}); n != 0 {
+		t.Fatalf("warm Load/Store/Evict allocated %.1f/op, want 0", n)
+	}
+}

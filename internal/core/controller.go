@@ -623,6 +623,16 @@ func (c *Controller) reserveChipPart(chip, bank, part int, earliest, dur sim.Tim
 	return c.rank.Chips[chip].ReservePart(bank, part, earliest, dur)
 }
 
+// irlp returns the rank's IRLP tracker swept up to the engine's
+// current instant. Every interval reported through it must start at or
+// after that instant; in a sharded run the instant is the owning
+// shard's clock.
+func (c *Controller) irlp() *stats.IRLP {
+	x := c.Metrics.IRLP
+	x.Advance(c.eng.Now(), c.cfg.DataChips)
+	return x
+}
+
 // progTime converts a word's transition analysis into its programming
 // time: the paper's two-level model (any SET bit costs CellSET, else
 // any RESET bit costs CellRESET) or, for content-aware variants, the

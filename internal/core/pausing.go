@@ -77,7 +77,7 @@ func (c *Controller) issuePausingWrite(r *mem.Request) {
 	}
 	c.paused = pw
 	if prog > 0 {
-		c.Metrics.IRLP.AddWriteWindow(t0, t0+prog) // best-case window; pauses extend it
+		c.irlp().AddWriteWindow(t0, t0+prog) // best-case window; pauses extend it
 	}
 	c.resumeSegment(t0, true)
 }
@@ -108,9 +108,10 @@ func (c *Controller) resumeSegment(earliest sim.Time, first bool) {
 			end = e
 		}
 	}
+	irlp := c.irlp()
 	for w := 0; w < 8; w++ {
 		if pw.aw.essCount > 0 && pw.req.Mask&(1<<uint(w)) != 0 {
-			c.Metrics.IRLP.AddChipService(end-dur, end)
+			irlp.AddChipService(end-dur, end)
 		}
 	}
 	pw.remaining -= dur

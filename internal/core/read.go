@@ -158,10 +158,11 @@ func (c *Controller) issueRead(r *mem.Request, p readPlan) {
 	ready := start + act + timing.TCL.Time()
 	burst := timing.TBurst.Time()
 	_, done := c.dataBus.Acquire(ready, burst, false)
+	irlp := c.irlp()
 	for _, chip := range involved {
 		c.reserveChipPart(chip, p.coord.Bank, p.part, now, done-now)
 		c.rank.Chips[chip].OpenRowIn(p.coord.Bank, p.coord.Row)
-		c.Metrics.IRLP.AddChipService(now, done)
+		irlp.AddChipService(now, done)
 	}
 
 	// Functional data path. Drift is sampled at the instant the arrays

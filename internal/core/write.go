@@ -193,11 +193,12 @@ func (c *Controller) issueCoarseWrite(r *mem.Request) {
 	// IRLP: window covers the write's occupancy; only the chips doing
 	// essential programming count as serving data.
 	if prog > 0 {
-		c.Metrics.IRLP.AddWriteWindow(t0, end)
+		irlp := c.irlp()
+		irlp.AddWriteWindow(t0, end)
 		for w := 0; w < ecc.WordsPerLine; w++ {
 			if essMask&(1<<uint(w)) != 0 {
 				pd := c.progTime(res.PerWord[w])
-				c.Metrics.IRLP.AddChipService(t0+act, t0+act+pd)
+				irlp.AddChipService(t0+act, t0+act+pd)
 			}
 		}
 	}
@@ -316,7 +317,7 @@ func (c *Controller) issueFineWrite(r *mem.Request, overlap bool) {
 		chip.OpenRowIn(coord.Bank, coord.Row)
 		if j.flips.Any() {
 			chip.CountWrite(j.flips)
-			c.Metrics.IRLP.AddChipService(e-prog, e)
+			c.irlp().AddChipService(e-prog, e)
 		}
 		return s, e
 	}
@@ -365,7 +366,7 @@ func (c *Controller) issueFineWrite(r *mem.Request, overlap bool) {
 		end = step1End
 	}
 
-	c.Metrics.IRLP.AddWriteWindow(t0, end)
+	c.irlp().AddWriteWindow(t0, end)
 
 	aw.req, aw.bank, aw.essCount, aw.end = r, coord.Bank, essCount, end
 	aw.coord, aw.mask = coord, r.Mask

@@ -3,6 +3,7 @@ package stats
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"pcmap/internal/sim"
 )
@@ -53,11 +54,11 @@ func (h *Histogram) UnmarshalJSON(data []byte) error {
 // (100k one-nanosecond buckets) and almost entirely zero, so it is
 // encoded sparsely as [bucket, count] pairs in ascending bucket order.
 type latencyJSON struct {
-	BucketCount int          `json:"bucketCount"`
-	Samples     [][2]uint64  `json:"samples,omitempty"`
-	Total       uint64       `json:"total"`
-	SumNS       float64      `json:"sumNS"`
-	MaxNS       float64      `json:"maxNS"`
+	BucketCount int         `json:"bucketCount"`
+	Samples     [][2]uint64 `json:"samples,omitempty"`
+	Total       uint64      `json:"total"`
+	SumNS       float64     `json:"sumNS"`
+	MaxNS       float64     `json:"maxNS"`
 }
 
 // MarshalJSON encodes the tracker sparsely.
@@ -92,23 +93,36 @@ func (l *LatencyTracker) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// irlpJSON is IRLP's wire form: the finalized summary plus any
-// unfinalized interval deltas as [at, write, chip] triples.
+// irlpJSON is IRLP's wire form: the finalized summary. Only finalized
+// trackers and empty ones (an unfinalized tracker with no intervals)
+// have one; a tracker partway through its sweep is refused with
+// *UnfinalizedIRLPError. Deltas is never written; a record carrying
+// interval edges is refused on decode.
 type irlpJSON struct {
-	Finalized bool       `json:"finalized"`
-	Avg       float64    `json:"avg"`
-	MaxBusy   int        `json:"maxBusy"`
-	BusyTime  sim.Time   `json:"busyTime"`
-	Deltas    [][3]int64 `json:"deltas,omitempty"`
+	Finalized bool            `json:"finalized"`
+	Avg       float64         `json:"avg"`
+	MaxBusy   int             `json:"maxBusy"`
+	BusyTime  sim.Time        `json:"busyTime"`
+	Deltas    json.RawMessage `json:"deltas,omitempty"`
 }
 
-// MarshalJSON encodes the tracker, finalized or not.
+// UnfinalizedIRLPError reports an IRLP tracker, or its wire record,
+// holding intervals that were never finalized: a partial sweep has no
+// wire form.
+type UnfinalizedIRLPError struct {
+	Op string // "encode" or "decode"
+}
+
+func (e *UnfinalizedIRLPError) Error() string {
+	return "stats: cannot " + e.Op + " an unfinalized IRLP tracker holding intervals; Finalize it first"
+}
+
+// MarshalJSON encodes a finalized or empty tracker.
 func (x *IRLP) MarshalJSON() ([]byte, error) {
-	w := irlpJSON{Finalized: x.finalized, Avg: x.avg, MaxBusy: x.maxBusy, BusyTime: x.busyTime}
-	for _, d := range x.deltas {
-		w.Deltas = append(w.Deltas, [3]int64{d.at.Ticks(), int64(d.write), int64(d.chip)})
+	if !x.finalized && !x.empty() {
+		return nil, &UnfinalizedIRLPError{Op: "encode"}
 	}
-	return json.Marshal(w)
+	return json.Marshal(irlpJSON{Finalized: x.finalized, Avg: x.avg, MaxBusy: x.maxBusy, BusyTime: x.busyTime})
 }
 
 // UnmarshalJSON decodes a tracker produced by MarshalJSON.
@@ -117,10 +131,9 @@ func (x *IRLP) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &w); err != nil {
 		return err
 	}
-	x.finalized, x.avg, x.maxBusy, x.busyTime = w.Finalized, w.Avg, w.MaxBusy, w.BusyTime
-	x.deltas = nil
-	for _, d := range w.Deltas {
-		x.deltas = append(x.deltas, irlpDelta{at: sim.Time(d[0]), write: int8(d[1]), chip: int8(d[2])})
+	if !w.Finalized && (w.MaxBusy != 0 || w.BusyTime != 0 || math.Float64bits(w.Avg) != 0 || len(w.Deltas) > 0) {
+		return &UnfinalizedIRLPError{Op: "decode"}
 	}
+	*x = IRLP{finalized: w.Finalized, avg: w.Avg, maxBusy: w.MaxBusy, busyTime: w.BusyTime}
 	return nil
 }

@@ -1,7 +1,7 @@
 package stats
 
 import (
-	"sort"
+	"fmt"
 
 	"pcmap/internal/sim"
 )
@@ -14,15 +14,30 @@ import (
 // contention but do not count as data service, which keeps the metric's
 // maximum at the paper's 8.0 for an 8-data-chip rank.
 //
-// Components report service intervals as they are scheduled (ends may
-// lie in the future); the tracker sorts the resulting deltas once at
-// Finalize time and sweeps the timeline.
+// Components report service intervals as they are scheduled; ends may
+// lie in the future. The tracker keeps only the interval edges not yet
+// reached, in a min-heap on time, and sweeps the timeline as the owner
+// advances it: Advance(now) folds every edge at or before now into the
+// running integral. An interval must therefore start at or after the
+// latest instant passed to Advance (the swept frontier); reporting one
+// that starts earlier is a programming error and panics. Sweeping edges
+// in time order performs the same additions in the same order as
+// sorting every edge and sweeping once, so the result does not depend
+// on how often Advance runs.
 type IRLP struct {
-	deltas    []irlpDelta
+	pending   []irlpDelta // min-heap on at: the edges after the frontier
+	now       sim.Time    // the swept frontier
+	maxChips  int         // the clamp of the last Advance or Finalize
 	finalized bool
-	avg       float64
-	maxBusy   int
-	busyTime  sim.Time
+
+	// Sweep state over the edges already folded in.
+	writes, chips int
+	last          sim.Time
+	integral      float64
+	busyTime      sim.Time
+	maxBusy       int
+
+	avg float64 // set by Finalize
 }
 
 type irlpDelta struct {
@@ -34,77 +49,143 @@ type irlpDelta struct {
 // NewIRLP returns an empty tracker.
 func NewIRLP() *IRLP { return &IRLP{} }
 
-// Reset empties the tracker in place, keeping the delta array's
-// capacity so warmup-discard resets do not reallocate it.
+// Reset empties the tracker in place, dropping in-flight intervals and
+// keeping the heap's capacity so warmup-discard resets do not
+// reallocate it.
 func (x *IRLP) Reset() {
-	x.deltas = x.deltas[:0]
-	x.finalized = false
-	x.avg, x.maxBusy, x.busyTime = 0, 0, 0
+	*x = IRLP{pending: x.pending[:0]}
 }
 
 // AddWriteWindow records that a write request is in service on the rank
 // during [start, end).
 func (x *IRLP) AddWriteWindow(start, end sim.Time) {
-	if end <= start {
+	if end <= start || x.finalized {
 		return
 	}
-	x.deltas = append(x.deltas,
-		irlpDelta{at: start, write: 1},
-		irlpDelta{at: end, write: -1})
+	x.add(irlpDelta{at: start, write: 1})
+	x.add(irlpDelta{at: end, write: -1})
 }
 
 // AddChipService records that one chip is busy serving data during
-// [start, end). Overlapping intervals for the same chip are fine; the
-// sweep counts a chip once per concurrent service (each service is real
-// work on a distinct bank, so concurrent services on one chip still
-// represent one physically busy chip; callers should therefore report
-// per-chip, non-overlapping service where possible — the memory model
-// serializes per chip-bank, and cross-bank overlap on one chip is rare
-// enough that counting it twice would bias IRLP upward; we guard by
-// clamping in Finalize).
+// [start, end). Concurrent services on one chip count once each; the
+// count is clamped to the rank's data chips when it is integrated.
 func (x *IRLP) AddChipService(start, end sim.Time) {
-	if end <= start {
+	if end <= start || x.finalized {
 		return
 	}
-	x.deltas = append(x.deltas,
-		irlpDelta{at: start, chip: 1},
-		irlpDelta{at: end, chip: -1})
+	x.add(irlpDelta{at: start, chip: 1})
+	x.add(irlpDelta{at: end, chip: -1})
 }
 
-// Finalize sweeps the recorded intervals. It is idempotent.
+// Advance sweeps every recorded edge at or before now, clamping the
+// busy-chip count at maxChips (which must equal Finalize's). now must
+// not decrease; later intervals must start at or after it.
+func (x *IRLP) Advance(now sim.Time, maxChips int) {
+	if x.finalized || now <= x.now {
+		return
+	}
+	x.now, x.maxChips = now, maxChips
+	for len(x.pending) > 0 && x.pending[0].at <= now {
+		x.sweep(x.pop())
+	}
+}
+
+// Finalize sweeps the remaining edges and computes the summary. It is
+// idempotent; intervals added after it are ignored.
 func (x *IRLP) Finalize(maxChips int) {
 	if x.finalized {
 		return
 	}
-	x.finalized = true
-	sort.Slice(x.deltas, func(i, j int) bool { return x.deltas[i].at < x.deltas[j].at })
-	var (
-		writes, chips int
-		last          sim.Time
-		integral      float64
-		busy          sim.Time
-	)
-	for _, d := range x.deltas {
-		if dt := d.at - last; writes > 0 && dt > 0 {
-			busy += dt
-			c := chips
-			if c > maxChips {
-				c = maxChips
-			}
-			integral += float64(dt.Ticks()) * float64(c)
-			if c > x.maxBusy {
-				x.maxBusy = c
-			}
+	x.finalized, x.maxChips = true, maxChips
+	for len(x.pending) > 0 {
+		x.sweep(x.pop())
+	}
+	if x.busyTime > 0 {
+		x.avg = x.integral / float64(x.busyTime.Ticks())
+	}
+}
+
+// add records one edge: an edge at the frontier is the earliest not yet
+// swept, so it is folded in at once; later edges wait in the heap.
+func (x *IRLP) add(d irlpDelta) {
+	switch {
+	case d.at > x.now:
+		x.push(d)
+	case d.at == x.now:
+		x.sweep(d)
+	default:
+		panic(fmt.Sprintf("stats: IRLP interval edge at %d before the swept frontier %d", d.at.Ticks(), x.now.Ticks()))
+	}
+}
+
+// sweep folds one edge into the integral: the segment since the last
+// edge counts with the edge counts in force before d. Edges at one
+// instant close empty segments after the first, so their order within
+// the instant does not matter.
+func (x *IRLP) sweep(d irlpDelta) {
+	if dt := d.at - x.last; x.writes > 0 && dt > 0 {
+		x.busyTime += dt
+		c := x.chips
+		if c > x.maxChips {
+			c = x.maxChips
 		}
-		last = d.at
-		writes += int(d.write)
-		chips += int(d.chip)
+		x.integral += float64(dt.Ticks()) * float64(c)
+		if c > x.maxBusy {
+			x.maxBusy = c
+		}
 	}
-	x.busyTime = busy
-	if busy > 0 {
-		x.avg = integral / float64(busy.Ticks())
+	x.last = d.at
+	x.writes += int(d.write)
+	x.chips += int(d.chip)
+}
+
+func (x *IRLP) push(d irlpDelta) {
+	h := append(x.pending, d)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if h[p].at <= d.at {
+			break
+		}
+		h[i] = h[p]
+		i = p
 	}
-	x.deltas = nil
+	h[i] = d
+	x.pending = h
+}
+
+func (x *IRLP) pop() irlpDelta {
+	h := x.pending
+	top := h[0]
+	n := len(h) - 1
+	d := h[n]
+	h = h[:n]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1].at < h[c].at {
+			c++
+		}
+		if d.at <= h[c].at {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	if n > 0 {
+		h[i] = d
+	}
+	x.pending = h
+	return top
+}
+
+// empty reports whether the tracker holds no recorded interval: nothing
+// pending and nothing integrated.
+func (x *IRLP) empty() bool {
+	return len(x.pending) == 0 && x.busyTime == 0
 }
 
 // Average returns the time-average IRLP during write-busy windows.

@@ -45,14 +45,3 @@ func MergeLatency(dst, src *LatencyTracker) {
 		dst.maxNS = src.maxNS
 	}
 }
-
-// MergeIRLP folds src's recorded intervals into dst. Both must not yet
-// be finalized. Channels have independent ranks, so experiment-level
-// IRLP is reported per rank and averaged; this helper exists for tools
-// that want a combined sweep anyway.
-func MergeIRLP(dst, src *IRLP) {
-	if dst.finalized || src.finalized {
-		panic("stats: MergeIRLP after Finalize")
-	}
-	dst.deltas = append(dst.deltas, src.deltas...)
-}

@@ -197,14 +197,3 @@ func TestMeans(t *testing.T) {
 		t.Fatalf("mean %v/%d", m.Value(), m.Count())
 	}
 }
-
-func TestMergeIRLPPanicsAfterFinalize(t *testing.T) {
-	a, b := NewIRLP(), NewIRLP()
-	a.Finalize(8)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("merge after finalize must panic")
-		}
-	}()
-	MergeIRLP(a, b)
-}

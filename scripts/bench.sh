@@ -16,7 +16,8 @@
 #                               (allocs/op >= 5x, bytes/op >= 3x)
 #
 # The suite covers the perf-critical substrates (event engine, timers,
-# SECDED, PCC, RNG), one end-to-end controller bench, and one full
+# SECDED, PCC, RNG, coherence directory, IRLP accounting), one
+# end-to-end controller bench, and one full
 # figure regeneration — enough to catch both micro-level allocation
 # regressions and macro-level slowdowns without CI running every
 # figure. BENCHTIME trades precision for CI time.
@@ -25,7 +26,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 BENCHTIME="${BENCHTIME:-1s}"
-PATTERN='^(BenchmarkEngine|BenchmarkEngineTimer|BenchmarkEngineTraceDisabled|BenchmarkSECDEDEncode|BenchmarkSECDEDCorrect|BenchmarkSECDEDDecodeClean|BenchmarkPCCReconstruct|BenchmarkPCCUpdate|BenchmarkRNGUint64|BenchmarkRNGExp|BenchmarkRNGPick|BenchmarkCacheLoadHit|BenchmarkStoreGetWarm|BenchmarkAnalyzeLineWrite|BenchmarkGeneratorNext|BenchmarkControllerRequests|BenchmarkFig1|BenchmarkFig1Shards4)$'
+PATTERN='^(BenchmarkEngine|BenchmarkEngineTimer|BenchmarkEngineTraceDisabled|BenchmarkSECDEDEncode|BenchmarkSECDEDCorrect|BenchmarkSECDEDDecodeClean|BenchmarkPCCReconstruct|BenchmarkPCCUpdate|BenchmarkRNGUint64|BenchmarkRNGExp|BenchmarkRNGPick|BenchmarkCacheLoadHit|BenchmarkStoreGetWarm|BenchmarkAnalyzeLineWrite|BenchmarkGeneratorNext|BenchmarkDirectory|BenchmarkIRLPStream|BenchmarkControllerRequests|BenchmarkFig1|BenchmarkFig1Shards4)$'
 
 OUT="$(mktemp)"
 trap 'rm -f "$OUT"' EXIT
