@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint lint-fix figures bench bench-check bench-shards profile sweep-smoke trace-smoke serve-smoke shard-smoke variant-smoke
+.PHONY: build test race lint lint-fix figures bench bench-check profile sweep-smoke trace-smoke serve-smoke variant-smoke
 
 build:
 	$(GO) build ./...
@@ -39,21 +39,10 @@ bench:
 bench-check:
 	sh scripts/bench.sh -check
 
-# Record the sequential-vs-4-shard Fig1 wall-clock comparison in
-# BENCH_8.json (see DESIGN.md §13). CI uploads the result as an
-# artifact on every push.
-bench-shards:
-	sh scripts/bench.sh -shards
-
 # End-to-end resume check: run a sweep with -cache, SIGINT it, re-run
 # with -resume, and require byte-identical stdout. CI runs this.
 sweep-smoke:
 	sh scripts/sweep_smoke.sh
-
-# PDES bit-identity check: -shards 1/2/4 must produce byte-identical
-# stdout for an adhoc report and a figure's CSV series. CI runs this.
-shard-smoke:
-	sh scripts/shard_smoke.sh
 
 # Observability smoke test: a traced adhoc run must keep stdout
 # byte-identical to an untraced one and emit valid Chrome trace_event

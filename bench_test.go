@@ -35,7 +35,7 @@ func benchRunner() *exp.Runner {
 // runSystem executes one workload/variant pair at bench budgets.
 func runSystem(b *testing.B, workload string, v config.Variant) *system.Results {
 	b.Helper()
-	s, err := system.Build(config.Default().WithVariant(v), workload)
+	s, err := system.New(system.WithConfig(config.Default().WithVariant(v)), system.WithWorkload(workload))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -51,32 +51,6 @@ func runSystem(b *testing.B, workload string, v config.Variant) *system.Results 
 func BenchmarkFig1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := benchRunner()
-		asym, err := r.Run(exp.Spec{Workload: "cactusADM", Variant: config.Baseline})
-		if err != nil {
-			b.Fatal(err)
-		}
-		symm, err := r.Run(exp.Spec{Workload: "cactusADM", Variant: config.Baseline, Symmetric: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		delayed := float64(asym.Mem.ReadsDelayedByWrite.Value()) / float64(asym.Mem.Reads.Value()+1)
-		b.ReportMetric(100*delayed, "%reads-delayed")
-		b.ReportMetric(asym.Mem.ReadLatency.MeanNS()/symm.Mem.ReadLatency.MeanNS(), "latency-vs-symmetric")
-	}
-}
-
-// BenchmarkFig1Shards4 is BenchmarkFig1 with every simulation sharded
-// across 4 goroutines at the channel boundary (internal/pdes). Results
-// are bit-identical to the sequential run; the benchmark exists to
-// track the parallel scheduler's wall-clock scaling (compare ns/op
-// against BenchmarkFig1 on a multi-core host) and to gate its per-op
-// allocations — window dispatch reuses pooled outbox slices and the
-// per-shard engines' event arenas, so the sharded run must not allocate
-// per event.
-func BenchmarkFig1Shards4(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := benchRunner()
-		r.Shards = 4
 		asym, err := r.Run(exp.Spec{Workload: "cactusADM", Variant: config.Baseline})
 		if err != nil {
 			b.Fatal(err)
@@ -211,7 +185,7 @@ func BenchmarkAblationRoWMultiWord(b *testing.B) {
 		for _, multi := range []bool{false, true} {
 			cfg := config.Default().WithVariant(config.RWoWRDE)
 			cfg.Memory.RoWMultiWord = multi
-			s, err := system.Build(cfg, "canneal")
+			s, err := system.New(system.WithConfig(cfg), system.WithWorkload("canneal"))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -235,7 +209,7 @@ func BenchmarkAblationDrainThreshold(b *testing.B) {
 		for _, alpha := range []float64{0.6, 0.8, 0.95} {
 			cfg := config.Default().WithVariant(config.RWoWRDE)
 			cfg.Memory.DrainHighPct = alpha
-			s, err := system.Build(cfg, "MP6")
+			s, err := system.New(system.WithConfig(cfg), system.WithWorkload("MP6"))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -265,7 +239,7 @@ func BenchmarkAblationStatusPoll(b *testing.B) {
 		for _, cycles := range []mem.Cycles{0, 2, 8} {
 			cfg := config.Default().WithVariant(config.RWoWRDE)
 			cfg.Memory.StatusPollCycles = cycles
-			s, err := system.Build(cfg, "MP1")
+			s, err := system.New(system.WithConfig(cfg), system.WithWorkload("MP1"))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -292,7 +266,7 @@ func BenchmarkAblationConcurrentWrites(b *testing.B) {
 		for _, n := range []int{1, 2, 4} {
 			cfg := config.Default().WithVariant(config.RWoWRDE)
 			cfg.Memory.MaxConcurrentWrites = n
-			s, err := system.Build(cfg, "MP4")
+			s, err := system.New(system.WithConfig(cfg), system.WithWorkload("MP4"))
 			if err != nil {
 				b.Fatal(err)
 			}

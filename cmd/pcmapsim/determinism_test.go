@@ -72,38 +72,3 @@ func TestOutputDeterminism(t *testing.T) {
 		})
 	}
 }
-
-// TestShardedOutputIdentity is the PDES acceptance check end to end:
-// the same invocation at -shards 1, 2, and 4 must produce byte-
-// identical stdout (and CSV series for the figure case). -shards is an
-// execution strategy, not a simulation parameter — any divergence here
-// means the parallel scheduler reordered events.
-func TestShardedOutputIdentity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs full simulations")
-	}
-	cases := []struct {
-		name string
-		args []string
-	}{
-		{"adhoc", []string{
-			"-exp", "adhoc", "-workload", "MP6", "-variant", "RWoW-RDE",
-			"-warmup", "2000", "-measure", "20000"}},
-		{"fig1-csv", []string{
-			"-exp", "fig1", "-format", "csv", "-warmup", "500", "-measure", "4000"}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			ref, _ := runOnce(t, "", append(tc.args, "-shards", "1")...)
-			if len(ref) == 0 {
-				t.Fatal("no output produced")
-			}
-			for _, shards := range []string{"2", "4"} {
-				got, _ := runOnce(t, "", append(tc.args, "-shards", shards)...)
-				if !bytes.Equal(ref, got) {
-					t.Errorf("-shards %s stdout differs from -shards 1:\n--- shards=1 ---\n%s\n--- shards=%s ---\n%s", shards, ref, shards, got)
-				}
-			}
-		})
-	}
-}

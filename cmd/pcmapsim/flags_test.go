@@ -17,7 +17,7 @@ func TestFlagSurface(t *testing.T) {
 	want := []string{
 		"avgmt", "cache", "cpuprofile", "drift", "endurance", "exp",
 		"format", "json", "list-variants", "measure", "memprofile", "par",
-		"pausing", "ratio", "resume", "retries", "seed", "shards", "timeout",
+		"pausing", "ratio", "resume", "retries", "seed", "timeout",
 		"trace", "tracesample", "v", "variant", "verify", "warmup", "workload",
 	}
 	if got := cli.Surface(fs); !reflect.DeepEqual(got, want) {

@@ -47,7 +47,6 @@ type simFlags struct {
 	variant   *string
 	listVars  *bool
 	seed      *uint64
-	shards    *int
 	ratio     *float64
 	pausing   *bool
 	endurance *uint64
@@ -77,7 +76,6 @@ func defineFlags(fs *flag.FlagSet) *simFlags {
 		variant:   cli.Variant(fs, "RWoW-RDE"),
 		listVars:  cli.ListVariants(fs),
 		seed:      cli.Seed(fs, 0),
-		shards:    cli.Shards(fs),
 		ratio:     fs.Float64("ratio", 0, "adhoc: write-to-read latency ratio override (0 = default 2x)"),
 		pausing:   fs.Bool("pausing", false, "adhoc: enable the write-pausing comparator (baseline only)"),
 		endurance: fs.Uint64("endurance", 0, "adhoc: write-endurance budget before cells stick (0 = perfect cells)"),
@@ -123,7 +121,6 @@ func main() {
 		workload  = f.workload
 		variant   = f.variant
 		seed      = f.seed
-		shards    = f.shards
 		ratio     = f.ratio
 		pausing   = f.pausing
 		endurance = f.endurance
@@ -177,12 +174,6 @@ func main() {
 	if *tracePath != "" && *expName != "adhoc" {
 		fatal(fmt.Errorf("invalid -trace: timeline tracing only applies to single runs (-exp adhoc)"))
 	}
-	if *shards < 1 {
-		fatal(fmt.Errorf("invalid -shards %d (must be >= 1)", *shards))
-	}
-	if *shards > 1 && *tracePath != "" {
-		fatal(fmt.Errorf("invalid -shards %d with -trace: the timeline tracer observes a single engine's step stream", *shards))
-	}
 
 	// First SIGINT/SIGTERM cancels the sweep: no new simulations are
 	// dispatched, in-flight ones finish and land in the cache, and the
@@ -203,7 +194,6 @@ func main() {
 	r := exp.NewRunner()
 	r.Warmup, r.Measure, r.Parallelism = *warmup, *measure, *par
 	r.Resume, r.Retries = *resume, *retries
-	r.Shards = *shards
 	if *cacheDir != "" {
 		cache, err := exp.NewDiskCache(*cacheDir)
 		if err != nil {

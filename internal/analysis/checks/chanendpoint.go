@@ -21,10 +21,10 @@ import (
 // The annotation goes on, or on the line above, the declaration (a
 // struct field or the := / var site of a local), and its reason text is
 // mandatory — a bare directive is itself reported, exactly like a
-// reasonless //pcmaplint:ignore. The point is the PDES sharding work:
-// shard-boundary queues are channels, and a channel with no owner on
-// record is a channel whose shutdown order nobody has thought about
-// (send-on-closed panics, leaked receivers).
+// reasonless //pcmaplint:ignore. The service's job queues and the
+// sweep runner's worker hand-offs are channels, and a channel with no
+// owner on record is a channel whose shutdown order nobody has thought
+// about (send-on-closed panics, leaked receivers).
 //
 // Sends on channels the checker cannot resolve to a declaration (calls
 // returning channels, map elements) are out of scope.

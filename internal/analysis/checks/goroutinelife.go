@@ -11,9 +11,8 @@ import (
 // GoroutineLife reports fire-and-forget goroutines in non-test code:
 // every `go` statement must be tied to a completion or cancellation
 // mechanism visible in the enclosing function, because a goroutine
-// nobody joins is a goroutine the PDES sharding work cannot reason
-// about — it can outlive the simulation, the drain, or the test that
-// spawned it.
+// nobody joins is a goroutine no one can reason about — it can outlive
+// the simulation, the drain, or the test that spawned it.
 //
 // A `go` statement is accepted when any of these is visible:
 //

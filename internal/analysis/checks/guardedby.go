@@ -10,7 +10,7 @@ import (
 
 // GuardedBy enforces the lock-discipline contract declared by field
 // annotations, the static half of the concurrency ground rules the
-// PDES sharding work builds on (DESIGN.md §12):
+// service, sweep runner, stats and tracer share (DESIGN.md §12):
 //
 //	type Server struct {
 //		mu sync.Mutex

@@ -23,8 +23,7 @@ import (
 // Until ban with the pacing functions (Sleep, After, Tick, NewTimer,
 // NewTicker, AfterFunc): a sim-core component that sleeps or schedules
 // against the host clock would make event order depend on host timing,
-// which is exactly what the conservative time-window synchronization
-// planned for PDES sharding must be able to rule out statically.
+// and a seed would no longer determine its run's output.
 var WallTime = &analysis.Analyzer{
 	Name: "walltime",
 	Doc:  "reports wall-clock and global-rand use inside deterministic sim-core packages",
@@ -36,7 +35,7 @@ var WallTime = &analysis.Analyzer{
 // exercise the same path as module packages.
 var deterministicPkgs = map[string]bool{
 	"sim": true, "core": true, "cpu": true, "pcm": true, "dimm": true,
-	"noc": true, "cache": true, "mem": true, "system": true, "pdes": true,
+	"noc": true, "cache": true, "mem": true, "system": true,
 }
 
 // wallClockFuncs are the time-package functions banned in sim-core:

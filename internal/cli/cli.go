@@ -56,14 +56,6 @@ func Seed(fs *flag.FlagSet, def uint64) *uint64 {
 	return fs.Uint64("seed", def, "simulation seed (0 = config default)")
 }
 
-// Shards defines the canonical -shards flag selecting how many
-// goroutines a simulation is sharded across at the memory-channel
-// boundary (see internal/pdes). 1 is the classic single-threaded
-// engine; any value produces bit-identical outputs.
-func Shards(fs *flag.FlagSet) *int {
-	return fs.Int("shards", 1, "shard each simulation across N goroutines at the channel boundary (outputs are bit-identical)")
-}
-
 // Timeout defines the canonical -timeout flag bounding how long a
 // command may run. The value is plumbed as a context deadline: work
 // stops cooperatively (simulations halt between engine events) and the

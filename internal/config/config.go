@@ -174,28 +174,6 @@ func VariantNames() []string {
 	return names
 }
 
-// The predicate methods below are thin compatibility views over
-// Features, kept so existing call sites and serialized results read the
-// same; new capabilities get Features fields only.
-
-// RoW reports whether the variant serves reads over ongoing writes.
-func (v Variant) RoW() bool { return v.Features().RoW }
-
-// WoW reports whether the variant consolidates writes over ongoing writes.
-func (v Variant) WoW() bool { return v.Features().WoW }
-
-// RotateData reports whether data words rotate across chips (addr mod 8).
-func (v Variant) RotateData() bool { return v.Features().RotateData }
-
-// RotateECC reports whether the ECC and PCC words rotate across all ten
-// chips (addr mod 10).
-func (v Variant) RotateECC() bool { return v.Features().RotateECC }
-
-// FineGrained reports whether the DIMM uses rank subsetting so that a
-// write only occupies the chips holding essential words. Every PCMap
-// variant needs it; the baseline does coarse whole-rank writes.
-func (v Variant) FineGrained() bool { return v.Features().FineGrained }
-
 // Core configures one out-of-order core of the interval model.
 type Core struct {
 	ClockGHz    float64 // processor frequency

@@ -26,10 +26,9 @@ func TestVariantFlags(t *testing.T) {
 		{RWoWRDE, true, true, true, true, true},
 	}
 	for _, c := range cases {
-		if c.v.RoW() != c.row || c.v.WoW() != c.wow ||
-			c.v.RotateData() != c.rotD || c.v.RotateECC() != c.rotE ||
-			c.v.FineGrained() != c.fg {
-			t.Fatalf("variant %s has wrong capability flags", c.v)
+		want := Features{RoW: c.row, WoW: c.wow, RotateData: c.rotD, RotateECC: c.rotE, FineGrained: c.fg}
+		if got := c.v.Features(); got != want {
+			t.Fatalf("variant %s has capabilities %+v, want %+v", c.v, got, want)
 		}
 	}
 }
@@ -110,27 +109,29 @@ func TestTotalChips(t *testing.T) {
 	}
 }
 
-// TestFeaturesMatchPredicates is the exhaustive equivalence proof for
-// the API redesign: for every registered variant, the Features value
-// resolved from the registry must agree with the legacy predicate
-// methods bit for bit.
+// TestFeaturesMatchPredicates checks, for every registered variant, that
+// its Features obey the dependencies between capabilities: RoW and WoW
+// need rank subsetting (a coarse whole-rank write leaves no idle chip to
+// read from or write to), ECC rotation extends data rotation, and
+// partition-level RoW refines bank-level RoW.
 func TestFeaturesMatchPredicates(t *testing.T) {
 	for _, v := range AllVariants {
 		f := v.Features()
-		if f.RoW != v.RoW() || f.WoW != v.WoW() ||
-			f.RotateData != v.RotateData() || f.RotateECC != v.RotateECC() ||
-			f.FineGrained != v.FineGrained() {
-			t.Fatalf("%s: Features %+v disagrees with predicate methods", v, f)
+		if (f.RoW || f.WoW) && !f.FineGrained {
+			t.Fatalf("%s: RoW/WoW without FineGrained: %+v", v, f)
 		}
-	}
-	if f := Variant(99).Features(); f != (Features{}) {
-		t.Fatalf("unknown variant must resolve to zero Features, got %+v", f)
+		if f.RotateECC && !f.RotateData {
+			t.Fatalf("%s: RotateECC without RotateData: %+v", v, f)
+		}
+		if f.PartitionRoW && !f.RoW {
+			t.Fatalf("%s: PartitionRoW without RoW: %+v", v, f)
+		}
 	}
 }
 
 // TestVariantRegistry pins the open registry's surface: the canonical
 // names (the paper's six are frozen byte-for-byte), name lookup, and
-// the Known/String behavior on unregistered values.
+// the Known/String/Features behavior on unregistered values.
 func TestVariantRegistry(t *testing.T) {
 	want := []string{"Baseline", "RoW-NR", "WoW-NR", "RWoW-NR", "RWoW-RD", "RWoW-RDE", "PALP", "RWoW-DCA"}
 	names := VariantNames()
@@ -157,6 +158,9 @@ func TestVariantRegistry(t *testing.T) {
 	}
 	if Variant(99).Known() || Variant(-1).Known() {
 		t.Fatal("out-of-range variants must not be Known")
+	}
+	if f := Variant(99).Features(); f != (Features{}) {
+		t.Fatalf("unknown variant must resolve to zero Features, got %+v", f)
 	}
 	// The paper's sweep list must stay exactly the original six.
 	if len(Variants) != 6 || Variants[5] != RWoWRDE {

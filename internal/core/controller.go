@@ -92,19 +92,6 @@ type Controller struct {
 	verifyEvFree *verifyEv
 	writeEvFree  *writeEv
 
-	// PDES sharding state (see shard.go). rt is nil in single-threaded
-	// runs; postPending and hazardWrites feed PostHorizon and are only
-	// touched from the shard's owning context (worker goroutine or
-	// fenced coordinator), never concurrently.
-	rt          ShardRuntime
-	shard       int
-	postPending []sim.Time
-	// hazardWrites counts queued writes that could complete silently at
-	// their issue instant (empty mask or caller-supplied data), which
-	// collapses the shard's lookahead to zero while one is pending.
-	hazardWrites int
-	minSvc       sim.Time // min issue-to-completion latency (lookahead floor)
-
 	// AssertContent makes the controller panic if a PCC reconstruction
 	// ever disagrees with stored content absent injected faults;
 	// enabled by tests.
@@ -221,12 +208,13 @@ func (c *Controller) newVerifyEv(r *mem.Request, faulty bool) *verifyEv {
 			ev.r = nil
 			ev.next = c.verifyEvFree
 			c.verifyEvFree = ev
-			c.dropPost()
 			c.Metrics.RoWVerifies.Inc()
 			if faulty {
 				c.Metrics.RoWFaulty.Inc()
 			}
-			c.postVerify(r, faulty)
+			if r.OnVerify != nil {
+				r.OnVerify(r, faulty)
+			}
 		}
 	} else {
 		c.verifyEvFree = ev.next
@@ -256,7 +244,6 @@ func (c *Controller) newWriteEv(r *mem.Request, aw *activeWrite, power int, sile
 			ev.r, ev.aw = nil, nil
 			ev.next = c.writeEvFree
 			c.writeEvFree = ev
-			c.dropPost()
 			c.powerInUse -= power
 			if silent {
 				c.completeWrite(r, aw)
@@ -309,13 +296,6 @@ func NewController(eng *sim.Engine, cfgAll *config.Config, channel int, amap *me
 	}
 	c.rowHitFn = func(r *mem.Request) bool { return c.plans[r].rowHit }
 	c.dataBus.Turnaround = m.Timing.TWTR.Time()
-	// Shard lookahead floor: no issue path completes (and therefore
-	// posts to the front end) sooner than the smaller of the read and
-	// write bus-lead latencies after its scheduling pass.
-	c.minSvc = m.Timing.TCL.Time()
-	if wl := m.Timing.TWL.Time(); wl < c.minSvc {
-		c.minSvc = wl
-	}
 	if fc := (pcm.FaultConfig{EnduranceBudget: m.EnduranceBudget, DriftProb: m.DriftProb}); fc.Enabled() {
 		// The fault model owns a private randomness stream derived from
 		// the seed and channel only, so enabling injection never
@@ -449,9 +429,6 @@ func (c *Controller) Enqueue(r *mem.Request) bool {
 		}
 	}
 	if ok {
-		if r.Kind == mem.Write && (r.Mask == 0 || r.Data != nil) {
-			c.hazardWrites++
-		}
 		c.Metrics.NoteArrival(r.Arrive)
 		if c.trace != nil {
 			if r.Kind == mem.Read {
@@ -625,8 +602,7 @@ func (c *Controller) reserveChipPart(chip, bank, part int, earliest, dur sim.Tim
 
 // irlp returns the rank's IRLP tracker swept up to the engine's
 // current instant. Every interval reported through it must start at or
-// after that instant; in a sharded run the instant is the owning
-// shard's clock.
+// after that instant.
 func (c *Controller) irlp() *stats.IRLP {
 	x := c.Metrics.IRLP
 	x.Advance(c.eng.Now(), c.cfg.DataChips)

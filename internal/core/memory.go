@@ -23,25 +23,10 @@ type Memory struct {
 	// OnSubmit, when non-nil, observes every successfully enqueued
 	// request (the trace recorder's hook).
 	OnSubmit func(*mem.Request)
-
-	// rt is the PDES shard runtime; nil in single-threaded runs. When
-	// set, every front-end call into a controller crosses the shard
-	// boundary under a fence (see shard.go).
-	rt ShardRuntime
 }
 
-// NewMemory builds the main memory system for cfg on a single engine.
+// NewMemory builds the main memory system for cfg on eng.
 func NewMemory(eng *sim.Engine, cfg *config.Config) (*Memory, error) {
-	return NewMemorySharded(eng, nil, cfg)
-}
-
-// NewMemorySharded builds the memory system with channel ch's
-// controller scheduling on engines[ch] — the PDES topology partition.
-// engines may be nil (every controller shares fe, the single-threaded
-// layout). Construction order, and therefore the per-channel RNG fork
-// order, is identical in both layouts, so enabling sharding never
-// perturbs a controller's randomness stream.
-func NewMemorySharded(fe *sim.Engine, engines []*sim.Engine, cfg *config.Config) (*Memory, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -49,29 +34,12 @@ func NewMemorySharded(fe *sim.Engine, engines []*sim.Engine, cfg *config.Config)
 	if err != nil {
 		return nil, err
 	}
-	if engines != nil && len(engines) != cfg.Memory.Channels {
-		return nil, fmt.Errorf("core: %d shard engines for %d channels", len(engines), cfg.Memory.Channels)
-	}
-	m := &Memory{Eng: fe, Cfg: cfg, AMap: amap}
+	m := &Memory{Eng: eng, Cfg: cfg, AMap: amap}
 	rng := sim.NewRNG(cfg.Seed ^ 0x9cbf1a3d5e7f0246)
 	for ch := 0; ch < cfg.Memory.Channels; ch++ {
-		eng := fe
-		if engines != nil {
-			eng = engines[ch]
-		}
 		m.Ctrls = append(m.Ctrls, NewController(eng, cfg, ch, amap, rng.Fork()))
 	}
 	return m, nil
-}
-
-// SetShardRuntime binds the PDES runtime: shardOf names the shard
-// owning each channel. Call once, after construction and before the
-// first event.
-func (m *Memory) SetShardRuntime(rt ShardRuntime, shardOf func(channel int) int) {
-	m.rt = rt
-	for ch, c := range m.Ctrls {
-		c.bindShard(rt, shardOf(ch))
-	}
 }
 
 // Channel returns the controller owning addr.
@@ -80,19 +48,9 @@ func (m *Memory) Channel(addr uint64) *Controller {
 }
 
 // Submit presents a request to the owning channel. It reports false
-// when that channel's queue is full; use OnSpace to be notified. In a
-// sharded run the enqueue is a synchronous front-end-to-shard call and
-// runs under the cross fence, so the controller observes the request
-// at the exact engine state the sequential run would have.
+// when that channel's queue is full; use OnSpace to be notified.
 func (m *Memory) Submit(r *mem.Request) bool {
-	c := m.Channel(r.Addr)
-	if m.rt != nil {
-		m.rt.BeginCross(c.shard)
-	}
-	ok := c.Enqueue(r)
-	if m.rt != nil {
-		m.rt.EndCross(c.shard)
-	}
+	ok := m.Channel(r.Addr).Enqueue(r)
 	if ok && m.OnSubmit != nil {
 		m.OnSubmit(r)
 	}
@@ -106,15 +64,9 @@ func (m *Memory) OnSpace(kind mem.Kind, addr uint64, fn func()) {
 }
 
 // CanAccept reports whether addr's channel currently has queue space
-// for the given request kind. Sharded runs fence first: occupancy is
-// only meaningful once the shard has drained up to the front end's
-// current instant.
+// for the given request kind.
 func (m *Memory) CanAccept(kind mem.Kind, addr uint64) bool {
 	c := m.Channel(addr)
-	if m.rt != nil {
-		m.rt.BeginCross(c.shard)
-		m.rt.EndCross(c.shard)
-	}
 	if kind == mem.Read {
 		rd, _ := c.QueueLens()
 		return rd < c.cfg.ReadQueueCap

@@ -117,11 +117,7 @@ func (c *Controller) resumeSegment(earliest sim.Time, first bool) {
 	pw.remaining -= dur
 	pw.inFlight = true
 	pw.aw.end = end
-	c.notePost(end)
-	c.eng.At(end, func() {
-		c.dropPost()
-		c.segmentDone(pw)
-	})
+	c.eng.At(end, func() { c.segmentDone(pw) })
 }
 
 // segmentDone finishes a slice: either the write completes, or it

@@ -189,7 +189,6 @@ func (c *Controller) issueRead(r *mem.Request, p readPlan) {
 	}
 	c.decodeRead(r, p.coord.LineIdx)
 
-	c.notePost(done)
 	c.eng.At(done, c.newReadEv(r, verifyAt).fire)
 }
 
@@ -257,7 +256,6 @@ func (c *Controller) decodeRead(r *mem.Request, lineIdx uint64) {
 }
 
 func (c *Controller) completeRead(r *mem.Request, verifyAt sim.Time) {
-	c.dropPost()
 	r.Done = c.eng.Now()
 	c.rdq.Remove(r)
 	c.Metrics.Reads.Inc()
@@ -272,52 +270,27 @@ func (c *Controller) completeRead(r *mem.Request, verifyAt sim.Time) {
 	}
 
 	faulty := c.injectedFault()
-	if !r.Reconstructed {
+	if !r.Reconstructed && faulty {
 		// SECDED runs inline (when the ECC chip streamed with the
 		// data) or is postponed; either way a single-bit fault is
-		// corrected before the CPU commits, without rollback. The
-		// front-end tail (ECC accounting, OnDone, space notification,
-		// kick) crosses the shard boundary as one unit so its callbacks
-		// run in the sequential engine's order.
-		c.postReadDone(r, faulty)
-	} else if c.rt == nil {
-		// Keep the engine's historical sequence assignment order —
-		// OnDone's spawns, then the verify read-back, then space
-		// notifications and the kick — so a future event that happens
-		// to share the verify's timestamp keeps its relative order
-		// against OnDone's descendants.
-		if r.OnDone != nil {
-			r.OnDone(r)
-		}
-		c.scheduleVerifyRecon(r, verifyAt, faulty)
-		c.notifySpace(mem.Read)
-		c.kick()
-	} else {
-		// Sharded: the whole tail is posted and replays the sequential
-		// statement order on the front end; the verify read-back is
-		// scheduled back onto the shard engine under a fence, so its
-		// tie-breaker is drawn from the live counter at the same
-		// relative position (after OnDone's spawns) the single-engine
-		// run assigns it.
-		c.post(func() {
-			if r.OnDone != nil {
-				r.OnDone(r)
-			}
-			c.rt.BeginCross(c.shard)
-			c.scheduleVerifyRecon(r, verifyAt, faulty)
-			c.rt.EndCross(c.shard)
-			c.notifySpace(mem.Read)
-			c.kickCross()
-		})
+		// corrected before the CPU commits, without rollback.
+		c.Metrics.ECCCorrected.Inc()
 	}
-}
-
-// scheduleVerifyRecon schedules the deferred SECDED verification of a
-// reconstructed read at verifyAt (when the busy chip has freed and
-// streamed the missing word).
-func (c *Controller) scheduleVerifyRecon(r *mem.Request, verifyAt sim.Time, faulty bool) {
-	c.notePost(verifyAt)
-	c.eng.At(verifyAt, c.newVerifyEv(r, faulty).fire)
+	// Keep the engine's historical sequence assignment order — OnDone's
+	// spawns, then (for a reconstructed read) the verify read-back, then
+	// space notifications and the kick — so a future event that happens
+	// to share the verify's timestamp keeps its relative order against
+	// OnDone's descendants.
+	if r.OnDone != nil {
+		r.OnDone(r)
+	}
+	if r.Reconstructed {
+		// The deferred SECDED verification runs once the busy chip has
+		// freed and streamed the missing word.
+		c.eng.At(verifyAt, c.newVerifyEv(r, faulty).fire)
+	}
+	c.notifySpace(mem.Read)
+	c.kick()
 }
 
 // injectedFault samples the configured fault model: FaultMode overrides

@@ -51,11 +51,7 @@ func (c *Controller) scheduleVerifyRead(r *mem.Request, aw *activeWrite) {
 	if _, e := c.reserveChip(l.ECCChip(aw.coord.RotIdx), aw.coord.Bank, now, dur); e > end {
 		end = e
 	}
-	c.notePost(end)
-	c.eng.At(end, func() {
-		c.dropPost()
-		c.checkVerify(r, aw)
-	})
+	c.eng.At(end, func() { c.checkVerify(r, aw) })
 }
 
 // checkVerify compares the read-back against the intended content and
@@ -133,11 +129,7 @@ func (c *Controller) reprogram(r *mem.Request, aw *activeWrite, bad uint8) {
 	if res.PCCFlips.Any() {
 		reserve(l.PCCChip(aw.coord.RotIdx), res.PCCFlips)
 	}
-	c.notePost(end)
-	c.eng.At(end, func() {
-		c.dropPost()
-		c.scheduleVerifyRead(r, aw)
-	})
+	c.eng.At(end, func() { c.scheduleVerifyRead(r, aw) })
 }
 
 // remapLine retires a line whose cells failed every re-program attempt:
@@ -189,9 +181,7 @@ func (c *Controller) remapLine(r *mem.Request, aw *activeWrite) {
 			end = e
 		}
 	}
-	c.notePost(end)
 	c.eng.At(end, func() {
-		c.dropPost()
 		c.Metrics.VerifyLatency.Add(c.eng.Now() - aw.progEnd)
 		c.completeWrite(r, aw)
 	})

@@ -203,7 +203,6 @@ func (c *Controller) issueCoarseWrite(r *mem.Request) {
 		}
 	}
 
-	c.notePost(end)
 	c.eng.At(end, c.newWriteEv(r, aw, 0, false).fire)
 }
 
@@ -271,7 +270,6 @@ func (c *Controller) issueFineWrite(r *mem.Request, overlap bool) {
 		}
 		aw.req, aw.bank, aw.essCount, aw.end = r, coord.Bank, 0, end
 		c.active = append(c.active, aw)
-		c.notePost(end)
 		c.eng.At(end, c.newWriteEv(r, aw, 0, true).fire)
 		return
 	}
@@ -371,7 +369,6 @@ func (c *Controller) issueFineWrite(r *mem.Request, overlap bool) {
 	aw.req, aw.bank, aw.essCount, aw.end = r, coord.Bank, essCount, end
 	aw.coord, aw.mask = coord, r.Mask
 	c.active = append(c.active, aw)
-	c.notePost(end)
 	c.eng.At(end, c.newWriteEv(r, aw, power, false).fire)
 }
 
@@ -389,9 +386,10 @@ func (c *Controller) completeWrite(r *mem.Request, aw *activeWrite) {
 		c.trace.Span(c.trkService, c.nmWrite, r.Arrive, r.Done-r.Arrive)
 		c.trace.Count(c.trkWrq, c.nmDepth, r.Done, int64(c.wrq.Len()))
 	}
-	if c.hazardWrites > 0 && (r.Mask == 0 || r.Data != nil) {
-		c.hazardWrites--
+	if r.OnDone != nil {
+		r.OnDone(r)
 	}
-	c.postWriteDone(r)
+	c.notifySpace(mem.Write)
+	c.kick()
 	c.recycleActive(aw)
 }

@@ -77,13 +77,6 @@ type Runner struct {
 	// threaded, so set it only for single-run invocations (adhoc);
 	// a parallel sweep sharing one tracer would race.
 	Tracer *obs.Tracer
-	// Shards, when > 1, runs every simulation sharded across that many
-	// goroutines at the memory-channel boundary (system.WithShards).
-	// Sharding is an execution strategy, not part of the experiment
-	// identity: outputs are bit-identical at any shard count, so Shards
-	// deliberately does not enter CacheKey — cached runs are shared
-	// across shard settings.
-	Shards int
 
 	mu sync.Mutex
 	//pcmaplint:guardedby mu
@@ -155,9 +148,6 @@ func (r *Runner) defaultSimulate(ctx context.Context, cfg *config.Config, worklo
 	opts := []system.Option{system.WithConfig(cfg), system.WithWorkload(workload)}
 	if r.Tracer != nil {
 		opts = append(opts, system.WithTracer(r.Tracer))
-	}
-	if r.Shards > 1 {
-		opts = append(opts, system.WithShards(r.Shards))
 	}
 	sys, err := system.New(opts...)
 	if err != nil {

@@ -69,7 +69,6 @@ func (a *event) before(b *event) bool {
 type Engine struct {
 	now    Time
 	seq    uint64
-	curSeq uint64 // seq of the event currently executing (see CurSeq)
 	events []event // 4-ary min-heap ordered by (at, seq)
 	nsteps uint64
 
@@ -166,79 +165,12 @@ func (e *Engine) pop() event {
 	return root
 }
 
-// PeekNext reports the key (time, sequence number) of the earliest
-// pending event without executing it. ok is false when no events are
-// pending. The PDES coordinator merges several engines by comparing
-// head keys; within one engine the key order is exactly execution
-// order, so a peek is a sound one-event lookahead.
-func (e *Engine) PeekNext() (at Time, seq uint64, ok bool) {
-	if len(e.events) == 0 {
-		return 0, 0, false
-	}
-	return e.events[0].at, e.events[0].seq, true
-}
-
-// Seq returns the engine's event sequence counter: the seq value most
-// recently assigned to a scheduled event. Together with SetNextSeq it
-// lets the PDES coordinator thread one logical counter through several
-// engines across a synchronous cross-shard call, so the sharded run
-// assigns tie-breakers in the same relative order as the sequential
-// engine would.
-func (e *Engine) Seq() uint64 { return e.seq }
-
-// SetNextSeq overwrites the sequence counter so the next scheduled
-// event receives seq+1... and onward. The PDES coordinator uses it to
-// hand each executed event a private block of the global sequence
-// space; single-threaded runs never call it, so the legacy counter
-// path is untouched.
-func (e *Engine) SetNextSeq(seq uint64) { e.seq = seq }
-
-// AllocSeq consumes and returns the next sequence number without
-// scheduling anything. Shard code stamps cross-engine messages with it
-// so a posted event carries the same tie-breaker an inline call's
-// first scheduled event would have received.
-func (e *Engine) AllocSeq() uint64 {
-	e.seq++
-	return e.seq
-}
-
-// AtSeq schedules fn at absolute time t with an explicit, caller-owned
-// sequence number, without touching the engine's counter. The PDES
-// coordinator uses it to integrate cross-shard messages whose keys
-// were assigned on the sending shard, preserving the global (at, seq)
-// total order. The caller is responsible for seq uniqueness.
-func (e *Engine) AtSeq(t Time, seq uint64, fn func()) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now))
-	}
-	e.push(event{at: t, seq: seq, fn: fn})
-}
-
-// SyncNow advances the clock to t without executing anything (a no-op
-// when t is not ahead of now). The PDES coordinator aligns an idle
-// shard engine's clock with the front-end before a synchronous
-// cross-shard call, so code running under the call observes the same
-// Now() it would have observed on the single shared engine.
-func (e *Engine) SyncNow(t Time) {
-	if t > e.now {
-		e.now = t
-	}
-}
-
 // SetStepHook installs fn to be called once per executed event with the
 // event's timestamp and the number of events still pending after the
 // pop. The hook is observability-only: it must not schedule events or
 // otherwise influence the simulation, so that traced and untraced runs
 // stay bit-identical. Passing nil removes the hook.
 func (e *Engine) SetStepHook(fn func(now Time, pending int)) { e.stepHook = fn }
-
-// CurSeq returns the sequence number of the event currently (or most
-// recently) executing. A cross-engine message posted from inside an
-// event is stamped with this key: on the single shared engine the
-// message's work would have run inline within that very event, so its
-// heap position among same-instant events is the event's own
-// tie-breaker, not a freshly allocated one.
-func (e *Engine) CurSeq() uint64 { return e.curSeq }
 
 // Step executes the next event. It reports false when no events remain.
 func (e *Engine) Step() bool {
@@ -247,7 +179,6 @@ func (e *Engine) Step() bool {
 	}
 	ev := e.pop()
 	e.now = ev.at
-	e.curSeq = ev.seq
 	e.nsteps++
 	if e.stepHook != nil {
 		e.stepHook(e.now, len(e.events))

@@ -1,39 +1,57 @@
 package system
 
 import (
+	"reflect"
 	"testing"
 
 	"pcmap/internal/config"
 )
 
-// TestDeterminism: two builds of the same configuration must produce
-// bit-identical results — the foundation of the reproduction claim.
+// TestDeterminism: two fresh builds of the same configuration must
+// produce identical Results — every counter, latency histogram, IPC,
+// IRLP and energy string — the foundation of the reproduction claim.
+// The cases cover RoW reconstruction with deferred verify (RWoW-RDE),
+// the coherence-heavy multithreaded path (canneal), and the stochastic
+// fault model, whose per-channel RNG streams must replay identically.
+// The fault case's budget-of-one endurance and high drift probability
+// make injection dense enough to observe in a short run.
 func TestDeterminism(t *testing.T) {
-	run := func() *Results {
-		cfg := config.Default().WithVariant(config.RWoWRDE)
-		s, err := Build(cfg, "MP6")
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := s.Run(10_000, 60_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
+	cases := []struct {
+		name            string
+		variant         config.Variant
+		mix             string
+		faults          bool
+		warmup, measure uint64
+	}{
+		{"rde-mp6", config.RWoWRDE, "MP6", false, 10_000, 60_000},
+		{"nr-canneal", config.RWoWNR, "canneal", false, 4_000, 30_000},
+		{"rde-mp4-faults", config.RWoWRDE, "MP4", true, 4_000, 300_000},
 	}
-	a, b := run(), run()
-	if a.IPCSum != b.IPCSum {
-		t.Fatalf("IPC diverged: %v vs %v", a.IPCSum, b.IPCSum)
-	}
-	if a.IRLPAvg != b.IRLPAvg {
-		t.Fatalf("IRLP diverged: %v vs %v", a.IRLPAvg, b.IRLPAvg)
-	}
-	if a.Mem.Reads.Value() != b.Mem.Reads.Value() ||
-		a.Mem.Writes.Value() != b.Mem.Writes.Value() {
-		t.Fatal("request counts diverged")
-	}
-	if a.Mem.ReadLatency.MeanNS() != b.Mem.ReadLatency.MeanNS() {
-		t.Fatal("latencies diverged")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func() *Results {
+				opts := []Option{WithConfig(config.Default().WithVariant(tc.variant)), WithWorkload(tc.mix)}
+				if tc.faults {
+					opts = append(opts, WithFaultModel(1, 0.5))
+				}
+				s, err := New(opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r, err := s.Run(tc.warmup, tc.measure)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return r
+			}
+			a, b := run(), run()
+			if tc.faults && a.InjectedStuck+a.InjectedDrift == 0 {
+				t.Fatal("fault model injected nothing; the case exercises no fault paths")
+			}
+			if !reflect.DeepEqual(a, b) {
+				t.Errorf("results diverged:\nfirst  %+v\nsecond %+v", a, b)
+			}
+		})
 	}
 }
 
@@ -43,7 +61,7 @@ func TestSeedChangesResults(t *testing.T) {
 	run := func(seed uint64) float64 {
 		cfg := config.Default()
 		cfg.Seed = seed
-		s, err := Build(cfg, "MP4")
+		s, err := New(WithConfig(cfg), WithWorkload("MP4"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +81,7 @@ func TestSeedChangesResults(t *testing.T) {
 // address spaces).
 func TestMultithreadedCoherenceTraffic(t *testing.T) {
 	run := func(mix string) (uint64, uint64) {
-		s, err := Build(config.Default(), mix)
+		s, err := New(WithConfig(config.Default()), WithWorkload(mix))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +107,7 @@ func TestAllVariantsRunAllMixes(t *testing.T) {
 	}
 	for _, mix := range []string{"canneal", "freqmine", "MP1", "MP4", "stream"} {
 		for _, v := range config.Variants {
-			s, err := Build(config.Default().WithVariant(v), mix)
+			s, err := New(WithConfig(config.Default().WithVariant(v)), WithWorkload(mix))
 			if err != nil {
 				t.Fatalf("%s/%s: %v", mix, v, err)
 			}
@@ -111,7 +129,7 @@ func TestWearLevelingFullSystem(t *testing.T) {
 	run := func(psi uint64) (float64, uint64) {
 		cfg := config.Default() // baseline: no rotation, worst imbalance
 		cfg.Memory.WearLevelPsi = psi
-		s, err := Build(cfg, "MP4")
+		s, err := New(WithConfig(cfg), WithWorkload("MP4"))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -37,8 +37,6 @@ type settings struct {
 	faultSet  bool
 	endurance uint64
 	drift     float64
-
-	shards int
 }
 
 // Option configures New. Options are applied in order; later options
@@ -109,33 +107,15 @@ func WithFaultModel(enduranceBudget uint64, driftProb float64) Option {
 	}
 }
 
-// WithShards splits the simulation across n goroutines at the
-// memory-channel boundary (see internal/pdes): channel ch schedules on
-// shard engine ch%n. n must be at least 1; 1 (the default) runs the
-// classic single-threaded engine. A sharded run's outputs are
-// bit-identical to the single-threaded run's — the scheduler merges
-// cross-shard events back into the engine's exact (time, seq) total
-// order. n may not exceed the configured channel count, and tracing
-// (WithTracer) requires n == 1.
-func WithShards(n int) Option {
-	return func(st *settings) error {
-		if n < 1 {
-			return &OptionError{Option: "WithShards", Err: fmt.Errorf("shard count %d < 1", n)}
-		}
-		st.shards = n
-		return nil
-	}
-}
-
 // New assembles a machine from functional options — the constructor
-// behind Build and every command-line entry point. With no options it
+// behind every command-line entry point. With no options it
 // builds the paper's Table I default machine running the MP4 mix.
 //
 // Construction validates the resolved configuration and returns typed
 // errors (*OptionError for bad option values); it never mutates a
 // Config passed via WithConfig.
 func New(opts ...Option) (*System, error) {
-	st := settings{cfg: config.Default(), workload: "MP4", shards: 1}
+	st := settings{cfg: config.Default(), workload: "MP4"}
 	for _, opt := range opts {
 		if err := opt(&st); err != nil {
 			return nil, err
@@ -162,14 +142,7 @@ func New(opts ...Option) (*System, error) {
 		return nil, &OptionError{Option: "WithWorkload", Err: fmt.Errorf("mix %s defines %d cores, config has %d",
 			st.workload, len(mix.PerCore), cfg.Cores)}
 	}
-	if st.shards > cfg.Memory.Channels {
-		return nil, &OptionError{Option: "WithShards", Err: fmt.Errorf("%d shards exceed the %d memory channels (one channel is the finest partition)",
-			st.shards, cfg.Memory.Channels)}
-	}
-	if st.shards > 1 && st.tracer != nil {
-		return nil, &OptionError{Option: "WithShards", Err: fmt.Errorf("tracing requires a single shard (the tracer observes one engine's step stream)")}
-	}
-	s, err := assemble(cfg, mix, st.shards)
+	s, err := assemble(cfg, mix)
 	if err != nil {
 		return nil, err
 	}

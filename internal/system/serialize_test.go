@@ -15,7 +15,7 @@ func runSmall(t *testing.T, variant config.Variant, mutate func(*config.Config))
 	if mutate != nil {
 		mutate(cfg)
 	}
-	s, err := Build(cfg, "MP4")
+	s, err := New(WithConfig(cfg), WithWorkload("MP4"))
 	if err != nil {
 		t.Fatal(err)
 	}

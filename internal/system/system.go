@@ -14,7 +14,6 @@ import (
 	"pcmap/internal/energy"
 	"pcmap/internal/mem"
 	"pcmap/internal/obs"
-	"pcmap/internal/pdes"
 	"pcmap/internal/sim"
 	"pcmap/internal/stats"
 	"pcmap/internal/workloads"
@@ -35,65 +34,18 @@ type System struct {
 	Stats *stats.Registry
 	// Tracer is the attached timeline tracer, nil when tracing is off.
 	Tracer *obs.Tracer
-
-	// Shards is the PDES shard count (1 = classic single-threaded
-	// engine). With Shards > 1 each group of memory channels scheduled
-	// on one of ShardEngs runs on its own goroutine, coordinated by
-	// PDES; outputs are bit-identical to the single-threaded run.
-	Shards    int
-	PDES      *pdes.Runtime
-	ShardEngs []*sim.Engine
-}
-
-// Build constructs a machine for cfg running the named workload mix.
-// It is the positional-argument compatibility wrapper over New.
-func Build(cfg *config.Config, mixName string) (*System, error) {
-	return New(WithConfig(cfg), WithWorkload(mixName))
 }
 
 // assemble builds the machine proper: engine, memory, hierarchy, cores,
 // generators, prewarm. Instrumentation is layered on afterwards by New.
-// shards > 1 partitions the memory channels round-robin across private
-// shard engines driven by the PDES runtime; everything else (including
-// every RNG fork order) is constructed identically, so enabling
-// sharding perturbs no randomness stream.
-func assemble(cfg *config.Config, mix workloads.Mix, shards int) (*System, error) {
-	if shards < 1 {
-		shards = 1
-	}
+func assemble(cfg *config.Config, mix workloads.Mix) (*System, error) {
 	eng := sim.NewEngine()
-	var shardEngs []*sim.Engine
-	var chanEng []*sim.Engine
-	if shards > 1 {
-		for i := 0; i < shards; i++ {
-			shardEngs = append(shardEngs, sim.NewEngine())
-		}
-		chanEng = make([]*sim.Engine, cfg.Memory.Channels)
-		for ch := range chanEng {
-			chanEng[ch] = shardEngs[ch%shards]
-		}
-	}
-	memory, err := core.NewMemorySharded(eng, chanEng, cfg)
+	memory, err := core.NewMemory(eng, cfg)
 	if err != nil {
 		return nil, err
 	}
 	hier := cache.NewHierarchy(eng, cfg, memory)
-	s := &System{Eng: eng, Cfg: cfg, Mem: memory, Hier: hier, Mix: mix,
-		Shards: shards, ShardEngs: shardEngs}
-	if shards > 1 {
-		var pshards []*pdes.Shard
-		for i, se := range shardEngs {
-			var ctrls []*core.Controller
-			for ch, ctrl := range memory.Ctrls {
-				if ch%shards == i {
-					ctrls = append(ctrls, ctrl)
-				}
-			}
-			pshards = append(pshards, &pdes.Shard{Eng: se, Horizon: shardHorizon(ctrls)})
-		}
-		s.PDES = pdes.New(eng, pshards)
-		memory.SetShardRuntime(s.PDES, func(ch int) int { return ch % shards })
-	}
+	s := &System{Eng: eng, Cfg: cfg, Mem: memory, Hier: hier, Mix: mix}
 
 	var shared *workloads.SharedRegion
 	if mix.Multithreaded {
@@ -109,21 +61,6 @@ func assemble(cfg *config.Config, mix workloads.Mix, shards int) (*System, error
 	}
 	prewarm(hier, gens, shared)
 	return s, nil
-}
-
-// shardHorizon folds the shard's controllers' post horizons into the
-// single lookahead bound the PDES coordinator consumes: the earliest
-// front-end post any channel on the shard could emit.
-func shardHorizon(ctrls []*core.Controller) func(next sim.Time) sim.Time {
-	return func(next sim.Time) sim.Time {
-		h := ctrls[0].PostHorizon(next)
-		for _, c := range ctrls[1:] {
-			if hh := c.PostHorizon(next); hh < h {
-				h = hh
-			}
-		}
-		return h
-	}
 }
 
 // prewarm functionally installs the workloads' cache-resident reuse
@@ -214,8 +151,7 @@ const cancelCheckInterval = 8192
 // uncancelled runs stay bit-identical. A cancelled run returns no
 // Results — partial simulation state is not a meaningful measurement.
 func (s *System) RunCtx(ctx context.Context, warmup, measure uint64) (*Results, error) {
-	steps0 := s.totalSteps()
-	posts0 := s.postCount()
+	steps0 := s.Eng.Steps()
 	if err := s.runPhase(ctx, warmup); err != nil {
 		return nil, fmt.Errorf("system: warmup: %w", err)
 	}
@@ -255,31 +191,9 @@ func (s *System) RunCtx(ctx context.Context, warmup, measure uint64) (*Results, 
 	r.L2MissRatio = s.Hier.L2.MissRatio()
 	r.LLCMissRatio = s.Hier.LLC.MissRatio()
 	r.InjectedStuck, r.InjectedDrift = s.Mem.FaultCounts()
-	// Every cross-shard post is one extra front-end event the sequential
-	// run performs inline; subtracting restores an event count equal to
-	// the single-threaded run's.
-	r.Events = s.totalSteps() - steps0 - (s.postCount() - posts0)
+	r.Events = s.Eng.Steps() - steps0
 	r.Energy = s.Mem.Energy(energy.Default()).String()
 	return r, nil
-}
-
-// totalSteps sums executed events across the front-end and all shard
-// engines.
-func (s *System) totalSteps() uint64 {
-	n := s.Eng.Steps()
-	for _, e := range s.ShardEngs {
-		n += e.Steps()
-	}
-	return n
-}
-
-// postCount reports the cumulative cross-shard messages merged so far
-// (zero on the single-threaded path).
-func (s *System) postCount() uint64 {
-	if s.PDES == nil {
-		return 0
-	}
-	return s.PDES.Posts()
 }
 
 func (s *System) rollbackCounts() (rollbacks, verifies uint64) {
@@ -323,9 +237,6 @@ func (s *System) continuePhase(ctx context.Context, extra uint64) error {
 // context.Background) takes the plain Run path so the uncancellable
 // case pays nothing and behaves exactly as before.
 func (s *System) runEngine(ctx context.Context) error {
-	if s.PDES != nil {
-		return s.PDES.Run(ctx)
-	}
 	if ctx == nil || ctx.Done() == nil {
 		s.Eng.Run()
 		return nil

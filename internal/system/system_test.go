@@ -9,7 +9,7 @@ import (
 
 func TestSmokeRunBaseline(t *testing.T) {
 	cfg := config.Default()
-	s, err := Build(cfg, "canneal")
+	s, err := New(WithConfig(cfg), WithWorkload("canneal"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestSmokeRunBaseline(t *testing.T) {
 
 func TestSmokeRunPCMap(t *testing.T) {
 	cfg := config.Default().WithVariant(config.RWoWRDE)
-	s, err := Build(cfg, "MP4")
+	s, err := New(WithConfig(cfg), WithWorkload("MP4"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestZeroLineSurvivesFaultyRun(t *testing.T) {
 	cfg.Memory.VerifyWrites = true
 	cfg.Memory.EnduranceBudget = 50
 	cfg.Memory.DriftProb = 0.001
-	s, err := Build(cfg, "canneal")
+	s, err := New(WithConfig(cfg), WithWorkload("canneal"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestZeroLineSurvivesFaultyRun(t *testing.T) {
 }
 
 func TestUnknownMix(t *testing.T) {
-	if _, err := Build(config.Default(), "nope"); err == nil {
+	if _, err := New(WithConfig(config.Default()), WithWorkload("nope")); err == nil {
 		t.Fatal("unknown mix should error")
 	}
 }

@@ -13,7 +13,7 @@ import (
 // workload they must be strictly positive — and PALP must see at least
 // as many read/write overlaps as the whole-bank RWoW-RDE scheduler.
 func TestPALPSmokeRun(t *testing.T) {
-	rde, err := Build(config.Default().WithVariant(config.RWoWRDE), "MP6")
+	rde, err := New(WithConfig(config.Default().WithVariant(config.RWoWRDE)), WithWorkload("MP6"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +21,7 @@ func TestPALPSmokeRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Build(config.Default().WithVariant(config.PALP), "MP6")
+	s, err := New(WithConfig(config.Default().WithVariant(config.PALP)), WithWorkload("MP6"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestPALPSmokeRun(t *testing.T) {
 // one (the structural half of the byte-identity guarantee).
 func TestPaperVariantsNeverPartition(t *testing.T) {
 	for _, v := range config.Variants {
-		s, err := Build(config.Default().WithVariant(v), "MP6")
+		s, err := New(WithConfig(config.Default().WithVariant(v)), WithWorkload("MP6"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func TestPaperVariantsNeverPartition(t *testing.T) {
 // time never exceeds the worst-case WriteLatency, write throughput
 // must not fall below RWoW-RDE's on the same workload and budgets.
 func TestDCASmokeRun(t *testing.T) {
-	rde, err := Build(config.Default().WithVariant(config.RWoWRDE), "MP6")
+	rde, err := New(WithConfig(config.Default().WithVariant(config.RWoWRDE)), WithWorkload("MP6"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestDCASmokeRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Build(config.Default().WithVariant(config.RWoWDCA), "MP6")
+	s, err := New(WithConfig(config.Default().WithVariant(config.RWoWDCA)), WithWorkload("MP6"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestDCASmokeRun(t *testing.T) {
 // never sample the content-aware histograms (the observation itself is
 // gated on the capability, keeping their hot path untouched).
 func TestPaperVariantsSkipDCAHistograms(t *testing.T) {
-	s, err := Build(config.Default().WithVariant(config.RWoWRDE), "MP6")
+	s, err := New(WithConfig(config.Default().WithVariant(config.RWoWRDE)), WithWorkload("MP6"))
 	if err != nil {
 		t.Fatal(err)
 	}

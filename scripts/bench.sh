@@ -5,9 +5,6 @@
 #                               BENCH_3.json's "current" section
 #   scripts/bench.sh -check     run the suite and fail on allocs/op
 #                               regressions against BENCH_3.json
-#   scripts/bench.sh -shards    run Fig1 sequentially and at -shards 4
-#                               and record the wall-clock comparison in
-#                               BENCH_8.json
 #   scripts/bench.sh -footprint run Fig1 with -benchmem and record the
 #                               before/after footprint (ns, bytes,
 #                               allocs per op vs the BENCH_3.json
@@ -26,40 +23,10 @@ set -eu
 cd "$(dirname "$0")/.."
 
 BENCHTIME="${BENCHTIME:-1s}"
-PATTERN='^(BenchmarkEngine|BenchmarkEngineTimer|BenchmarkEngineTraceDisabled|BenchmarkSECDEDEncode|BenchmarkSECDEDCorrect|BenchmarkSECDEDDecodeClean|BenchmarkPCCReconstruct|BenchmarkPCCUpdate|BenchmarkRNGUint64|BenchmarkRNGExp|BenchmarkRNGPick|BenchmarkCacheLoadHit|BenchmarkStoreGetWarm|BenchmarkAnalyzeLineWrite|BenchmarkGeneratorNext|BenchmarkDirectory|BenchmarkIRLPStream|BenchmarkControllerRequests|BenchmarkFig1|BenchmarkFig1Shards4)$'
+PATTERN='^(BenchmarkEngine|BenchmarkEngineTimer|BenchmarkEngineTraceDisabled|BenchmarkSECDEDEncode|BenchmarkSECDEDCorrect|BenchmarkSECDEDDecodeClean|BenchmarkPCCReconstruct|BenchmarkPCCUpdate|BenchmarkRNGUint64|BenchmarkRNGExp|BenchmarkRNGPick|BenchmarkCacheLoadHit|BenchmarkStoreGetWarm|BenchmarkAnalyzeLineWrite|BenchmarkGeneratorNext|BenchmarkDirectory|BenchmarkIRLPStream|BenchmarkControllerRequests|BenchmarkFig1)$'
 
 OUT="$(mktemp)"
 trap 'rm -f "$OUT"' EXIT
-
-# -shards: the PDES scaling record. Runs the same figure regeneration
-# on one engine and sharded across 4, and writes both wall-clock
-# numbers (plus the host's CPU budget, which bounds the achievable
-# speedup) to BENCH_8.json. Outputs are bit-identical by construction —
-# scripts/shard_smoke.sh checks that; this records only time.
-if [ "${1:-}" = "-shards" ]; then
-	echo ">> go test -bench Fig1 sequential vs -shards 4 (benchtime=$BENCHTIME)"
-	go test -run '^$' -bench '^(BenchmarkFig1|BenchmarkFig1Shards4)$' \
-		-benchtime "$BENCHTIME" . | tee "$OUT"
-	seq_ns=$(awk '$1 ~ /^BenchmarkFig1-|^BenchmarkFig1$/ {print $3}' "$OUT")
-	par_ns=$(awk '$1 ~ /^BenchmarkFig1Shards4/ {print $3}' "$OUT")
-	if [ -z "$seq_ns" ] || [ -z "$par_ns" ]; then
-		echo "bench.sh: missing Fig1 results in bench output" >&2
-		exit 1
-	fi
-	ncpu=$(getconf _NPROCESSORS_ONLN 2>/dev/null || nproc 2>/dev/null || echo 1)
-	awk -v seq="$seq_ns" -v par="$par_ns" -v ncpu="$ncpu" 'BEGIN {
-		printf "{\n"
-		printf "  \"benchmark\": \"BenchmarkFig1\",\n"
-		printf "  \"shards\": 4,\n"
-		printf "  \"sequential_ns_per_op\": %s,\n", seq
-		printf "  \"shards4_ns_per_op\": %s,\n", par
-		printf "  \"speedup\": %.3f,\n", seq / par
-		printf "  \"host_cpus\": %s\n", ncpu
-		printf "}\n"
-	}' > BENCH_8.json
-	echo ">> wrote BENCH_8.json (speedup $(awk -v s="$seq_ns" -v p="$par_ns" 'BEGIN{printf "%.3f", s/p}')x on $ncpu CPUs)"
-	exit 0
-fi
 
 # -footprint: the memory-overhaul record. Reruns the figure
 # regeneration with -benchmem and writes its footprint next to the
@@ -136,7 +103,7 @@ case "${1:-}" in
 	go run ./cmd/pcmapbench -out BENCH_3.json <"$OUT"
 	;;
 *)
-	echo "usage: scripts/bench.sh [-check|-shards|-footprint]" >&2
+	echo "usage: scripts/bench.sh [-check|-footprint]" >&2
 	exit 2
 	;;
 esac
