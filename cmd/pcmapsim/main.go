@@ -358,7 +358,7 @@ func runAdhoc(ctx context.Context, r *exp.Runner, o adhocOpts) error {
 	if feat := res.Variant.Features(); feat.PartitionRoW {
 		fmt.Printf("part overlaps     %d reads, %d writes\n",
 			res.Mem.PartOverlapReads.Value(), res.Mem.PartOverlapWrites.Value())
-	} else if feat.ContentAware && res.Mem.SetBits != nil {
+	} else if feat.ContentAware {
 		fmt.Printf("bits per write    %.1f SET, %.1f RESET (mean)\n",
 			res.Mem.SetBits.MeanValue(), res.Mem.ResetBits.MeanValue())
 	}

@@ -23,7 +23,7 @@ func TestNoDeterminism(t *testing.T) {
 }
 
 func TestMetricsComplete(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(t), checks.MetricsComplete, "metricscomplete", "metricsnomethods", "metricsregistry")
+	analysistest.Run(t, analysistest.TestData(t), checks.MetricsComplete, "metricscomplete", "metricsnomethods")
 }
 
 func TestTypedErr(t *testing.T) {

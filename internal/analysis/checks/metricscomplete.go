@@ -14,35 +14,28 @@ import (
 // into the measured window (Reset), or vanish from reports (Counters)
 // — none of which fails a test on its own.
 //
-// The analyzer supports two lifecycle styles.
+// The Metrics type lists its counters in one private method, counters,
+// which returns each stats.Counter field by pointer under its report
+// name; Merge, Reset, and Counters all walk that list. The list is the
+// single point of truth, so:
 //
-// Registry style (current): the Metrics type has one or more bind
-// methods — methods taking a *stats.Registry parameter — that register
-// every counter field by pointer; Merge, Reset, and Counters then
-// delegate to the registry. Here the registration site is the single
-// point of truth, so:
-//
-//   - each stats.Counter field must be referenced in at least one bind
-//     method (an unregistered counter is invisible to every consumer);
+//   - each stats.Counter field must be referenced in counters (an
+//     unlisted counter is invisible to every consumer);
 //   - each pointer field whose element type is defined in the stats
-//     package (LatencyTracker, Histogram, IRLP, ...) must still be
-//     referenced in Reset — trackers are not registry-managed;
-//   - the Merge, Reset, and Counters methods must exist.
-//
-// Legacy style (no bind method): each stats.Counter field must be
-// referenced in the Merge, Reset, and Counters methods directly, and
-// tracker fields in Reset, as above.
+//     package (LatencyTracker, Histogram, IRLP, ...) must be referenced
+//     in Reset — trackers are not in the counters list;
+//   - the Merge, Reset, Counters, and counters methods must exist.
 //
 // Atomic counter blocks (the serve layer's service counters): a struct
 // with two or more atomic.Uint64/Int64/Uint32/Int32 fields is a
-// counters block maintained outside the registry because concurrent
-// HTTP handlers touch it. The same forgotten-field bug applies with
+// counters block kept apart from Metrics because concurrent HTTP
+// handlers touch it. The same forgotten-field bug applies with
 // different spelling: every field must have a write site (Add, Store,
 // Swap, CompareAndSwap) and a read site (Load) somewhere in the
 // package, or it is either never incremented or never exposed.
 var MetricsComplete = &analysis.Analyzer{
 	Name: "metricscomplete",
-	Doc:  "reports Metrics counter fields missing from registry binding or the Merge/Reset/Counters lifecycle",
+	Doc:  "reports Metrics counter fields missing from the counters list and trackers missing from Reset",
 	Run:  runMetricsComplete,
 }
 
@@ -153,11 +146,6 @@ func checkMetricsLifecycle(pass *analysis.Pass) error {
 			continue
 		}
 		if ptr, ok := f.Type().(*types.Pointer); ok {
-			// The registry index itself is lifecycle infrastructure,
-			// not a measurement, so it is exempt.
-			if namedIn(ptr.Elem(), "stats", "Registry") {
-				continue
-			}
 			if n, ok := ptr.Elem().(*types.Named); ok {
 				if p := n.Obj().Pkg(); p != nil && pkgLast(p.Path()) == "stats" {
 					trackers = append(trackers, f)
@@ -170,53 +158,28 @@ func checkMetricsLifecycle(pass *analysis.Pass) error {
 	}
 
 	methods := map[string]*ast.FuncDecl{}
-	var binders []*ast.FuncDecl
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Recv == nil || len(fd.Recv.List) != 1 {
 				continue
 			}
-			if recvNamed(pass, fd.Recv.List[0].Type) != tn {
-				continue
-			}
-			methods[fd.Name.Name] = fd
-			if isBindMethod(pass, fd) {
-				binders = append(binders, fd)
+			if recvNamed(pass, fd.Recv.List[0].Type) == tn {
+				methods[fd.Name.Name] = fd
 			}
 		}
 	}
 
-	// Registry style: counters are complete when registered in a bind
-	// method; Merge/Reset/Counters delegate, so only their existence
-	// (and tracker handling in Reset) is checked.
+	// Fields each method must reference; Merge and Counters walk the
+	// counters list, so only their existence is checked.
 	required := map[string][]*types.Var{
-		"Merge":    counters,
-		"Reset":    append(append([]*types.Var{}, counters...), trackers...),
-		"Counters": counters,
+		"counters": counters,
+		"Reset":    trackers,
 	}
-	if len(binders) > 0 {
-		bound := map[*types.Var]bool{}
-		for _, fd := range binders {
-			for v := range fieldsReferenced(pass, fd) {
-				bound[v] = true
-			}
-		}
-		for _, f := range counters {
-			if !bound[f] {
-				pass.Reportf(f.Pos(), "field %s is not registered in any (%s) bind method", f.Name(), tn.Name())
-			}
-		}
-		required = map[string][]*types.Var{
-			"Merge":    nil,
-			"Reset":    trackers,
-			"Counters": nil,
-		}
-	}
-	for _, name := range []string{"Merge", "Reset", "Counters"} {
+	for _, name := range []string{"Merge", "Reset", "Counters", "counters"} {
 		m := methods[name]
 		if m == nil {
-			pass.Reportf(tn.Pos(), "Metrics has counter fields but no %s method; the full lifecycle is Merge/Reset/Counters", name)
+			pass.Reportf(tn.Pos(), "Metrics has counter fields but no %s method; the lifecycle is Merge/Reset/Counters over the counters list", name)
 			continue
 		}
 		used := fieldsReferenced(pass, m)
@@ -227,25 +190,6 @@ func checkMetricsLifecycle(pass *analysis.Pass) error {
 		}
 	}
 	return nil
-}
-
-// isBindMethod reports whether fd takes a *stats.Registry parameter —
-// the shape of a registry bind method.
-func isBindMethod(pass *analysis.Pass, fd *ast.FuncDecl) bool {
-	if fd.Type.Params == nil {
-		return false
-	}
-	for _, p := range fd.Type.Params.List {
-		t := pass.TypesInfo.Types[p.Type].Type
-		ptr, ok := t.(*types.Pointer)
-		if !ok {
-			continue
-		}
-		if namedIn(ptr.Elem(), "stats", "Registry") {
-			return true
-		}
-	}
-	return false
 }
 
 // recvNamed resolves a method receiver type expression to its type

@@ -1,6 +1,6 @@
 // Package metricscomplete exercises the metrics-lifecycle analyzer: a
-// Metrics struct where one counter is missing from each lifecycle
-// method and a tracker is missing from Reset.
+// Metrics struct whose counters list forgets one counter and whose
+// Reset forgets one tracker.
 package metricscomplete
 
 import "stats"
@@ -9,10 +9,9 @@ import "stats"
 // the field declaration.
 type Metrics struct {
 	Reads  stats.Counter
-	Writes stats.Counter // complete: in Merge, Reset, and Counters
-	Stalls stats.Counter // want `field Stalls is not handled in \(Metrics\)\.Merge`
+	Writes stats.Counter
 
-	Forgotten stats.Counter // want `field Forgotten is not handled in \(Metrics\)\.Reset` `field Forgotten is not handled in \(Metrics\)\.Counters`
+	Dropped stats.Counter // want `field Dropped is not handled in \(Metrics\)\.counters`
 
 	ReadLatency *stats.LatencyTracker
 	LostTracker *stats.LatencyTracker // want `field LostTracker is not handled in \(Metrics\)\.Reset`
@@ -20,27 +19,41 @@ type Metrics struct {
 	label string // non-stats fields are not lifecycle-checked
 }
 
-// Merge folds other in, but forgets Stalls.
-func (m *Metrics) Merge(other *Metrics) {
-	m.Reads.Add(other.Reads.Value())
-	m.Writes.Add(other.Writes.Value())
-	m.Forgotten.Add(other.Forgotten.Value())
+type counterRef struct {
+	name string
+	c    *stats.Counter
 }
 
-// Reset clears the block, but forgets Forgotten and LostTracker.
+// counters lists every counter but Dropped.
+func (m *Metrics) counters() []counterRef {
+	return []counterRef{
+		{"reads", &m.Reads},
+		{"writes", &m.Writes},
+	}
+}
+
+// Merge adds pairwise through the counters list.
+func (m *Metrics) Merge(other *Metrics) {
+	dst, src := m.counters(), other.counters()
+	for i := range dst {
+		dst[i].c.Add(src[i].c.Value())
+	}
+}
+
+// Reset zeroes the counters list but forgets LostTracker.
 func (m *Metrics) Reset() {
-	m.Reads = stats.Counter{}
-	m.Writes = stats.Counter{}
-	m.Stalls = stats.Counter{}
+	for _, r := range m.counters() {
+		*r.c = stats.Counter{}
+	}
 	m.ReadLatency = stats.NewLatencyTracker()
 	m.label = ""
 }
 
-// Counters reports the counters, but forgets Forgotten.
-func (m *Metrics) Counters() map[string]uint64 {
-	return map[string]uint64{
-		"reads":  m.Reads.Value(),
-		"writes": m.Writes.Value(),
-		"stalls": m.Stalls.Value(),
+// Counters renders the counters list.
+func (m *Metrics) Counters() []string {
+	var names []string
+	for _, r := range m.counters() {
+		names = append(names, r.name)
 	}
+	return names
 }

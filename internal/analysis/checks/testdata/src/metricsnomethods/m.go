@@ -4,7 +4,7 @@ package metricsnomethods
 
 import "stats"
 
-// Metrics lacks Merge, Reset, and Counters entirely.
-type Metrics struct { // want `no Merge method` `no Reset method` `no Counters method`
+// Metrics lacks Merge, Reset, Counters, and counters entirely.
+type Metrics struct { // want `no Merge method` `no Reset method` `no Counters method` `no counters method`
 	Hits stats.Counter
 }

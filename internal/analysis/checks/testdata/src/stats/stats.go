@@ -15,18 +15,3 @@ type LatencyTracker struct{ sum int64 }
 
 // NewLatencyTracker returns an empty tracker.
 func NewLatencyTracker() *LatencyTracker { return &LatencyTracker{} }
-
-// Registry mirrors the real hierarchical counter registry.
-type Registry struct{ names []string }
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry { return &Registry{} }
-
-// Register adds c under name.
-func (r *Registry) Register(name string, c *Counter) { r.names = append(r.names, name) }
-
-// Reset zeroes registered counters.
-func (r *Registry) Reset() {}
-
-// Merge folds other in.
-func (r *Registry) Merge(other *Registry) {}

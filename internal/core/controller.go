@@ -314,16 +314,11 @@ func NewController(eng *sim.Engine, cfgAll *config.Config, channel int, amap *me
 	return c
 }
 
-// Instrument wires the channel into the observability layer: the
-// metrics block's counters register into reg (pass the system
-// registry's "mem.chanN" view), and a non-nil tracer gets this
+// Instrument attaches a tracer to the channel: a non-nil tr gets this
 // channel's request-service spans, queue-depth samples, drain windows,
 // bus transfers, and the rank's per-bank occupancy timelines. Call once
 // before the first request.
-func (c *Controller) Instrument(tr *obs.Tracer, reg *stats.Registry) {
-	if reg != nil {
-		c.Metrics.RegisterInto(reg)
-	}
+func (c *Controller) Instrument(tr *obs.Tracer) {
 	if tr == nil {
 		return
 	}

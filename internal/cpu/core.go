@@ -73,11 +73,10 @@ type Core struct {
 	StallFillTime                                          sim.Time
 
 	// Stall-cause accounting (observability layer): one episode per
-	// stall, bucketed by what blocked issue. The buckets register into
-	// the system stats registry under cpu.coreN.stall.* and, when a
-	// tracer is attached, each episode also emits an instant on the
-	// core's timeline track. Plain counter increments keep the
-	// no-tracer hot path allocation-free.
+	// stall, bucketed by what blocked issue. When a tracer is attached,
+	// each episode also emits an instant on the core's timeline track.
+	// Plain counter increments keep the no-tracer hot path
+	// allocation-free.
 	StallReadLatency  stats.Counter // window blocked on an unknown-latency PCM fill
 	StallMSHRFull     stats.Counter // all data MSHRs in flight
 	StallWriteQFull   stats.Counter // store rejected: write queue back-pressure
@@ -111,18 +110,11 @@ func NewCore(eng *sim.Engine, cfg *config.Config, id int, hier *cache.Hierarchy,
 	return c
 }
 
-// Instrument registers the core's stall-cause counters into reg (under
-// relative names stall.read_latency, stall.mshr_full,
-// stall.writeq_full, stall.bank_conflict) and, when tr is non-nil,
-// attaches a timeline track that receives one instant per stall
-// episode. Call once, before Start.
-func (c *Core) Instrument(tr *obs.Tracer, reg *stats.Registry) {
-	if reg != nil {
-		reg.Register("stall.read_latency", &c.StallReadLatency)
-		reg.Register("stall.mshr_full", &c.StallMSHRFull)
-		reg.Register("stall.writeq_full", &c.StallWriteQFull)
-		reg.Register("stall.bank_conflict", &c.StallBankConflict)
-	}
+// Instrument attaches a timeline track that receives one instant per
+// stall episode, named after the stall bucket (stall.read_latency,
+// stall.mshr_full, stall.writeq_full, stall.bank_conflict). A nil tr
+// leaves tracing off. Call once, before Start.
+func (c *Core) Instrument(tr *obs.Tracer) {
 	if tr != nil {
 		c.trace = tr
 		c.track = tr.Track("cpu", fmt.Sprintf("core%d", c.ID))

@@ -18,8 +18,9 @@ import (
 // never addressed again (no migration logic needed).
 //
 // Version history: 1 = bare Results JSON; 2 = checksummed envelope
-// (cacheEntry).
-const cacheFormatVersion = 2
+// (cacheEntry); 3 = every metrics tracker required on decode (entries
+// from before the content-aware histograms lack SetBits/ResetBits).
+const cacheFormatVersion = 3
 
 // CacheKey derives the content address of one run: a SHA-256 over the
 // cache format version, the Spec, the fully resolved configuration, and

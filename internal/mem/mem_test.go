@@ -1,10 +1,12 @@
 package mem
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"pcmap/internal/sim"
+	"pcmap/internal/stats"
 )
 
 // defaultGeometry mirrors config.Default().Memory's shape (Table I).
@@ -192,6 +194,175 @@ func TestMetricsMerge(t *testing.T) {
 	}
 	if a.FirstArrival != 50 || a.LastDone != 900 {
 		t.Fatalf("window [%v,%v]", a.FirstArrival, a.LastDone)
+	}
+}
+
+// reportNames is the Counters order that reports and the serve layer's
+// sim_<name> rows depend on.
+var reportNames = []string{
+	"reads", "writes", "silent_writes", "reads_delayed_by_write",
+	"row_served", "row_verifies", "row_faulty", "wow_overlapped",
+	"overlap_reads", "ecc_corrected", "secded_corrected",
+	"secded_check_fixed", "pcc_recovered", "uncorrected_reads",
+	"write_verifies", "verify_reads", "write_retries", "write_remaps",
+	"remap_failures", "drain_entries", "writeq_stalls", "readq_stalls",
+	"status_polls", "wear_moves", "write_pauses", "part_overlap_reads",
+	"part_overlap_writes",
+}
+
+// TestMetricsCounters checks that the rows read the live counter fields.
+func TestMetricsCounters(t *testing.T) {
+	m := NewMetrics()
+	m.Reads.Add(3)
+	m.Writes.Inc()
+	m.PartOverlapWrites.Add(7)
+	got := m.Counters()
+	if got[0].Value != 3 || got[1].Value != 1 || got[len(got)-1].Value != 7 {
+		t.Fatalf("Counters() does not read the live fields: %v", got)
+	}
+	m.Reads.Inc()
+	if got := m.Counters()[0].Value; got != 4 {
+		t.Fatalf("Counters() after another increment reads %d, want 4", got)
+	}
+}
+
+// TestMetricsCountersOrder pins the row order: the fixed report order,
+// the same for every block.
+func TestMetricsCountersOrder(t *testing.T) {
+	a, b := NewMetrics().Counters(), (&Metrics{}).Counters()
+	if len(a) != len(reportNames) || len(b) != len(reportNames) {
+		t.Fatalf("Counters() has %d/%d rows, want %d", len(a), len(b), len(reportNames))
+	}
+	for i := range a {
+		if a[i].Name != reportNames[i] {
+			t.Fatalf("row %d is %q, want %q: the report order changed", i, a[i].Name, reportNames[i])
+		}
+		if b[i].Name != a[i].Name {
+			t.Fatalf("row %d is %q in one block and %q in another", i, a[i].Name, b[i].Name)
+		}
+	}
+}
+
+// TestMetricsCountersUniqueNames checks that no report name is listed
+// twice, so no sim_<name> row is ambiguous.
+func TestMetricsCountersUniqueNames(t *testing.T) {
+	names := map[string]bool{}
+	for _, r := range (&Metrics{}).counters() {
+		if r.name == "" {
+			t.Error("empty report name")
+		}
+		if names[r.name] {
+			t.Errorf("report name %q listed twice", r.name)
+		}
+		names[r.name] = true
+	}
+}
+
+// TestMetricsCountersCoverEveryField checks the counters list against
+// the struct: every entry is a non-nil pointer to a distinct
+// stats.Counter field, and every such field is listed.
+func TestMetricsCountersCoverEveryField(t *testing.T) {
+	m := &Metrics{}
+	fields := map[*stats.Counter]string{}
+	v := reflect.ValueOf(m).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Type() == reflect.TypeOf(stats.Counter{}) {
+			fields[f.Addr().Interface().(*stats.Counter)] = v.Type().Field(i).Name
+		}
+	}
+	for _, r := range m.counters() {
+		if r.c == nil {
+			t.Errorf("%q has a nil counter", r.name)
+			continue
+		}
+		if _, ok := fields[r.c]; !ok {
+			t.Errorf("%q is not a distinct counter field of Metrics", r.name)
+		}
+		delete(fields, r.c)
+	}
+	for _, name := range fields {
+		t.Errorf("counter field %s is missing from counters()", name)
+	}
+}
+
+// TestMetricsMergeAddsPairwise checks that Merge adds each counter into
+// the same-named counter and leaves the source untouched.
+func TestMetricsMergeAddsPairwise(t *testing.T) {
+	dst, src := NewMetrics(), NewMetrics()
+	dst.Reads.Add(1)
+	src.Reads.Add(2)
+	src.Writes.Add(5)
+	dst.Merge(src)
+	for _, nc := range dst.Counters() {
+		want := uint64(0)
+		switch nc.Name {
+		case "reads":
+			want = 3
+		case "writes":
+			want = 5
+		}
+		if nc.Value != want {
+			t.Fatalf("merged %s = %d, want %d", nc.Name, nc.Value, want)
+		}
+	}
+	if src.Reads.Value() != 2 || src.Writes.Value() != 5 {
+		t.Fatal("Merge changed its source")
+	}
+}
+
+// TestMetricsRoundTrip is the Merge/Reset/Counters property: merging N
+// copies of a block into a fresh one multiplies every counter by N, and
+// Reset returns every counter to zero with the row set intact.
+func TestMetricsRoundTrip(t *testing.T) {
+	src := NewMetrics()
+	for i, r := range src.counters() {
+		r.c.Add(uint64(i + 1))
+	}
+	agg := NewMetrics()
+	const n = 3
+	for i := 0; i < n; i++ {
+		agg.Merge(src)
+	}
+	for i, nc := range agg.Counters() {
+		if nc.Value != uint64(n*(i+1)) {
+			t.Fatalf("%s = %d, want %d", nc.Name, nc.Value, n*(i+1))
+		}
+	}
+	agg.Reset()
+	rows := agg.Counters()
+	if len(rows) != len(reportNames) {
+		t.Fatalf("Reset changed the row set: %v", rows)
+	}
+	for _, nc := range rows {
+		if nc.Value != 0 {
+			t.Fatalf("after reset %s = %d", nc.Name, nc.Value)
+		}
+	}
+}
+
+// TestMetricsResetZeroesInPlace checks Reset clears counters, trackers
+// and the throughput window without replacing the tracker storage.
+func TestMetricsResetZeroesInPlace(t *testing.T) {
+	m := NewMetrics()
+	lat, bits := m.ReadLatency, m.SetBits
+	m.Reads.Add(9)
+	m.ReadLatency.Add(sim.NS(100))
+	m.SetBits.Add(12)
+	m.NoteArrival(10)
+	m.NoteDone(20)
+	m.Reset()
+	if m.ReadLatency != lat || m.SetBits != bits {
+		t.Fatal("Reset must reset trackers in place, not replace them")
+	}
+	if m.Reads.Value() != 0 || m.ReadLatency.Count() != 0 || m.SetBits.Total() != 0 {
+		t.Fatal("Reset left measurements behind")
+	}
+	if m.HaveArrival || m.FirstArrival != 0 || m.LastDone != 0 {
+		t.Fatal("Reset left the throughput window open")
+	}
+	m.Reads.Inc()
+	if got := m.Counters()[0].Value; got != 1 {
+		t.Fatalf("counter detached after reset: %d", got)
 	}
 }
 

@@ -36,7 +36,7 @@ type Metrics struct {
 
 	// Content-aware write distributions (the RWoW-DCA variant): SET and
 	// RESET transition counts per serviced write, over the whole line
-	// (0..512 bits). Nil on variants without ContentAware observation.
+	// (0..512 bits). Empty on variants without ContentAware observation.
 	SetBits   *stats.Histogram
 	ResetBits *stats.Histogram
 
@@ -69,23 +69,11 @@ type Metrics struct {
 	// system.Results) serializes for the experiment runner's disk cache;
 	// treat it as read-only outside NoteArrival/Merge/Reset.
 	HaveArrival bool
-
-	// reg indexes every counter field above under its snake_case report
-	// name. It is built lazily (registry) so a Metrics decoded from the
-	// experiment runner's JSON cache — which round-trips only the
-	// exported fields — re-binds transparently on first use. Reset,
-	// Merge, and Counters all delegate to it, making the registry the
-	// single source of truth for the counter set; the struct fields
-	// remain as thin compatibility accessors for call sites
-	// (m.Reads.Inc() and friends keep working because the registry holds
-	// pointers to the fields, not copies).
-	reg *stats.Registry
 }
 
-// NewMetrics returns a zeroed metrics block with its counter registry
-// bound.
+// NewMetrics returns a zeroed metrics block with its trackers allocated.
 func NewMetrics() *Metrics {
-	m := &Metrics{
+	return &Metrics{
 		ReadLatency:   stats.NewLatencyTracker(),
 		WriteLatency:  stats.NewLatencyTracker(),
 		VerifyLatency: stats.NewLatencyTracker(),
@@ -94,68 +82,51 @@ func NewMetrics() *Metrics {
 		ResetBits:     stats.NewHistogram(513),
 		IRLP:          stats.NewIRLP(),
 	}
-	m.reg = stats.NewRegistry()
-	m.bind(m.reg)
-	return m
 }
 
-// bind registers every counter field into r under its report name, in
-// the report's fixed order (registration order is iteration order, so
-// this list IS the Counters output order — append only at the end, as
-// report compatibility demands). The pcmaplint metricscomplete analyzer
-// checks that no counter field is missing here.
-func (m *Metrics) bind(r *stats.Registry) {
-	r.Register("reads", &m.Reads)
-	r.Register("writes", &m.Writes)
-	r.Register("silent_writes", &m.SilentWrites)
-	r.Register("reads_delayed_by_write", &m.ReadsDelayedByWrite)
-	r.Register("row_served", &m.RoWServed)
-	r.Register("row_verifies", &m.RoWVerifies)
-	r.Register("row_faulty", &m.RoWFaulty)
-	r.Register("wow_overlapped", &m.WoWOverlapped)
-	r.Register("overlap_reads", &m.OverlapReads)
-	r.Register("ecc_corrected", &m.ECCCorrected)
-	r.Register("secded_corrected", &m.SECDEDCorrected)
-	r.Register("secded_check_fixed", &m.SECDEDCheckFixed)
-	r.Register("pcc_recovered", &m.PCCRecovered)
-	r.Register("uncorrected_reads", &m.UncorrectedReads)
-	r.Register("write_verifies", &m.WriteVerifies)
-	r.Register("verify_reads", &m.VerifyReads)
-	r.Register("write_retries", &m.WriteRetries)
-	r.Register("write_remaps", &m.WriteRemaps)
-	r.Register("remap_failures", &m.RemapFailures)
-	r.Register("drain_entries", &m.DrainEntries)
-	r.Register("writeq_stalls", &m.WriteQStalls)
-	r.Register("readq_stalls", &m.ReadQStalls)
-	r.Register("status_polls", &m.StatusPolls)
-	r.Register("wear_moves", &m.WearMoves)
-	r.Register("write_pauses", &m.WritePauses)
-	r.Register("part_overlap_reads", &m.PartOverlapReads)
-	r.Register("part_overlap_writes", &m.PartOverlapWrites)
+// counterRef is one counter field of a Metrics block under its report
+// name.
+type counterRef struct {
+	name string
+	c    *stats.Counter
 }
 
-// registry returns the metrics block's private counter index, building
-// it on first use. Laziness matters: a Metrics produced by the JSON
-// codecs arrives with reg == nil and must behave identically to a
-// freshly constructed one.
-func (m *Metrics) registry() *stats.Registry {
-	if m.reg == nil {
-		m.reg = stats.NewRegistry()
-		m.bind(m.reg)
+// counters lists every counter field under its report name, in the
+// report's fixed order: append only at the end, as report
+// compatibility demands. Reset, Merge and Counters all walk this list.
+// The pcmaplint metricscomplete analyzer checks that no counter field
+// is missing here.
+func (m *Metrics) counters() []counterRef {
+	return []counterRef{
+		{"reads", &m.Reads},
+		{"writes", &m.Writes},
+		{"silent_writes", &m.SilentWrites},
+		{"reads_delayed_by_write", &m.ReadsDelayedByWrite},
+		{"row_served", &m.RoWServed},
+		{"row_verifies", &m.RoWVerifies},
+		{"row_faulty", &m.RoWFaulty},
+		{"wow_overlapped", &m.WoWOverlapped},
+		{"overlap_reads", &m.OverlapReads},
+		{"ecc_corrected", &m.ECCCorrected},
+		{"secded_corrected", &m.SECDEDCorrected},
+		{"secded_check_fixed", &m.SECDEDCheckFixed},
+		{"pcc_recovered", &m.PCCRecovered},
+		{"uncorrected_reads", &m.UncorrectedReads},
+		{"write_verifies", &m.WriteVerifies},
+		{"verify_reads", &m.VerifyReads},
+		{"write_retries", &m.WriteRetries},
+		{"write_remaps", &m.WriteRemaps},
+		{"remap_failures", &m.RemapFailures},
+		{"drain_entries", &m.DrainEntries},
+		{"writeq_stalls", &m.WriteQStalls},
+		{"readq_stalls", &m.ReadQStalls},
+		{"status_polls", &m.StatusPolls},
+		{"wear_moves", &m.WearMoves},
+		{"write_pauses", &m.WritePauses},
+		{"part_overlap_reads", &m.PartOverlapReads},
+		{"part_overlap_writes", &m.PartOverlapWrites},
 	}
-	return m.reg
 }
-
-// RegisterInto publishes the metrics counters into an external registry
-// view (e.g. the system root's "mem.chan0" subtree) by registering the
-// same field pointers under the same names. The block's own registry
-// and the external tree then observe identical live values.
-func (m *Metrics) RegisterInto(r *stats.Registry) { m.bind(r) }
-
-// Registry exposes the block's private counter index (binding it if
-// needed). Callers deserializing a Metrics use it to re-establish the
-// registry invariant; everyone else should prefer Counters.
-func (m *Metrics) Registry() *stats.Registry { return m.registry() }
 
 // NoteArrival records the first request arrival (throughput window).
 func (m *Metrics) NoteArrival(t sim.Time) {
@@ -183,59 +154,56 @@ func (m *Metrics) WriteThroughput() float64 {
 }
 
 // Reset returns the metrics block to its freshly-constructed state.
-// Used to discard warmup-phase measurements in place. Counters are
-// zeroed through the registry (so any external registry views stay
-// bound to the same, now-zero fields); trackers reset in place,
-// keeping their grown storage — the warmup-discard reset runs once
-// per channel per simulation and used to rebuild ~2.4 MB of latency
-// buckets each time.
+// Used to discard warmup-phase measurements in place. Trackers reset in
+// place, keeping their grown storage — the warmup-discard reset runs
+// once per channel per simulation and used to rebuild ~2.4 MB of
+// latency buckets each time.
 func (m *Metrics) Reset() {
-	m.registry().Reset()
+	for _, r := range m.counters() {
+		*r.c = stats.Counter{}
+	}
 	m.ReadLatency.Reset()
 	m.WriteLatency.Reset()
 	m.VerifyLatency.Reset()
 	m.DirtyWords.Reset()
-	if m.SetBits != nil {
-		m.SetBits.Reset()
-	}
-	if m.ResetBits != nil {
-		m.ResetBits.Reset()
-	}
+	m.SetBits.Reset()
+	m.ResetBits.Reset()
 	m.IRLP.Reset()
 	m.FirstArrival = 0
 	m.LastDone = 0
 	m.HaveArrival = false
 }
 
-// NamedCounter is one row of the Counters report. It is the registry's
-// row type: the metrics report and any registry-wide enumeration are
-// the same shape.
-type NamedCounter = stats.NamedCounter
-
-// Counters lists every counter in a fixed, deterministic order, for
-// report output and the determinism regression test. The order is the
-// registry's registration order, i.e. the bind list.
-func (m *Metrics) Counters() []NamedCounter {
-	return m.registry().Counters()
+// NamedCounter is one row of the Counters report.
+type NamedCounter struct {
+	Name  string
+	Value uint64
 }
 
-// Merge folds other into m (used to aggregate channels). Counters merge
-// through the registries by name; latency trackers and histograms are
-// merged bucket-wise.
+// Counters lists every counter in the report's fixed order, for report
+// output and the serve layer's /metrics aggregate.
+func (m *Metrics) Counters() []NamedCounter {
+	refs := m.counters()
+	out := make([]NamedCounter, len(refs))
+	for i, r := range refs {
+		out[i] = NamedCounter{Name: r.name, Value: r.c.Value()}
+	}
+	return out
+}
+
+// Merge folds other into m (used to aggregate channels). Counters add
+// pairwise; latency trackers and histograms are merged bucket-wise.
 func (m *Metrics) Merge(other *Metrics) {
-	m.registry().Merge(other.registry())
+	dst, src := m.counters(), other.counters()
+	for i := range dst {
+		dst[i].c.Add(src[i].c.Value())
+	}
 	stats.MergeLatency(m.ReadLatency, other.ReadLatency)
 	stats.MergeLatency(m.WriteLatency, other.WriteLatency)
 	stats.MergeLatency(m.VerifyLatency, other.VerifyLatency)
 	stats.MergeHistogram(m.DirtyWords, other.DirtyWords)
-	// The bit histograms are nil on metrics decoded from a pre-DCA disk
-	// cache; skip them rather than resurrecting empty ones.
-	if m.SetBits != nil && other.SetBits != nil {
-		stats.MergeHistogram(m.SetBits, other.SetBits)
-	}
-	if m.ResetBits != nil && other.ResetBits != nil {
-		stats.MergeHistogram(m.ResetBits, other.ResetBits)
-	}
+	stats.MergeHistogram(m.SetBits, other.SetBits)
+	stats.MergeHistogram(m.ResetBits, other.ResetBits)
 	if other.HaveArrival {
 		m.NoteArrival(other.FirstArrival)
 	}

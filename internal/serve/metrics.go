@@ -3,15 +3,15 @@ package serve
 import (
 	"fmt"
 	"net/http"
-	"strings"
 	"sync/atomic"
 
-	"pcmap/internal/stats"
+	"pcmap/internal/mem"
 )
 
-// svcCounters are the service-level counters, separate from the
-// simulation's stats.Registry because HTTP handlers and workers touch
-// them concurrently (stats counters are single-goroutine by design).
+// svcCounters are the service-level counters. They are atomics, unlike
+// the simulation's stats.Counter fields, because HTTP handlers and
+// workers touch them concurrently (stats counters are single-goroutine
+// by design).
 type svcCounters struct {
 	accepted         atomic.Uint64
 	rejectedQueue    atomic.Uint64
@@ -29,7 +29,7 @@ type svcCounters struct {
 // style, name value per line) of the service counters followed by the
 // simulation counters aggregated over every completed job.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	// Snapshot the registry and runner totals under mu; render after.
+	// Snapshot the aggregate and runner totals under mu; render after.
 	s.mu.Lock()
 	sims, hits := s.retiredSims, s.retiredHits
 	for _, r := range s.runners {
@@ -37,7 +37,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		sims += n
 		hits += r.CacheHits()
 	}
-	agg := s.agg.Counters()
+	agg := append([]mem.NamedCounter(nil), s.agg...)
 	s.mu.Unlock()
 
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -65,29 +65,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	for _, row := range rows {
 		fmt.Fprintf(w, "%s %d\n", row.name, row.value)
 	}
-	writeRegistry(w, agg)
-}
-
-// writeRegistry renders aggregated simulation counters as
-// sim_<name> rows. The slice is in registration order (deterministic),
-// never map order.
-func writeRegistry(w http.ResponseWriter, rows []stats.NamedCounter) {
-	for _, nc := range rows {
-		fmt.Fprintf(w, "sim_%s %d\n", metricName(nc.Name), nc.Value)
+	// The simulation counters follow as sim_<name> rows, in the
+	// metrics report's fixed order.
+	for _, nc := range agg {
+		fmt.Fprintf(w, "sim_%s %d\n", nc.Name, nc.Value)
 	}
-}
-
-// metricName flattens a dotted registry name into the conventional
-// [a-zA-Z0-9_] metric charset.
-func metricName(name string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_':
-			return r
-		default:
-			return '_'
-		}
-	}, name)
 }
 
 func boolMetric(b bool) int64 {

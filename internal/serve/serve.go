@@ -38,8 +38,8 @@ import (
 	"time"
 
 	"pcmap/internal/exp"
+	"pcmap/internal/mem"
 	"pcmap/internal/sim"
-	"pcmap/internal/stats"
 	"pcmap/internal/system"
 )
 
@@ -185,9 +185,8 @@ type Server struct {
 
 	met svcCounters
 
-	// mu guards the runner table, the aggregate registry (including
-	// lazy materialization of per-result registries), and the jitter
-	// stream.
+	// mu guards the runner table, the simulation-counter aggregate,
+	// and the jitter stream.
 	mu sync.Mutex
 	//pcmaplint:guardedby mu
 	runners map[budgets]*exp.Runner
@@ -196,8 +195,10 @@ type Server struct {
 	retiredSims uint64
 	//pcmaplint:guardedby mu
 	retiredHits uint64
+	// agg sums every completed job's mem.Metrics counters, in the
+	// report's fixed order; nil until the first job completes.
 	//pcmaplint:guardedby mu
-	agg *stats.Registry
+	agg []mem.NamedCounter
 	//pcmaplint:guardedby mu
 	jitter *sim.RNG
 }
@@ -213,7 +214,6 @@ func New(cfg Config) *Server {
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		runners:    map[budgets]*exp.Runner{},
-		agg:        stats.NewRegistry(),
 		jitter:     sim.NewRNG(cfg.JitterSeed),
 	}
 	s.mux = http.NewServeMux()
@@ -463,16 +463,22 @@ func (s *Server) maybeRetire(r *exp.Runner, key budgets) {
 }
 
 // aggregate folds one completed job's simulation counters into the
-// service-wide registry served at /metrics. The per-result registry is
-// lazily materialized, so every touch happens under mu — two handlers
-// answering the same memoized Results must not race its construction.
+// service-wide sums served at /metrics. Handlers finish concurrently,
+// so the shared sums are touched only under mu.
 func (s *Server) aggregate(res *system.Results) {
 	if res == nil || res.Mem == nil {
 		return
 	}
+	rows := res.Mem.Counters()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.agg.Merge(res.Mem.Registry())
+	if s.agg == nil {
+		s.agg = rows
+		return
+	}
+	for i, nc := range rows {
+		s.agg[i].Value += nc.Value
+	}
 }
 
 // recoverHandler isolates handler panics: the offending request gets a

@@ -6,7 +6,6 @@ import (
 	"pcmap/internal/config"
 	"pcmap/internal/obs"
 	"pcmap/internal/sim"
-	"pcmap/internal/stats"
 	"pcmap/internal/workloads"
 )
 
@@ -150,20 +149,16 @@ func New(opts ...Option) (*System, error) {
 	return s, nil
 }
 
-// instrument wires the observability layer: every component registers
-// its counters into the system registry, and — when a tracer is
-// attached — its timeline tracks. Track registration order is
+// instrument attaches the tracer (nil when tracing is off) to every
+// component's timeline tracks. Track registration order is
 // construction order, so traced runs serialize deterministically.
 func (s *System) instrument(tr *obs.Tracer) {
 	s.Tracer = tr
-	s.Stats = stats.NewRegistry()
-	cpuReg := s.Stats.Sub("cpu")
-	for i, c := range s.Cores {
-		c.Instrument(tr, cpuReg.Sub(fmt.Sprintf("core%d", i)))
+	for _, c := range s.Cores {
+		c.Instrument(tr)
 	}
-	memReg := s.Stats.Sub("mem")
-	for ch, ctrl := range s.Mem.Ctrls {
-		ctrl.Instrument(tr, memReg.Sub(fmt.Sprintf("chan%d", ch)))
+	for _, ctrl := range s.Mem.Ctrls {
+		ctrl.Instrument(tr)
 	}
 	s.Hier.Mesh.Instrument(tr)
 	if tr != nil {

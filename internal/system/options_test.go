@@ -1,6 +1,8 @@
 package system
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"testing"
 
@@ -16,18 +18,13 @@ func TestNewDefaults(t *testing.T) {
 	if s.Mix.Name != "MP4" {
 		t.Fatalf("default mix = %q, want MP4", s.Mix.Name)
 	}
-	if s.Stats == nil {
-		t.Fatal("New must populate the stats registry")
-	}
 	if s.Tracer != nil {
 		t.Fatal("tracing must default to off")
 	}
-	// Every core's stall buckets and every channel's metrics must be in
-	// the tree.
-	for _, name := range []string{"cpu.core0.stall.read_latency", "mem.chan0.reads", "mem.chan0.write_pauses"} {
-		if _, ok := s.Stats.Lookup(name); !ok {
-			t.Errorf("registry missing %s", name)
-		}
+	def := config.Default()
+	if len(s.Cores) != def.Cores || len(s.Mem.Ctrls) != def.Memory.Channels {
+		t.Fatalf("built %d cores and %d channels, want %d and %d",
+			len(s.Cores), len(s.Mem.Ctrls), def.Cores, def.Memory.Channels)
 	}
 }
 
@@ -99,6 +96,60 @@ func TestNewWithTracerAttachesEverywhere(t *testing.T) {
 	}
 	if tr.Len() == 0 {
 		t.Fatal("traced run recorded nothing")
+	}
+}
+
+// TestStallCountersMatchTrace checks each core stall bucket against the
+// timeline: every stall episode increments its counter and emits one
+// trace instant of the same name, so with nothing dropped from the ring
+// the per-name sums agree.
+func TestStallCountersMatchTrace(t *testing.T) {
+	tr := obs.New(obs.DefaultCapacity, 1)
+	s, err := New(WithTracer(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(2_000, 10_000); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Dropped() != 0 {
+		t.Fatalf("ring dropped %d records; raise the capacity", tr.Dropped())
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Ph   string `json:"ph"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	instants := map[string]uint64{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "I" {
+			instants[ev.Name]++
+		}
+	}
+	counters := map[string]uint64{}
+	for _, c := range s.Cores {
+		counters["stall.read_latency"] += c.StallReadLatency.Value()
+		counters["stall.mshr_full"] += c.StallMSHRFull.Value()
+		counters["stall.writeq_full"] += c.StallWriteQFull.Value()
+		counters["stall.bank_conflict"] += c.StallBankConflict.Value()
+	}
+	var total uint64
+	for name, n := range counters {
+		if instants[name] != n {
+			t.Errorf("%s: counters sum to %d, trace has %d instants", name, n, instants[name])
+		}
+		total += n
+	}
+	if total == 0 {
+		t.Fatal("no stall episode counted; the check compared only zeros")
 	}
 }
 

@@ -19,18 +19,45 @@ func EncodeResults(r *Results) ([]byte, error) {
 	return json.Marshal(r)
 }
 
-// DecodeResults deserializes a Results produced by EncodeResults.
+// MissingFieldError reports a decoded Results that lacks a field the
+// reports dereference: the memory metrics block or one of its trackers.
+// Field is the Go path of the missing field, e.g. "Mem.ReadLatency".
+type MissingFieldError struct {
+	Field string
+}
+
+func (e *MissingFieldError) Error() string {
+	return fmt.Sprintf("system: decoded Results has no %s", e.Field)
+}
+
+// DecodeResults deserializes a Results produced by EncodeResults. A
+// document that parses but lacks the metrics block or any of its
+// trackers is rejected with a *MissingFieldError rather than returned
+// half-built.
 func DecodeResults(data []byte) (*Results, error) {
 	var r Results
 	if err := json.Unmarshal(data, &r); err != nil {
 		return nil, fmt.Errorf("system: decode Results: %w", err)
 	}
-	if r.Mem == nil {
-		return nil, fmt.Errorf("system: decoded Results has no memory metrics")
+	m := r.Mem
+	if m == nil {
+		return nil, &MissingFieldError{Field: "Mem"}
 	}
-	// JSON carries only the exported fields; rebuild the counter
-	// registry so a decoded Metrics is indistinguishable from a live one
-	// (the round-trip test compares them with reflect.DeepEqual).
-	r.Mem.Registry()
+	for _, f := range []struct {
+		name    string
+		missing bool
+	}{
+		{"ReadLatency", m.ReadLatency == nil},
+		{"WriteLatency", m.WriteLatency == nil},
+		{"VerifyLatency", m.VerifyLatency == nil},
+		{"DirtyWords", m.DirtyWords == nil},
+		{"SetBits", m.SetBits == nil},
+		{"ResetBits", m.ResetBits == nil},
+		{"IRLP", m.IRLP == nil},
+	} {
+		if f.missing {
+			return nil, &MissingFieldError{Field: "Mem." + f.name}
+		}
+	}
 	return &r, nil
 }

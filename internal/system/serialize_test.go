@@ -1,6 +1,7 @@
 package system
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -79,9 +80,26 @@ func TestResultsRoundTrip(t *testing.T) {
 // TestDecodeResultsRejectsGarbage covers the cache's corrupted-file
 // path: garbage must return an error, never a half-built Results.
 func TestDecodeResultsRejectsGarbage(t *testing.T) {
-	for _, data := range []string{"", "{", "null", "{}", `{"Workload":"x"}`} {
+	for _, data := range []string{"", "{", "null", "{}", `{"Workload":"x"}`, `{"Mem":{}}`} {
 		if _, err := DecodeResults([]byte(data)); err == nil {
 			t.Errorf("DecodeResults(%q) = nil error, want failure", data)
 		}
+	}
+}
+
+// TestDecodeResultsNamesMissingField checks the decode boundary blames
+// the exact tracker a document lacks, so a stale cache entry fails with
+// a typed error instead of a nil dereference in the first report.
+func TestDecodeResultsNamesMissingField(t *testing.T) {
+	res := runSmall(t, config.RWoWRDE, nil)
+	res.Mem.SetBits = nil
+	data, err := EncodeResults(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = DecodeResults(data)
+	var mf *MissingFieldError
+	if !errors.As(err, &mf) || mf.Field != "Mem.SetBits" {
+		t.Fatalf("DecodeResults error = %v, want a *MissingFieldError for Mem.SetBits", err)
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"pcmap/internal/mem"
 	"pcmap/internal/obs"
 	"pcmap/internal/sim"
-	"pcmap/internal/stats"
 	"pcmap/internal/workloads"
 )
 
@@ -28,10 +27,6 @@ type System struct {
 	Cores []*cpu.Core
 	Mix   workloads.Mix
 
-	// Stats is the system-wide counter registry: every component's
-	// counters live under a dotted subtree (mem.chan0.reads,
-	// cpu.core3.stall.mshr_full, ...). Populated by New.
-	Stats *stats.Registry
 	// Tracer is the attached timeline tracer, nil when tracing is off.
 	Tracer *obs.Tracer
 }

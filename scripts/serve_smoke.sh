@@ -2,9 +2,10 @@
 # Serve smoke test: start `pcmapsim serve` on an ephemeral port, post
 # the same job twice (the second answer must be byte-identical — the
 # single-flight/cache path), reject an invalid job with a structured
-# 400, scrape the service counters, then SIGTERM the server and require
-# a clean drain (exit 0). Exercises the service end to end through the
-# real binary, real sockets, and a real signal.
+# 400, scrape the service counters and the aggregated simulation
+# counters, then SIGTERM the server and require a clean drain (exit 0).
+# Exercises the service end to end through the real binary, real
+# sockets, and a real signal.
 set -eu
 
 GO=${GO:-go}
@@ -92,6 +93,12 @@ for want in 'serve_jobs_accepted 2' 'serve_jobs_completed 2' 'serve_jobs_rejecte
         exit 1
     }
 done
+# The simulation counters of the two real jobs are summed into sim_ rows.
+awk '$1 == "sim_reads" && $2 > 0 { ok = 1 } END { exit !ok }' "$tmp/metrics.txt" || {
+    echo "serve-smoke: /metrics lacks a positive sim_reads row" >&2
+    cat "$tmp/metrics.txt" >&2
+    exit 1
+}
 
 # SIGTERM drains and exits 0.
 kill -TERM "$pid"
