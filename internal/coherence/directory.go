@@ -6,7 +6,11 @@
 // traffic.
 package coherence
 
-import "fmt"
+import (
+	"fmt"
+
+	"pcmap/internal/flat"
+)
 
 // State is a MOESI stability state as seen by the directory.
 type State uint8
@@ -48,14 +52,6 @@ type line struct {
 	sharers uint16
 }
 
-// entry is one slot of the directory table: the line address with bit
-// 0 set (so the zero key marks an empty slot; line addresses are
-// 64-byte aligned, which leaves bit 0 free) and the line's state.
-type entry struct {
-	key uint64
-	line
-}
-
 // Action tells the requesting side what coherence work its access
 // triggered: which L1s must be invalidated and whether a remote owner
 // forwards the data (otherwise the L2/memory supplies it).
@@ -73,119 +69,48 @@ type Action struct {
 }
 
 // Directory tracks the L1-coherence state of every line cached above
-// the L2. Entries live by value in a flat open-addressing table (linear
-// probing, multiplicative hash, power-of-two size, at most 3/4 full,
-// backward-shift deletion), so tracking a line allocates nothing beyond
-// the table's doublings and a lookup is one probe sequence over
-// adjacent slots.
+// the L2. Lines live by value in a flat table keyed by the line address
+// with bit 0 set (line addresses are 64-byte aligned, which leaves bit
+// 0 free and the key non-zero), so tracking a line allocates nothing
+// beyond the table's doublings.
 type Directory struct {
-	table []entry
-	n     int   // occupied slots
-	shift uint8 // 64 - log2(len(table)): home keeps the hash's top bits
+	table flat.Table[line]
 
 	Invalidations uint64
 	Forwards      uint64
 	WriteBacks    uint64
 }
 
-// initialBits sizes a new directory's table (256 slots, 4 KB), small
-// enough that building a system does not notice it; the table doubles
-// as lines arrive.
-const initialBits = 8
-
 // NewDirectory returns an empty directory.
-func NewDirectory() *Directory {
-	return &Directory{table: make([]entry, 1<<initialBits), shift: 64 - initialBits}
-}
+func NewDirectory() *Directory { return &Directory{} }
 
 // Entries returns the number of tracked (non-invalid) lines.
-func (d *Directory) Entries() int { return d.n }
+func (d *Directory) Entries() int { return d.table.Len() }
 
 // StateOf reports the directory state of a line (Invalid if untracked).
 func (d *Directory) StateOf(addr uint64) State {
-	if i, ok := d.find(addr); ok {
-		return d.table[i].state
+	if l := d.table.Get(addr | 1); l != nil {
+		return l.state
 	}
 	return Invalid
 }
 
 // Sharers returns the sharer bitmask of a line.
 func (d *Directory) Sharers(addr uint64) uint16 {
-	if i, ok := d.find(addr); ok {
-		return d.table[i].sharers
+	if l := d.table.Get(addr | 1); l != nil {
+		return l.sharers
 	}
 	return 0
-}
-
-// home is the slot a key hashes to (Fibonacci hashing: the top bits of
-// the key times 2^64/phi).
-func (d *Directory) home(key uint64) int {
-	return int((key * 0x9e3779b97f4a7c15) >> d.shift)
-}
-
-// find returns the slot holding addr, or the empty slot ending its
-// probe sequence and false.
-func (d *Directory) find(addr uint64) (int, bool) {
-	key := addr | 1
-	mask := len(d.table) - 1
-	for i := d.home(key); ; i = (i + 1) & mask {
-		switch d.table[i].key {
-		case key:
-			return i, true
-		case 0:
-			return i, false
-		}
-	}
 }
 
 // get returns addr's entry, inserting an Invalid one if the line is
 // untracked. The pointer is valid until the next insertion.
 func (d *Directory) get(addr uint64) *line {
-	i, ok := d.find(addr)
+	l, ok := d.table.Put(addr | 1)
 	if !ok {
-		if 4*(d.n+1) > 3*len(d.table) {
-			d.grow()
-			i, _ = d.find(addr)
-		}
-		d.table[i] = entry{key: addr | 1, line: line{state: Invalid, owner: -1}}
-		d.n++
+		*l = line{state: Invalid, owner: -1}
 	}
-	return &d.table[i].line
-}
-
-// grow doubles the table and reinserts every entry.
-func (d *Directory) grow() {
-	old := d.table
-	d.table = make([]entry, 2*len(old))
-	d.shift--
-	mask := len(d.table) - 1
-	for _, e := range old {
-		if e.key == 0 {
-			continue
-		}
-		i := d.home(e.key)
-		for d.table[i].key != 0 {
-			i = (i + 1) & mask
-		}
-		d.table[i] = e
-	}
-}
-
-// remove empties slot i, shifting later entries of its probe run back
-// so every remaining key stays reachable from its home slot without
-// tombstones.
-func (d *Directory) remove(i int) {
-	mask := len(d.table) - 1
-	for j := (i + 1) & mask; d.table[j].key != 0; j = (j + 1) & mask {
-		// The entry at j may fill the hole at i only if i lies on its
-		// probe path, i.e. no further from j than its home slot is.
-		if (j-d.home(d.table[j].key))&mask >= (j-i)&mask {
-			d.table[i] = d.table[j]
-			i = j
-		}
-	}
-	d.table[i] = entry{}
-	d.n--
+	return l
 }
 
 // Load records core's read of a line and returns the required actions.
@@ -252,11 +177,10 @@ func (d *Directory) Store(addr uint64, core int) Action {
 // owned dirty data the eviction writes back to the L2.
 func (d *Directory) Evict(addr uint64, core int) Action {
 	a := Action{ForwardFrom: -1}
-	i, ok := d.find(addr)
-	if !ok {
+	l := d.table.Get(addr | 1)
+	if l == nil {
 		return a
 	}
-	l := &d.table[i].line
 	bit := uint16(1) << uint(core)
 	l.sharers &^= bit
 	if int(l.owner) == core {
@@ -271,7 +195,7 @@ func (d *Directory) Evict(addr uint64, core int) Action {
 		}
 	}
 	if l.sharers == 0 {
-		d.remove(i)
+		d.table.Delete(addr | 1)
 	}
 	return a
 }

@@ -343,32 +343,6 @@ func TestDirectoryMatchesMapGrowth(t *testing.T) {
 	}
 }
 
-// TestDirectoryMatchesMapClustered confines traffic to lines whose
-// home slots are the last few of a new directory's table, so probe
-// runs wrap around the table's end and backward-shift deletes move
-// entries across it. The set stays small enough that the table never
-// grows, and every line is compared after every operation.
-func TestDirectoryMatchesMapClustered(t *testing.T) {
-	probe := NewDirectory()
-	last := len(probe.table) - 1
-	addrs := []uint64{0}
-	for a := uint64(64); len(addrs) < 64; a += 64 {
-		if probe.home(a|1) >= last-3 {
-			addrs = append(addrs, a)
-		}
-	}
-	for seed := uint64(1); seed <= 10; seed++ {
-		diffTrace(t, sim.NewRNG(seed), addrs, 5_000, 1)
-	}
-	d := NewDirectory()
-	for _, a := range addrs {
-		d.Load(a, 0)
-	}
-	if len(d.table) != len(probe.table) {
-		t.Fatalf("table grew to %d slots; the clustered set must fit the initial %d", len(d.table), len(probe.table))
-	}
-}
-
 // TestDirectoryWarmAllocFree pins warm Load/Store/Evict at zero
 // allocations: entries live by value in the table, so tracking a line
 // once the table has grown allocates nothing.

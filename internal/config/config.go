@@ -517,6 +517,13 @@ func (c *Config) Validate() error {
 		if lvl.l.SizeBytes <= 0 || lvl.l.Ways <= 0 || lvl.l.LineBytes <= 0 {
 			return fmt.Errorf("config: %s has non-positive geometry", lvl.name)
 		}
+		if lvl.l.Ways > 255 {
+			// The cache's LRU order list stores way ids as bytes.
+			return fmt.Errorf("config: %s has %d ways, at most 255 are supported", lvl.name, lvl.l.Ways)
+		}
+		if lb := lvl.l.LineBytes; lb&(lb-1) != 0 {
+			return fmt.Errorf("config: %s line size %d bytes is not a power of two", lvl.name, lb)
+		}
 		sets := lvl.l.SizeBytes / int64(lvl.l.Ways*lvl.l.LineBytes)
 		if sets <= 0 || sets&(sets-1) != 0 {
 			return fmt.Errorf("config: %s set count %d is not a power of two", lvl.name, sets)

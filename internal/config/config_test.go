@@ -55,6 +55,8 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		{"noc too small", func(c *Config) { c.NoC.Rows, c.NoC.Cols = 1, 2 }},
 		{"zero timing", func(c *Config) { c.Memory.Timing.CellSET = 0 }},
 		{"capacity split", func(c *Config) { c.Memory.CapacityBytes = (8 << 30) + 1; c.Memory.Channels = 2 }},
+		{"too many ways", func(c *Config) { c.L2.Ways, c.L2.SizeBytes = 256, 256*64*512 }},
+		{"odd line size", func(c *Config) { c.L1D.LineBytes, c.L1D.SizeBytes = 48, 2*48*512 }},
 	}
 	for _, m := range mutations {
 		c := Default()

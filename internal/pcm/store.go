@@ -12,6 +12,7 @@ import (
 	"math/bits"
 
 	"pcmap/internal/ecc"
+	"pcmap/internal/flat"
 )
 
 // Line is the stored content of one 64-byte cache line together with
@@ -38,34 +39,16 @@ func (l *Line) CheckConsistent() error {
 	return nil
 }
 
-// Lines are materialized in blocks of 64 so that a warm region costs
-// one map entry and one allocation instead of 64: a block covers a
-// 4 KB span of data payload, the natural page granularity of the
-// workloads' address streams.
-const (
-	blockShift = 6
-	blockLines = 1 << blockShift
-	blockMask  = blockLines - 1
-)
-
-// lineBlock is one contiguous 64-line region of the rank, materialized
-// on the first write to any of its lines. The written bitmap records
-// which lines were ever written: the rest read as zero and, crucially,
-// are skipped by drift injection (their cells were never programmed),
-// exactly as when every line was an individual map entry.
-type lineBlock struct {
-	lines   [blockLines]Line
-	written uint64
-}
-
 // Store is the sparse functional content of one rank's PCM arrays,
 // keyed by line index (line address within the rank). Lines never
-// written read as zero. Storage is a two-level page table: a map of
-// 64-line value-typed blocks, so multi-GB footprints cost one pointer
-// per warm 4 KB region rather than one heap object per line.
+// written read as zero. Every written line is one value in a flat
+// table under key lineIdx+1 (keys must be non-zero), so a line costs
+// its own slot whatever its neighbours do: write-backs land about one
+// line per 4 KB region, which made page-granular storage pay for 64
+// lines per written one. Table membership is what "written" means, so
+// Lines() and the fault model's never-written skip are exact.
 type Store struct {
-	blocks    map[uint64]*lineBlock
-	lineCount int // distinct lines ever written
+	lines flat.Table[Line]
 
 	// Faults, when non-nil, injects endurance-driven stuck-at cells on
 	// every programming operation and drift flips on demand (see
@@ -75,10 +58,10 @@ type Store struct {
 }
 
 // NewStore returns an empty store.
-func NewStore() *Store { return &Store{blocks: make(map[uint64]*lineBlock)} }
+func NewStore() *Store { return &Store{} }
 
 // Lines returns the number of distinct lines ever written.
-func (s *Store) Lines() int { return s.lineCount }
+func (s *Store) Lines() int { return s.lines.Len() }
 
 var zeroLine Line
 
@@ -87,8 +70,8 @@ var zeroLine Line
 // the read path use it to avoid copying; they must never mutate the
 // result (TestPeekZeroLineStaysZero enforces the invariant).
 func (s *Store) peek(lineIdx uint64) *Line {
-	if b, ok := s.blocks[lineIdx>>blockShift]; ok && b.written&(1<<(lineIdx&blockMask)) != 0 {
-		return &b.lines[lineIdx&blockMask]
+	if l := s.lines.Get(lineIdx + 1); l != nil {
+		return l
 	}
 	return &zeroLine
 }
@@ -100,19 +83,12 @@ func (s *Store) peek(lineIdx uint64) *Line {
 // result a cross-line corruption hazard.
 func (s *Store) Peek(lineIdx uint64) Line { return *s.peek(lineIdx) }
 
-// Get returns the stored line, materializing its block on first touch
-// and marking the line written.
+// Get returns the stored line, marking it written on first touch. The
+// pointer stays valid until the store next takes in a line it does not
+// hold (through Get or WriteWords).
 func (s *Store) Get(lineIdx uint64) *Line {
-	b, ok := s.blocks[lineIdx>>blockShift]
-	if !ok {
-		b = &lineBlock{}
-		s.blocks[lineIdx>>blockShift] = b
-	}
-	if bit := uint64(1) << (lineIdx & blockMask); b.written&bit == 0 {
-		b.written |= bit
-		s.lineCount++
-	}
-	return &b.lines[lineIdx&blockMask]
+	l, _ := s.lines.Put(lineIdx + 1)
+	return l
 }
 
 // ZeroLineIntact reports whether the package-shared zero line is still
@@ -242,11 +218,11 @@ func (s *Store) InjectDrift(lineIdx uint64) bool {
 	if s.Faults == nil {
 		return false
 	}
-	b, ok := s.blocks[lineIdx>>blockShift]
-	if !ok || b.written&(1<<(lineIdx&blockMask)) == 0 {
+	l := s.lines.Get(lineIdx + 1)
+	if l == nil {
 		return false
 	}
-	return s.Faults.onRead(lineIdx, &b.lines[lineIdx&blockMask]) >= 0
+	return s.Faults.onRead(lineIdx, l) >= 0
 }
 
 func eccWord(e [ecc.WordsPerLine]byte) uint64 {

@@ -1,9 +1,12 @@
 package pcm
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
+	"pcmap/internal/config"
 	"pcmap/internal/ecc"
 	"pcmap/internal/sim"
 )
@@ -138,23 +141,36 @@ func TestZeroMaskIsNoop(t *testing.T) {
 	}
 }
 
-func TestLinesCountsAcrossBlocks(t *testing.T) {
-	// Lines() must count distinct written lines exactly, including two
-	// lines sharing a block and lines straddling a block boundary.
+// TestLinesCountsDistinctLines pins Lines() to the exact number of
+// distinct written lines — lines 64 apart (one per 4 KB region, the
+// write-back pattern), rewrites, and enough lines to cross several
+// table doublings — and checks that writing a line does not make a
+// never-written neighbour look written: drift injection on it must be
+// a no-op even with a fault model armed.
+func TestLinesCountsDistinctLines(t *testing.T) {
 	s := NewStore()
 	rng := sim.NewRNG(11)
-	for _, idx := range []uint64{0, 1, 0, blockLines - 1, blockLines, 3 * blockLines, blockLines} {
+	for _, idx := range []uint64{0, 1, 0, 63, 64, 3 * 64, 64} {
 		s.WriteWords(idx, 0xff, randomLine(rng))
 	}
 	if s.Lines() != 5 {
 		t.Fatalf("Lines() = %d, want 5 distinct", s.Lines())
 	}
-	// Writing one line must not make its block siblings look written:
-	// a drift injection on an untouched sibling must be a no-op even
-	// with a fault model armed.
+	const spread = 5000 // past three doublings of the 256-slot start
+	for i := uint64(0); i < 2*spread; i++ {
+		s.WriteWords((i%spread)*64+1000, 0xff, randomLine(rng))
+		if want := 5 + int(min(i+1, spread)); s.Lines() != want {
+			t.Fatalf("after %d writes: Lines() = %d, want %d", i+1, s.Lines(), want)
+		}
+	}
 	s.Faults = NewFaultModel(FaultConfig{DriftProb: 0.999}, sim.NewRNG(1))
-	if s.InjectDrift(2) {
-		t.Fatal("drift injected into a never-written sibling line")
+	for _, idx := range []uint64{2, 65, 1001, 1000 + spread*64} {
+		if s.InjectDrift(idx) {
+			t.Fatalf("drift injected into never-written line %d", idx)
+		}
+	}
+	if s.Lines() != 5+spread {
+		t.Fatalf("drift on never-written lines changed Lines() to %d", s.Lines())
 	}
 }
 
@@ -193,12 +209,13 @@ func TestPeekZeroLineStaysZero(t *testing.T) {
 func TestGetAllocFreeOnMaterializedLines(t *testing.T) {
 	s := NewStore()
 	rng := sim.NewRNG(17)
-	for i := uint64(0); i < 4*blockLines; i++ {
-		s.WriteWords(i, 0xff, randomLine(rng))
+	const lines = 256
+	for i := uint64(0); i < lines; i++ {
+		s.WriteWords(i*64, 0xff, randomLine(rng))
 	}
 	var idx uint64
 	if n := testing.AllocsPerRun(1000, func() {
-		s.Get(idx % (4 * blockLines))
+		s.Get((idx % lines) * 64)
 		idx++
 	}); n != 0 {
 		t.Fatalf("Get on materialized lines allocated %.1f/op, want 0", n)
@@ -339,5 +356,134 @@ func TestChipPartitions(t *testing.T) {
 	m.ReservePart(0, 3, 0, 100)
 	if m.FreeAtPart(0, 2, 50) || m.FreeAt(0, 50) {
 		t.Fatal("parts=1 must delegate to whole-bank state")
+	}
+}
+
+// refStore is a map of individually allocated lines: the simplest
+// representation of a sparse store, kept as the reference for the
+// differential test. Its write applies the same per-word rules as
+// WriteWords for a fault model without wearout (drift only), where
+// programming stores the intended word.
+type refStore struct {
+	lines  map[uint64]*Line
+	faults *FaultModel
+}
+
+func (r *refStore) line(idx uint64) *Line {
+	if l, ok := r.lines[idx]; ok {
+		return l
+	}
+	return &Line{}
+}
+
+func (r *refStore) writeWords(idx uint64, mask uint8, data *[ecc.LineBytes]byte) WriteResult {
+	var res WriteResult
+	if mask == 0 {
+		return res
+	}
+	l, ok := r.lines[idx]
+	if !ok {
+		l = &Line{}
+		r.lines[idx] = l
+	}
+	oldECC, oldPCC := eccWord(l.ECC), wordOf(l.PCC)
+	for w := 0; w < ecc.WordsPerLine; w++ {
+		if mask&(1<<uint(w)) == 0 {
+			continue
+		}
+		oldWord, newWord := ecc.Word(&l.Data, w), ecc.Word(data, w)
+		if res.PerWord[w] = AnalyzeWordWrite(oldWord, newWord); res.PerWord[w].Any() {
+			res.WordsDirty++
+			ecc.SetWord(&l.Data, w, newWord)
+		}
+		l.PCC = ecc.UpdatePCC(l.PCC, oldWord, newWord)
+		l.ECC[w] = ecc.Encode64(newWord)
+	}
+	res.ECCFlips = AnalyzeWordWrite(oldECC, eccWord(l.ECC))
+	res.PCCFlips = AnalyzeWordWrite(oldPCC, wordOf(l.PCC))
+	return res
+}
+
+func (r *refStore) injectDrift(idx uint64) bool {
+	l, ok := r.lines[idx]
+	return ok && r.faults.onRead(idx, l) >= 0
+}
+
+// TestStoreMatchesMapReference drives the store and the map reference
+// through the same random WriteWords, Peek, ReadLine, ReconstructWord
+// and InjectDrift calls — over line 0, the rank's largest line index,
+// lines 64 apart and a dense run — with identically seeded drift models,
+// and compares every result and, at the end, every line.
+func TestStoreMatchesMapReference(t *testing.T) {
+	cfg := config.Default()
+	last := uint64(cfg.Memory.CapacityBytes/int64(cfg.Memory.Channels)/config.LineBytes) - 1
+	idxs := []uint64{0, last, last - 64}
+	for i := uint64(1); len(idxs) < 3000; i++ {
+		idxs = append(idxs, i*64, i)
+	}
+	drift := FaultConfig{DriftProb: 0.05}
+	s := NewStore()
+	s.Faults = NewFaultModel(drift, sim.NewRNG(77))
+	ref := &refStore{lines: map[uint64]*Line{}, faults: NewFaultModel(drift, sim.NewRNG(77))}
+	rng := sim.NewRNG(53)
+	for op := 0; op < 40_000; op++ {
+		idx := idxs[rng.Intn(len(idxs))]
+		switch rng.Intn(5) {
+		case 0, 1:
+			mask, data := uint8(rng.Uint64()), randomLine(rng)
+			if got, want := s.WriteWords(idx, mask, data), ref.writeWords(idx, mask, data); got != want {
+				t.Fatalf("op %d: WriteWords(%d, %#x) = %+v, reference %+v", op, idx, mask, got, want)
+			}
+		case 2:
+			if got, want := s.InjectDrift(idx), ref.injectDrift(idx); got != want {
+				t.Fatalf("op %d: InjectDrift(%d) = %v, reference %v", op, idx, got, want)
+			}
+		case 3:
+			var got [ecc.LineBytes]byte
+			s.ReadLine(idx, &got)
+			if got != ref.line(idx).Data {
+				t.Fatalf("op %d: ReadLine(%d) differs from the reference", op, idx)
+			}
+		default:
+			w := rng.Intn(ecc.WordsPerLine)
+			l := ref.line(idx)
+			want := ecc.ReconstructWord(&l.Data, w, l.PCC)
+			if got, ok := s.ReconstructWord(idx, w); got != want || ok != (want == ecc.Word(&l.Data, w)) {
+				t.Fatalf("op %d: ReconstructWord(%d, %d) = %#x %v, reference %#x", op, idx, w, got, ok, want)
+			}
+		}
+	}
+	if s.Lines() != len(ref.lines) {
+		t.Fatalf("Lines() = %d, reference %d", s.Lines(), len(ref.lines))
+	}
+	if s.Faults.InjectedDrift == 0 || s.Faults.InjectedDrift != ref.faults.InjectedDrift {
+		t.Fatalf("drift flips %d, reference %d (want equal and non-zero)", s.Faults.InjectedDrift, ref.faults.InjectedDrift)
+	}
+	for _, idx := range idxs {
+		if got := s.Peek(idx); got != *ref.line(idx) {
+			t.Fatalf("Peek(%d) differs from the reference", idx)
+		}
+	}
+}
+
+// TestStoreFootprintPerLine pins the store's memory to the lines
+// written, not the regions they fall in: lines 64 apart (one per 4 KB
+// region, as write-backs land) may cost at most 4x a line and its key
+// each, counting the table's unused slots.
+func TestStoreFootprintPerLine(t *testing.T) {
+	const n = 4096
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s := NewStore()
+	for i := uint64(0); i < n; i++ {
+		s.Get(i * 64)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(s)
+	perLine := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / n
+	if limit := 4 * int64(unsafe.Sizeof(Line{})+8); perLine > limit {
+		t.Fatalf("%d lines 64 apart hold %d B of heap each, want at most %d", n, perLine, limit)
 	}
 }

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"pcmap/internal/flat"
 	"pcmap/internal/sim"
 )
 
@@ -46,7 +47,7 @@ type Generator struct {
 	queued    Op
 	hasQueued bool
 
-	patterns   map[uint64]uint8
+	patterns   flat.Table[uint8] // write pattern per line, keyed line|1
 	lastOffset int
 
 	shared *SharedRegion
@@ -76,12 +77,11 @@ const (
 // program share one SharedRegion.
 func NewGenerator(p Profile, core int, rng *sim.RNG, shared *SharedRegion) *Generator {
 	g := &Generator{
-		P:        p,
-		rng:      rng,
-		core:     core,
-		base:     uint64(core+1) << 29, // 512 MB apart, private
-		patterns: make(map[uint64]uint8),
-		shared:   shared,
+		P:      p,
+		rng:    rng,
+		core:   core,
+		base:   uint64(core+1) << 29, // 512 MB apart, private
+		shared: shared,
 	}
 	g.poolBase = g.base + (p.FootprintLines+uint64(core)*poolSkewLines)*64
 	// Calibration: with L loads and S stores per kilo-instruction,
@@ -235,13 +235,14 @@ func (g *Generator) remember(addr uint64) {
 	g.recent[g.rng.Intn(len(g.recent))] = addr
 }
 
-// patternFor returns the line's write pattern, sampling it on first
-// touch: a dirty-word count from the Figure 2 distribution placed at a
-// word offset that repeats the previous line's offset with probability
-// SameOffsetCorr (Section IV-C2's observation).
+// patternFor returns the write pattern of the line at the given
+// 64-byte-aligned address, sampling it on first touch: a dirty-word
+// count from the Figure 2 distribution placed at a word offset that
+// repeats the previous line's offset with probability SameOffsetCorr
+// (Section IV-C2's observation).
 func (g *Generator) patternFor(line uint64) uint8 {
-	if m, ok := g.patterns[line]; ok {
-		return m
+	if m := g.patterns.Get(line | 1); m != nil {
+		return *m
 	}
 	k := g.rng.Pick(g.P.DirtyWordDist[:])
 	base := g.lastOffset
@@ -253,13 +254,14 @@ func (g *Generator) patternFor(line uint64) uint8 {
 	for i := 0; i < k; i++ {
 		mask |= 1 << uint((base+i)%8)
 	}
-	if len(g.patterns) >= 1<<16 {
-		// Bounded memory; patterns re-sample. Clearing keeps the map's
-		// grown bucket array instead of handing a 64K-entry allocation
+	if g.patterns.Len() >= 1<<16 {
+		// Bounded memory; patterns re-sample. Clearing keeps the
+		// table's grown slots instead of handing a 64K-entry allocation
 		// to the GC every time the cap is hit.
-		clear(g.patterns)
+		g.patterns.Clear()
 	}
-	g.patterns[line] = mask
+	m, _ := g.patterns.Put(line | 1)
+	*m = mask
 	return mask
 }
 

@@ -191,15 +191,23 @@ func TestGeneratorDeterminism(t *testing.T) {
 func TestPatternMapCapBounded(t *testing.T) {
 	p := MustByName("canneal")
 	g := NewGenerator(p, 0, sim.NewRNG(23), nil)
+	resets := 0
 	for line := uint64(0); line < 3<<16; line++ {
-		g.patternFor(line)
-		if len(g.patterns) > 1<<16 {
-			t.Fatalf("pattern map grew past the 64K cap: %d entries", len(g.patterns))
+		before := g.patterns.Len()
+		g.patternFor(line * 64)
+		if g.patterns.Len() > 1<<16 {
+			t.Fatalf("pattern map grew past the 64K cap: %d entries", g.patterns.Len())
+		}
+		if g.patterns.Len() < before {
+			resets++
 		}
 	}
+	if resets != 2 {
+		t.Fatalf("%d memo resets over 3x64K distinct lines, want 2", resets)
+	}
 	// The reset map must still memoize.
-	m1 := g.patternFor(99)
-	if m2 := g.patternFor(99); m2 != m1 {
+	m1 := g.patternFor(99 * 64)
+	if m2 := g.patternFor(99 * 64); m2 != m1 {
 		t.Fatalf("pattern not remembered after cap reset: %#x then %#x", m1, m2)
 	}
 }
@@ -212,7 +220,7 @@ func TestDeterministicAcrossPatternCap(t *testing.T) {
 	g1 := NewGenerator(p, 0, sim.NewRNG(31), nil)
 	g2 := NewGenerator(p, 0, sim.NewRNG(31), nil)
 	for line := uint64(0); line < 2<<16; line++ {
-		if a, b := g1.patternFor(line), g2.patternFor(line); a != b {
+		if a, b := g1.patternFor(line*64), g2.patternFor(line*64); a != b {
 			t.Fatalf("pattern streams diverged at line %d: %#x vs %#x", line, a, b)
 		}
 	}
@@ -232,11 +240,11 @@ func TestPatternForAllocFreeWarm(t *testing.T) {
 	p := MustByName("canneal")
 	g := NewGenerator(p, 0, sim.NewRNG(37), nil)
 	for line := uint64(0); line < 1024; line++ {
-		g.patternFor(line)
+		g.patternFor(line * 64)
 	}
 	var line uint64
 	if n := testing.AllocsPerRun(1000, func() {
-		g.patternFor(line & 1023)
+		g.patternFor((line & 1023) * 64)
 		line++
 	}); n != 0 {
 		t.Fatalf("warm patternFor allocated %.1f/op, want 0", n)
