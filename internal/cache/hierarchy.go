@@ -229,12 +229,6 @@ type Hierarchy struct {
 
 // NewHierarchy builds the hierarchy for cfg on top of memory.
 func NewHierarchy(eng *sim.Engine, cfg *config.Config, memory *core.Memory) *Hierarchy {
-	banks := cfg.DRAMLLC.Banks
-	if banks == 0 {
-		// Zero-value configs (hand-built in tests) get the historical
-		// default; Validate enforces a power of two ≥ 1 otherwise.
-		banks = 8
-	}
 	h := &Hierarchy{
 		cfg:         cfg,
 		eng:         eng,
@@ -243,8 +237,8 @@ func NewHierarchy(eng *sim.Engine, cfg *config.Config, memory *core.Memory) *Hie
 		Dir:         coherence.NewDirectory(),
 		L2:          New("L2", cfg.L2),
 		LLC:         New("LLC", cfg.DRAMLLC),
-		llcBanks:    banks,
-		llcBankBusy: make([]sim.Time, banks),
+		llcBanks:    cfg.DRAMLLC.Banks,
+		llcBankBusy: make([]sim.Time, cfg.DRAMLLC.Banks),
 		pending:     make(map[uint64]*fetch),
 		pendingCap:  cfg.L2.MSHRs,
 		wbCap:       4 * cfg.Memory.Channels,

@@ -254,9 +254,6 @@ func (t PCMTiming) WriteLatency(anySet, anyReset bool) sim.Time {
 // rounds) costs exactly CellSET, so DCA never exceeds the baseline
 // WriteLatency; a word with no transitions costs nothing.
 func (t PCMTiming) DCAWriteLatency(sets, resets, rounds int) sim.Time {
-	if rounds < 1 {
-		rounds = 1
-	}
 	var prog sim.Time
 	if sets > 0 {
 		bitsPerRound := (64 + rounds - 1) / rounds
@@ -310,9 +307,6 @@ type Memory struct {
 	// write may pause at segment boundaries to let pending reads
 	// through, then resume. PCMap's RoW is evaluated against it.
 	WritePausing bool
-	// WritePauseSegments is the number of interruptible segments a
-	// write's programming divides into (4 by default).
-	WritePauseSegments int
 
 	// WearLevelPsi enables Start-Gap wear leveling (Qureshi et al.,
 	// MICRO 2009 — the scheme the paper cites as orthogonal) when
@@ -322,16 +316,16 @@ type Memory struct {
 
 	// Partitions is the number of independently schedulable partitions
 	// each PCM bank divides into for the PALP variant (partition-level
-	// access parallelism). Must be a power of two; 0 means the default
-	// of 4. Variants without the PartitionRoW feature ignore it — their
-	// banks stay monolithic.
+	// access parallelism). Must be a power of two >= 1 (4 by default).
+	// Variants without the PartitionRoW feature ignore it — their banks
+	// stay monolithic.
 	Partitions int
 
 	// DCARounds is the number of programming rounds a fully-SET word
 	// divides into under the content-aware (RWoW-DCA) write path: each
 	// round programs ceil(64/DCARounds) SET bits in CellSET/DCARounds
-	// time. Must lie in [1,64]; 0 means the default of 8. Variants
-	// without the ContentAware feature ignore it.
+	// time. Must lie in [1,64] (8 by default). Variants without the
+	// ContentAware feature ignore it.
 	DCARounds int
 
 	// RoWMultiWord enables the Section IV-B4 extension: applying RoW to
@@ -432,7 +426,6 @@ func Default() *Config {
 			StatusPollCycles:    2,
 			PowerSlots:          8,
 			MaxConcurrentWrites: 2,
-			WritePauseSegments:  4,
 			Partitions:          4,
 			DCARounds:           8,
 			WriteRetryLimit:     3,
@@ -535,35 +528,23 @@ func (c *Config) Validate() error {
 	if !c.Variant.Known() {
 		return fmt.Errorf("config: unknown variant %d (registered: %s)", int(c.Variant), strings.Join(VariantNames(), ", "))
 	}
-	if p := c.Memory.Partitions; p != 0 && (p < 1 || p&(p-1) != 0) {
-		return fmt.Errorf("config: Partitions must be a power of two >= 1 (or 0 for the default), got %d", p)
+	if p := c.Memory.Partitions; p < 1 || p&(p-1) != 0 {
+		return fmt.Errorf("config: Partitions must be a power of two >= 1, got %d", p)
 	}
-	if r := c.Memory.DCARounds; r < 0 || r > 64 {
-		return fmt.Errorf("config: DCARounds must lie in [1,64] (or 0 for the default), got %d", r)
+	if r := c.Memory.DCARounds; r < 1 || r > 64 {
+		return fmt.Errorf("config: DCARounds must lie in [1,64], got %d", r)
 	}
 	return nil
 }
 
 // EffectivePartitions resolves the per-bank partition count the given
-// features ask for: Memory.Partitions (default 4) under PartitionRoW,
-// otherwise 1 (monolithic banks).
+// features ask for: Memory.Partitions under PartitionRoW, otherwise 1
+// (monolithic banks).
 func (m Memory) EffectivePartitions(f Features) int {
 	if !f.PartitionRoW {
 		return 1
 	}
-	if m.Partitions <= 0 {
-		return 4
-	}
 	return m.Partitions
-}
-
-// EffectiveDCARounds resolves the content-aware programming round
-// count: Memory.DCARounds with 0 meaning the default of 8.
-func (m Memory) EffectiveDCARounds() int {
-	if m.DCARounds <= 0 {
-		return 8
-	}
-	return m.DCARounds
 }
 
 // Geometry returns the memory shape the address map needs.

@@ -57,6 +57,8 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		{"capacity split", func(c *Config) { c.Memory.CapacityBytes = (8 << 30) + 1; c.Memory.Channels = 2 }},
 		{"too many ways", func(c *Config) { c.L2.Ways, c.L2.SizeBytes = 256, 256*64*512 }},
 		{"odd line size", func(c *Config) { c.L1D.LineBytes, c.L1D.SizeBytes = 48, 2*48*512 }},
+		{"zero partitions", func(c *Config) { c.Memory.Partitions = 0 }},
+		{"zero DCA rounds", func(c *Config) { c.Memory.DCARounds = 0 }},
 	}
 	for _, m := range mutations {
 		c := Default()
@@ -218,31 +220,27 @@ func TestDCAWriteLatency(t *testing.T) {
 		}
 		prev = d
 	}
-	// rounds <= 0 degrades to a single full-latency round.
-	if got := tm.DCAWriteLatency(1, 0, 0); got != set {
-		t.Fatalf("rounds=0 must behave as one round, got %v", got)
-	}
 }
 
 // TestPartitionAndDCAValidation covers the new Memory knobs' rules:
-// Partitions must be 0 or a power of two, DCARounds within [0, 64],
+// Partitions must be a power of two >= 1, DCARounds within [1, 64],
 // and unregistered variants are rejected outright.
 func TestPartitionAndDCAValidation(t *testing.T) {
-	for _, parts := range []int{0, 1, 2, 4, 8, 64} {
+	for _, parts := range []int{1, 2, 4, 8, 64} {
 		c := Default()
 		c.Memory.Partitions = parts
 		if err := c.Validate(); err != nil {
 			t.Fatalf("Partitions=%d must validate: %v", parts, err)
 		}
 	}
-	for _, parts := range []int{-1, 3, 5, 6, 7, 12} {
+	for _, parts := range []int{-1, 0, 3, 5, 6, 7, 12} {
 		c := Default()
 		c.Memory.Partitions = parts
 		if err := c.Validate(); err == nil {
 			t.Fatalf("Partitions=%d must be rejected", parts)
 		}
 	}
-	for _, rounds := range []int{-1, 65, 1000} {
+	for _, rounds := range []int{-1, 0, 65, 1000} {
 		c := Default()
 		c.Memory.DCARounds = rounds
 		if err := c.Validate(); err == nil {
@@ -256,8 +254,9 @@ func TestPartitionAndDCAValidation(t *testing.T) {
 	}
 }
 
-// TestEffectivePartitions checks the resolution from config knobs plus
-// variant capability to the partition/round counts the scheduler uses.
+// TestEffectivePartitions checks the resolution from the Partitions
+// knob plus variant capability to the partition count the scheduler
+// uses.
 func TestEffectivePartitions(t *testing.T) {
 	m := Default().Memory
 	if got := m.EffectivePartitions(RWoWRDE.Features()); got != 1 {
@@ -270,12 +269,7 @@ func TestEffectivePartitions(t *testing.T) {
 	if got := m.EffectivePartitions(PALP.Features()); got != 8 {
 		t.Fatalf("PALP with Partitions=8 must get 8, got %d", got)
 	}
-	m.DCARounds = 0
-	if got := m.EffectiveDCARounds(); got != 8 {
-		t.Fatalf("default DCA rounds = %d, want 8", got)
-	}
-	m.DCARounds = 32
-	if got := m.EffectiveDCARounds(); got != 32 {
-		t.Fatalf("DCA rounds = %d, want 32", got)
+	if got := m.EffectivePartitions(RWoWRDE.Features()); got != 1 {
+		t.Fatalf("non-partitioned variant must ignore Partitions=8, got %d", got)
 	}
 }

@@ -271,8 +271,8 @@ func NewController(eng *sim.Engine, cfgAll *config.Config, channel int, amap *me
 		channel:   channel,
 		feat:      feat,
 		parts:     m.EffectivePartitions(feat),
-		dcaRounds: m.EffectiveDCARounds(),
-		rank:      dimm.NewRankParts(m.BanksPerChip, m.EffectivePartitions(feat), layout),
+		dcaRounds: m.DCARounds,
+		rank:      dimm.NewRank(m.BanksPerChip, m.EffectivePartitions(feat), layout),
 		amap:      amap,
 		rdq:       mem.NewQueue(m.ReadQueueCap),
 		wrq:       mem.NewQueue(m.WriteQueueCap),
@@ -383,15 +383,8 @@ func (c *Controller) wearTick() {
 	c.rank.Store.ReadLine(from, &buf)
 	c.rank.Store.WriteWords(to, 0xff, &buf)
 	coord := c.amap.CoordFromLineIdx(c.channel, to%c.amap.LinesPerChannel())
-	now := c.eng.Now()
-	var end sim.Time
-	for i := 0; i < dimm.Slots; i++ {
-		_, e := c.rank.Chips[i].ReserveProgram(coord.Bank, now,
-			c.cfg.Timing.WriteArrayRead.Time(), c.cfg.Timing.CellSET.Time())
-		if e > end {
-			end = e
-		}
-	}
+	end := c.programChips(allChipsMask, coord, c.eng.Now(),
+		c.cfg.Timing.WriteArrayRead.Time(), c.cfg.Timing.CellSET.Time())
 	// The copy holds chips without a request completion behind it, so
 	// wake the scheduler when the chips free up.
 	c.kickTimer.At(end)
@@ -563,36 +556,28 @@ func (c *Controller) removeActive(w *activeWrite) {
 	}
 }
 
-// chipFree reports whether chip `chip`, bank `bank` is idle now.
-func (c *Controller) chipFree(chip, bank int) bool {
-	return c.rank.Chips[chip].FreeAt(bank, c.eng.Now())
-}
-
-// reserveChip books a chip-bank for dur, no earlier than earliest.
-func (c *Controller) reserveChip(chip, bank int, earliest, dur sim.Time) (start, end sim.Time) {
-	return c.rank.Chips[chip].Reserve(bank, earliest, dur)
-}
-
 // partOf maps a decoded coordinate onto its bank partition: PALP splits
 // a bank by row index, so consecutive rows land in different partitions
-// (parts is a validated power of two). Monolithic banks always use
-// partition 0.
+// (parts is a validated power of two; monolithic banks have one
+// partition, 0).
 func (c *Controller) partOf(coord mem.Coord) int {
-	if c.parts <= 1 {
-		return 0
-	}
 	return int(uint64(coord.Row) & uint64(c.parts-1))
 }
 
-// chipFreePart is chipFree at partition granularity: with parts <= 1 it
-// is exactly the whole-bank check.
-func (c *Controller) chipFreePart(chip, bank, part int) bool {
-	return c.rank.Chips[chip].FreeAtPart(bank, part, c.eng.Now())
-}
-
-// reserveChipPart books one bank partition of a chip for dur.
-func (c *Controller) reserveChipPart(chip, bank, part int, earliest, dur sim.Time) (start, end sim.Time) {
-	return c.rank.Chips[chip].ReservePart(bank, part, earliest, dur)
+// programChips books one programming operation on every chip in mask,
+// in coord's bank partition, and returns when the last one ends.
+func (c *Controller) programChips(mask uint16, coord mem.Coord, earliest, act, prog sim.Time) sim.Time {
+	part := c.partOf(coord)
+	end := earliest
+	for i := 0; i < dimm.Slots; i++ {
+		if mask&(1<<uint(i)) == 0 {
+			continue
+		}
+		if _, e := c.rank.Chips[i].ReserveProgram(coord.Bank, part, earliest, act, prog); e > end {
+			end = e
+		}
+	}
+	return end
 }
 
 // irlp returns the rank's IRLP tracker swept up to the engine's

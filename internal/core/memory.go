@@ -63,18 +63,6 @@ func (m *Memory) OnSpace(kind mem.Kind, addr uint64, fn func()) {
 	m.Channel(addr).OnSpace(kind, fn)
 }
 
-// CanAccept reports whether addr's channel currently has queue space
-// for the given request kind.
-func (m *Memory) CanAccept(kind mem.Kind, addr uint64) bool {
-	c := m.Channel(addr)
-	if kind == mem.Read {
-		rd, _ := c.QueueLens()
-		return rd < c.cfg.ReadQueueCap
-	}
-	_, wr := c.QueueLens()
-	return wr < c.cfg.WriteQueueCap
-}
-
 // ResetMetrics discards all accumulated measurements (including IRLP
 // interval records); used to drop the cache-warmup phase from the
 // reported statistics, mirroring the paper's 200M-instruction warmup.

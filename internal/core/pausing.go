@@ -1,11 +1,14 @@
 package core
 
 import (
-	"math/bits"
-
+	"pcmap/internal/ecc"
 	"pcmap/internal/mem"
 	"pcmap/internal/sim"
 )
+
+// writePauseSegments is the number of interruptible segments a paused
+// write's programming divides into.
+const writePauseSegments = 4
 
 // pausedWrite carries the state of a baseline write executing in
 // interruptible segments (the write-pausing comparator of Qureshi et
@@ -13,107 +16,31 @@ import (
 // chips are free and pending reads slip through; the write resumes
 // once the read queue drains.
 type pausedWrite struct {
-	req       *mem.Request
 	aw        *activeWrite
-	coord     mem.Coord
+	act       sim.Time // activation still to charge (first segment only)
+	prog      sim.Time // the write's whole programming time
 	remaining sim.Time // programming time left
 	segment   sim.Time // per-segment slice
 	inFlight  bool     // a segment is currently reserved
+
+	wordProg [ecc.WordsPerLine]sim.Time // essential words' programming times
 }
 
 // pausingEnabled reports whether this controller runs the comparator.
 func (c *Controller) pausingEnabled() bool {
-	return c.cfg.WritePausing && !c.feat.FineGrained && c.cfg.WritePauseSegments > 1
+	return c.cfg.WritePausing && !c.feat.FineGrained
 }
 
-// issuePausingWrite starts a coarse write in segmented, pausable form.
-// Content application and accounting mirror issueCoarseWrite; only the
-// chip-time reservation differs.
-func (c *Controller) issuePausingWrite(r *mem.Request) {
-	now := c.eng.Now()
-	r.Started = true
-	r.Issue = now
-	coord := c.decode(r.Addr)
-	aw := c.newActive()
-	essMask, res := c.applyWrite(r, coord.LineIdx, aw)
-	essCount := bits.OnesCount8(essMask)
-	c.Metrics.DirtyWords.Add(essCount)
-	if essCount == 0 {
-		c.Metrics.SilentWrites.Inc()
-	}
-	c.wearTick()
-
-	t := c.commandCost(now, 2)
-	wl := c.cfg.Timing.TWL.Time()
-	burst := c.cfg.Timing.TBurst.Time()
-	_, t0 := c.dataBus.Acquire(t, wl+burst, true)
-
-	var prog sim.Time
-	for w := 0; w < 8; w++ {
-		if d := c.progTime(res.PerWord[w]); d > prog {
-			prog = d
-		}
-	}
-	if d := c.progTime(res.ECCFlips); d > prog {
-		prog = d
-	}
-	for w := 0; w < 8; w++ {
-		if res.PerWord[w].Any() {
-			c.rank.Chips[w].CountWrite(res.PerWord[w])
-		}
-	}
-
-	c.powerInUse = c.cfg.PowerSlots
-	aw.req, aw.bank, aw.essCount = r, coord.Bank, essCount
-	aw.coord, aw.mask = coord, r.Mask
-	c.active = append(c.active, aw)
-
-	pw := &pausedWrite{
-		req:       r,
-		aw:        aw,
-		coord:     coord,
-		remaining: prog,
-		segment:   prog.DivCeil(c.cfg.WritePauseSegments),
-	}
-	c.paused = pw
-	if prog > 0 {
-		c.irlp().AddWriteWindow(t0, t0+prog) // best-case window; pauses extend it
-	}
-	c.resumeSegment(t0, true)
-}
-
-// resumeSegment reserves the next slice of the paused write. first
-// charges the activation (internal read-before-write) once.
-func (c *Controller) resumeSegment(earliest sim.Time, first bool) {
+// resumeSegment books the next slice of the paused write no earlier
+// than earliest.
+func (c *Controller) resumeSegment(earliest sim.Time) {
 	pw := c.paused
 	if pw == nil || pw.inFlight {
 		return
 	}
-	act := sim.Time(0)
-	if first && !c.rowHitAll(baselineChipsMask, pw.coord.Bank, pw.coord.Row) {
-		act = c.cfg.Timing.WriteArrayRead.Time()
-	}
-	dur := pw.segment
-	if dur > pw.remaining {
-		dur = pw.remaining
-	}
-	if pw.remaining == 0 {
-		dur = 0
-	}
-	var end sim.Time
-	for i := 0; i < 9; i++ {
-		_, e := c.rank.Chips[i].ReserveProgram(pw.coord.Bank, earliest, act, dur)
-		c.rank.Chips[i].OpenRowIn(pw.coord.Bank, pw.coord.Row)
-		if e > end {
-			end = e
-		}
-	}
-	irlp := c.irlp()
-	for w := 0; w < 8; w++ {
-		if pw.aw.essCount > 0 && pw.req.Mask&(1<<uint(w)) != 0 {
-			irlp.AddChipService(end-dur, end)
-		}
-	}
+	dur := min(pw.segment, pw.remaining)
+	end := c.bookCoarse(pw.aw.coord, earliest, pw.act, pw.prog-pw.remaining, dur, &pw.wordProg)
+	pw.act = 0
 	pw.remaining -= dur
 	pw.inFlight = true
 	pw.aw.end = end
@@ -126,7 +53,7 @@ func (c *Controller) segmentDone(pw *pausedWrite) {
 	pw.inFlight = false
 	if pw.remaining <= 0 {
 		c.paused = nil
-		c.maybeVerifyWrite(pw.req, pw.aw)
+		c.maybeVerifyWrite(pw.aw.req, pw.aw)
 		return
 	}
 	c.Metrics.WritePauses.Inc()
@@ -146,7 +73,7 @@ func (c *Controller) maybeResumePaused() {
 			return
 		}
 	}
-	c.resumeSegment(c.eng.Now(), false)
+	c.resumeSegment(c.eng.Now())
 }
 
 // readableNow reports whether at least one queued read could issue at

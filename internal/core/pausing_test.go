@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pcmap/internal/config"
+	"pcmap/internal/dimm"
 	"pcmap/internal/mem"
 	"pcmap/internal/sim"
 )
@@ -59,6 +60,10 @@ func TestWritePausingCutsReadLatency(t *testing.T) {
 	if mB.Metrics().WritePauses.Value() == 0 {
 		t.Fatal("no pauses recorded under read pressure")
 	}
+	// A paused write programs the ECC chip like any coarse write.
+	if mB.Ctrls[0].Rank().Chips[dimm.ECCSlot].WordWrites == 0 {
+		t.Fatal("paused writes never counted a write on the ECC chip")
+	}
 	if paused >= plain {
 		t.Fatalf("write pausing should cut read latency: %.1fns vs %.1fns", paused, plain)
 	}
@@ -108,5 +113,49 @@ func TestPausingIgnoredByPCMapVariants(t *testing.T) {
 	}
 	if m.Metrics().WritePauses.Value() != 0 {
 		t.Fatal("fine-grained variants must not use the pausing path")
+	}
+}
+
+// TestPausingWithoutReadsMatchesCoarse checks the pausing path's
+// accounting against the plain coarse write: with no read to pause
+// for, the segments run back to back, so the run books the same chip
+// time, wears the same chips and reports the same IRLP.
+func TestPausingWithoutReadsMatchesCoarse(t *testing.T) {
+	type outcome struct {
+		irlp   float64
+		max    int
+		chips  [dimm.Slots]uint64
+		done   int
+		pauses uint64
+	}
+	run := func(pausing bool) outcome {
+		eng, m, d := pausingMemory(t, pausing)
+		rng := sim.NewRNG(9)
+		for i := 0; i < 200; i++ {
+			mask := uint8(rng.Uint64()) | 1
+			d.submit(&mem.Request{Kind: mem.Write, Addr: lineAddr(uint64(rng.Intn(512))), Mask: mask})
+		}
+		eng.Run()
+		var o outcome
+		o.irlp, o.max = m.IRLP()
+		for i, ch := range m.Ctrls[0].Rank().Chips {
+			o.chips[i] = ch.WordWrites
+		}
+		o.done = d.completed
+		o.pauses = m.Metrics().WritePauses.Value()
+		return o
+	}
+	plain, paused := run(false), run(true)
+	if plain.done != 200 || paused.done != 200 {
+		t.Fatalf("completed %d plain, %d paused writes, want 200", plain.done, paused.done)
+	}
+	if paused.pauses == 0 || plain.irlp == 0 {
+		t.Fatalf("%d segment boundaries, plain IRLP %.4f: the comparison is empty", paused.pauses, plain.irlp)
+	}
+	if paused.irlp != plain.irlp || paused.max != plain.max {
+		t.Fatalf("IRLP %.4f/%d paused, %.4f/%d plain", paused.irlp, paused.max, plain.irlp, plain.max)
+	}
+	if paused.chips != plain.chips {
+		t.Fatalf("per-chip word writes %v paused, %v plain", paused.chips, plain.chips)
 	}
 }

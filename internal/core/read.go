@@ -43,31 +43,36 @@ func (c *Controller) planRead(r *mem.Request) (readPlan, bool) {
 	}
 	// Chip-busy checks run at partition granularity: a chip whose bank
 	// is occupied only in another partition counts free, which is PALP's
-	// read-over-write generalization (with monolithic banks FreeAtPart
-	// is exactly the whole-bank check). partWin records that partition
-	// state made the difference for some involved chip.
+	// read-over-write generalization (a monolithic bank has one
+	// partition). partWin records that partition state made the
+	// difference for some involved chip.
+	now := c.eng.Now()
+	free := func(chip int) bool {
+		ch := c.rank.Chips[chip]
+		if !ch.FreeAt(p.coord.Bank, p.part, now) {
+			return false
+		}
+		if c.parts > 1 && ch.BankBusyUntil(p.coord.Bank) > now {
+			p.partWin = true
+		}
+		return true
+	}
 	busyCount := 0
 	for w := 0; w < ecc.WordsPerLine; w++ {
-		chip := l.DataChip(p.coord.RotIdx, w)
-		if !c.chipFreePart(chip, p.coord.Bank, p.part) {
+		if chip := l.DataChip(p.coord.RotIdx, w); !free(chip) {
 			busyCount++
 			p.busyChip = chip
 			p.missingWord = w
-		} else if !c.chipFree(chip, p.coord.Bank) {
-			p.partWin = true
 		}
 	}
-	p.eccFree = c.chipFreePart(l.ECCChip(p.coord.RotIdx), p.coord.Bank, p.part)
-	if p.eccFree && !c.chipFree(l.ECCChip(p.coord.RotIdx), p.coord.Bank) {
-		p.partWin = true
-	}
+	p.eccFree = free(l.ECCChip(p.coord.RotIdx))
 	switch {
 	case busyCount == 0:
 		p.busyChip, p.missingWord = -1, -1
 		p.rowHit = c.rowHitAll(l.DataChips(p.coord.RotIdx), p.coord.Bank, p.coord.Row)
 		return p, true
 	case busyCount == 1 && c.feat.RoW && c.rowServiceAllowed() &&
-		c.chipFreePart(l.PCCChip(p.coord.RotIdx), p.coord.Bank, p.part):
+		c.rank.Chips[l.PCCChip(p.coord.RotIdx)].FreeAt(p.coord.Bank, p.part, now):
 		// Serve by reconstruction: read the seven free data words plus
 		// the PCC word and XOR the missing word back (Section IV-B).
 		mask := l.DataChips(p.coord.RotIdx) &^ (1 << uint(p.busyChip))
@@ -160,7 +165,7 @@ func (c *Controller) issueRead(r *mem.Request, p readPlan) {
 	_, done := c.dataBus.Acquire(ready, burst, false)
 	irlp := c.irlp()
 	for _, chip := range involved {
-		c.reserveChipPart(chip, p.coord.Bank, p.part, now, done-now)
+		c.rank.Chips[chip].Reserve(p.coord.Bank, p.part, now, done-now)
 		c.rank.Chips[chip].OpenRowIn(p.coord.Bank, p.coord.Row)
 		irlp.AddChipService(now, done)
 	}
@@ -180,7 +185,7 @@ func (c *Controller) issueRead(r *mem.Request, p readPlan) {
 		ecc.SetWord(&r.ReadData, p.missingWord, got)
 		// Verification: once the busy chip frees, its word is read and
 		// the full line SECDED-checked, off the critical path.
-		chipFreeAt := c.rank.Chips[p.busyChip].Banks[p.coord.Bank].BusyUntil
+		chipFreeAt := c.rank.Chips[p.busyChip].BankBusyUntil(p.coord.Bank)
 		verifyAt = done
 		if chipFreeAt > verifyAt {
 			verifyAt = chipFreeAt

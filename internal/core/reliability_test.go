@@ -206,3 +206,45 @@ func TestVerifyWithoutFaultsCompletes(t *testing.T) {
 		t.Fatalf("perfect cells remapped %d lines", r)
 	}
 }
+
+// TestPALPReadWaitsForVerifyReadBack checks that a verify read-back
+// books the written line's partition: under PALP, a read of the same
+// line that arrives while the read-back senses its chips waits for the
+// read-back instead of starting in the busy partition at once.
+func TestPALPReadWaitsForVerifyReadBack(t *testing.T) {
+	cfg := config.Default().WithVariant(config.PALP)
+	cfg.Memory.Channels = 1
+	cfg.Memory.CapacityBytes = 2 << 30
+	cfg.Memory.VerifyWrites = true
+	eng := sim.NewEngine()
+	m, err := NewMemory(eng, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := m.Ctrls[0]
+	m.Submit(&mem.Request{Kind: mem.Write, Addr: lineAddr(5), Mask: 0xff})
+	eng.RunUntil(0)
+	if len(c.active) != 1 {
+		t.Fatalf("write not issued: %d active", len(c.active))
+	}
+	// The write's programming ends at progEnd, where the read-back of
+	// its eight data chips and ECC chip starts.
+	progEnd := c.active[0].end
+	tm := cfg.Memory.Timing
+	readBackEnd := progEnd + tm.ArrayRead.Time() + (tm.TCL + tm.TBurst).Time()
+	var rd *mem.Request
+	eng.At(progEnd, func() {
+		m.Submit(&mem.Request{Kind: mem.Read, Addr: lineAddr(5), OnDone: func(r *mem.Request) { rd = r }})
+	})
+	eng.Run()
+	if n := c.Metrics.VerifyReads.Value(); n != 1 {
+		t.Fatalf("VerifyReads = %d, want 1", n)
+	}
+	if rd == nil {
+		t.Fatal("read never completed")
+	}
+	if rd.Issue < readBackEnd {
+		t.Fatalf("read issued at %v, inside the verify read-back [%v, %v) of its partition",
+			rd.Issue, progEnd, readBackEnd)
+	}
+}

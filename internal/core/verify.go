@@ -1,7 +1,6 @@
 package core
 
 import (
-	"pcmap/internal/dimm"
 	"pcmap/internal/ecc"
 	"pcmap/internal/mem"
 	"pcmap/internal/pcm"
@@ -37,18 +36,19 @@ func (c *Controller) scheduleVerifyRead(r *mem.Request, aw *activeWrite) {
 	// anyway (program pulses disturb the row buffer).
 	dur := timing.ArrayRead.Time() + (timing.TCL + timing.TBurst).Time()
 	l := c.rank.Layout
+	part := c.partOf(aw.coord)
 	end := now
 	for w := 0; w < ecc.WordsPerLine; w++ {
 		if aw.mask&(1<<uint(w)) == 0 {
 			continue
 		}
 		chip := l.DataChip(aw.coord.RotIdx, w)
-		_, e := c.reserveChip(chip, aw.coord.Bank, now, dur)
+		_, e := c.rank.Chips[chip].Reserve(aw.coord.Bank, part, now, dur)
 		if e > end {
 			end = e
 		}
 	}
-	if _, e := c.reserveChip(l.ECCChip(aw.coord.RotIdx), aw.coord.Bank, now, dur); e > end {
+	if _, e := c.rank.Chips[l.ECCChip(aw.coord.RotIdx)].Reserve(aw.coord.Bank, part, now, dur); e > end {
 		end = e
 	}
 	c.eng.At(end, func() { c.checkVerify(r, aw) })
@@ -101,6 +101,7 @@ func (c *Controller) reprogram(r *mem.Request, aw *activeWrite, bad uint8) {
 	now := c.eng.Now()
 	timing := c.cfg.Timing
 	l := c.rank.Layout
+	part := c.partOf(aw.coord)
 	end := now
 	reserve := func(chip int, f pcm.FlipKind) {
 		ch := c.rank.Chips[chip]
@@ -109,7 +110,7 @@ func (c *Controller) reprogram(r *mem.Request, aw *activeWrite, bad uint8) {
 			act = timing.WriteArrayRead.Time()
 		}
 		prog := timing.WriteLatency(f.Sets > 0, f.Resets > 0)
-		_, e := ch.ReserveProgram(aw.coord.Bank, now, act, prog)
+		_, e := ch.ReserveProgram(aw.coord.Bank, part, now, act, prog)
 		ch.OpenRowIn(aw.coord.Bank, aw.coord.Row)
 		if f.Any() {
 			ch.CountWrite(f)
@@ -172,15 +173,8 @@ func (c *Controller) remapLine(r *mem.Request, aw *activeWrite) {
 	// The spare slot folds onto a physical row (see decode); charge a
 	// full-line write there, mirroring the Start-Gap line copy.
 	coord := c.amap.CoordFromLineIdx(c.channel, spare)
-	now := c.eng.Now()
-	end := now
-	for i := 0; i < dimm.Slots; i++ {
-		_, e := c.rank.Chips[i].ReserveProgram(coord.Bank, now,
-			c.cfg.Timing.WriteArrayRead.Time(), c.cfg.Timing.CellSET.Time())
-		if e > end {
-			end = e
-		}
-	}
+	end := c.programChips(allChipsMask, coord, c.eng.Now(),
+		c.cfg.Timing.WriteArrayRead.Time(), c.cfg.Timing.CellSET.Time())
 	c.eng.At(end, func() {
 		c.Metrics.VerifyLatency.Add(c.eng.Now() - aw.progEnd)
 		c.completeWrite(r, aw)

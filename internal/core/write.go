@@ -30,11 +30,7 @@ func (c *Controller) tryIssueWrite() bool {
 		if r == nil {
 			return false
 		}
-		if c.pausingEnabled() {
-			c.issuePausingWrite(r)
-		} else {
-			c.issueCoarseWrite(r)
-		}
+		c.issueCoarseWrite(r)
 		return true
 	}
 	if overlap && !c.feat.WoW {
@@ -59,8 +55,9 @@ func (c *Controller) tryIssueWrite() bool {
 // busy until the write completes, Section III-A1).
 func (c *Controller) coarseWriteReady(r *mem.Request) bool {
 	coord := c.decode(r.Addr)
+	part, now := c.partOf(coord), c.eng.Now()
 	for i := 0; i < 9; i++ { // data chips + ECC chip
-		if !c.chipFree(i, coord.Bank) {
+		if !c.rank.Chips[i].FreeAt(coord.Bank, part, now) {
 			return false
 		}
 	}
@@ -92,7 +89,7 @@ func (c *Controller) fineWriteReady(r *mem.Request) bool {
 			continue
 		}
 		chip := c.rank.Chips[l.DataChip(coord.RotIdx, w)]
-		if !chip.FreeAtPart(coord.Bank, part, now) || !chip.ProgFreeAt(now) {
+		if !chip.FreeAt(coord.Bank, part, now) || !chip.ProgFreeAt(now) {
 			return false
 		}
 	}
@@ -132,6 +129,10 @@ func (c *Controller) applyWrite(r *mem.Request, lineIdx uint64, aw *activeWrite)
 	return essMask, res
 }
 
+// issueCoarseWrite starts a baseline write: the line's nine chips
+// (data words and ECC) program in lock step for the longest word's
+// time. Under the write-pausing comparator the same programming is
+// booked in pausable segments (resumeSegment) instead of at once.
 func (c *Controller) issueCoarseWrite(r *mem.Request) {
 	now := c.eng.Now()
 	r.Started = true
@@ -151,28 +152,20 @@ func (c *Controller) issueCoarseWrite(r *mem.Request) {
 	burst := c.cfg.Timing.TBurst.Time()
 	_, t0 := c.dataBus.Acquire(t, wl+burst, true)
 
-	rowHit := c.rowHitAll(baselineChipsMask, coord.Bank, coord.Row)
 	act := sim.Time(0)
-	if !rowHit {
+	if !c.rowHitAll(baselineChipsMask, coord.Bank, coord.Row) {
 		act = c.cfg.Timing.WriteArrayRead.Time()
 	}
 	// Longest transition among data words and the ECC word sets the
-	// lock-step program time of the whole bank.
-	var prog sim.Time
+	// lock-step program time of the whole bank. Only the essential
+	// words count as serving data (IRLP).
+	var wordProg [ecc.WordsPerLine]sim.Time
+	prog := c.progTime(res.ECCFlips)
 	for w := 0; w < ecc.WordsPerLine; w++ {
-		if d := c.progTime(res.PerWord[w]); d > prog {
-			prog = d
-		}
-	}
-	if d := c.progTime(res.ECCFlips); d > prog {
-		prog = d
-	}
-	end := t0
-	for i := 0; i < 9; i++ {
-		_, e := c.rank.Chips[i].ReserveProgram(coord.Bank, t0, act, prog)
-		c.rank.Chips[i].OpenRowIn(coord.Bank, coord.Row)
-		if e > end {
-			end = e
+		d := c.progTime(res.PerWord[w])
+		prog = max(prog, d)
+		if essMask&(1<<uint(w)) != 0 {
+			wordProg[w] = d
 		}
 	}
 	// Endurance accounting on the programming chips.
@@ -186,24 +179,49 @@ func (c *Controller) issueCoarseWrite(r *mem.Request) {
 	}
 
 	c.powerInUse = c.cfg.PowerSlots
-	aw.req, aw.bank, aw.essCount, aw.end = r, coord.Bank, essCount, end
+	aw.req, aw.bank, aw.essCount = r, coord.Bank, essCount
 	aw.coord, aw.mask = coord, r.Mask
 	c.active = append(c.active, aw)
 
-	// IRLP: window covers the write's occupancy; only the chips doing
-	// essential programming count as serving data.
-	if prog > 0 {
+	if c.pausingEnabled() {
+		c.paused = &pausedWrite{
+			aw:        aw,
+			act:       act,
+			prog:      prog,
+			remaining: prog,
+			segment:   prog.DivCeil(writePauseSegments),
+			wordProg:  wordProg,
+		}
+		c.resumeSegment(t0)
+		return
+	}
+	aw.end = c.bookCoarse(coord, t0, act, 0, prog, &wordProg)
+	c.eng.At(aw.end, c.newWriteEv(r, aw, 0, false).fire)
+}
+
+// bookCoarse books dur of a coarse write's programming, starting off
+// into its total programming time, on the nine chips, and reports the
+// booking to IRLP: the window covers it, and each essential word
+// serves data for the part of its own programming time (wordProg) that
+// falls in the booking. It returns when the booking ends.
+func (c *Controller) bookCoarse(coord mem.Coord, earliest, act, off, dur sim.Time, wordProg *[ecc.WordsPerLine]sim.Time) sim.Time {
+	end := c.programChips(baselineChipsMask, coord, earliest, act, dur)
+	c.openRowAll(baselineChipsMask, coord.Bank, coord.Row)
+	if off > 0 {
+		// A resumed segment starts once the reads served during the
+		// pause release the chips, not at the resume instant.
+		earliest = end - dur
+	}
+	if dur > 0 {
 		irlp := c.irlp()
-		irlp.AddWriteWindow(t0, end)
-		for w := 0; w < ecc.WordsPerLine; w++ {
-			if essMask&(1<<uint(w)) != 0 {
-				pd := c.progTime(res.PerWord[w])
-				irlp.AddChipService(t0+act, t0+act+pd)
-			}
+		irlp.AddWriteWindow(earliest, end)
+		for _, pd := range wordProg {
+			// A word done before this booking gives pd <= 0: no service.
+			pd = min(pd-off, dur)
+			irlp.AddChipService(earliest+act, earliest+act+pd)
 		}
 	}
-
-	c.eng.At(end, c.newWriteEv(r, aw, 0, false).fire)
+	return end
 }
 
 // fineJob describes one chip-word programming job of a fine write.
@@ -227,7 +245,7 @@ func (c *Controller) issueFineWrite(r *mem.Request, overlap bool) {
 				continue
 			}
 			chip := c.rank.Layout.DataChip(coord.RotIdx, w)
-			if !c.chipFree(chip, coord.Bank) && c.chipFreePart(chip, coord.Bank, part) {
+			if ch := c.rank.Chips[chip]; ch.BankBusyUntil(coord.Bank) > now && ch.FreeAt(coord.Bank, part, now) {
 				c.Metrics.PartOverlapWrites.Inc()
 				break
 			}
@@ -261,7 +279,7 @@ func (c *Controller) issueFineWrite(r *mem.Request, overlap bool) {
 			dur := c.cfg.Timing.WriteArrayRead.Time()
 			for w := 0; w < ecc.WordsPerLine; w++ {
 				chip := l.DataChip(coord.RotIdx, w)
-				_, e := c.reserveChipPart(chip, coord.Bank, part, start, dur)
+				_, e := c.rank.Chips[chip].Reserve(coord.Bank, part, start, dur)
 				c.rank.Chips[chip].OpenRowIn(coord.Bank, coord.Row)
 				if e > end {
 					end = e
@@ -311,7 +329,7 @@ func (c *Controller) issueFineWrite(r *mem.Request, overlap bool) {
 			act = timing.WriteArrayRead.Time()
 		}
 		prog := c.progTime(j.flips)
-		s, e := chip.ReserveProgramPart(coord.Bank, part, earliest, act, prog)
+		s, e := chip.ReserveProgram(coord.Bank, part, earliest, act, prog)
 		chip.OpenRowIn(coord.Bank, coord.Row)
 		if j.flips.Any() {
 			chip.CountWrite(j.flips)

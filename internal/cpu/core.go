@@ -149,9 +149,6 @@ func (c *Core) Instructions() uint64 { return c.instrs }
 // Finished reports whether the budget was consumed.
 func (c *Core) Finished() bool { return c.finished }
 
-// LocalTime returns the core's clock.
-func (c *Core) LocalTime() sim.Time { return c.now }
-
 // ResetWindow starts a fresh measurement window at the current state
 // (drops warmup from IPC).
 func (c *Core) ResetWindow() {

@@ -1,9 +1,10 @@
 // Package dimm models the PCMap DIMM of Section IV-D: a rank of ten x8
 // PCM chips (eight data words, one SECDED ECC word, one PCC parity word
 // per cache line), 8-way rank subsetting so each chip is independently
-// addressable (Ahn et al. style buffered DIMM), and the DIMM register
-// that demultiplexes commands and exposes per-bank chip busy/idle
-// status flags that the controller polls with the Status command.
+// addressable (Ahn et al. style buffered DIMM), and the data/ECC/PCC
+// rotation layouts. The DIMM register that demultiplexes commands and
+// reports chip busy/idle status is the chips' own busy state, which the
+// controller polls with the Status command.
 package dimm
 
 import (
@@ -11,7 +12,6 @@ import (
 
 	"pcmap/internal/obs"
 	"pcmap/internal/pcm"
-	"pcmap/internal/sim"
 )
 
 // Chip indices by conventional (non-rotated) role.
@@ -94,35 +94,18 @@ type Rank struct {
 	Chips  []*pcm.Chip
 	Store  *pcm.Store
 	Layout Layout
-	banks  int
-	parts  int
 }
 
-// NewRank builds a rank with the given bank count and layout, with
-// monolithic (unpartitioned) banks.
-func NewRank(banks int, layout Layout) *Rank {
-	return NewRankParts(banks, 1, layout)
-}
-
-// NewRankParts builds a rank whose chips split every bank into parts
-// independently schedulable partitions (PALP). parts <= 1 is identical
-// to NewRank.
-func NewRankParts(banks, parts int, layout Layout) *Rank {
-	if parts < 1 {
-		parts = 1
-	}
-	r := &Rank{Store: pcm.NewStore(), Layout: layout, banks: banks, parts: parts}
+// NewRank builds a rank with the given bank count and layout, its
+// chips splitting every bank into parts >= 1 independently schedulable
+// partitions (1 = monolithic banks; PALP uses more).
+func NewRank(banks, parts int, layout Layout) *Rank {
+	r := &Rank{Store: pcm.NewStore(), Layout: layout}
 	for i := 0; i < Slots; i++ {
-		r.Chips = append(r.Chips, pcm.NewChipParts(i, banks, parts))
+		r.Chips = append(r.Chips, pcm.NewChip(i, banks, parts))
 	}
 	return r
 }
-
-// Banks returns the number of banks per chip.
-func (r *Rank) Banks() int { return r.banks }
-
-// Partitions returns the partitions-per-bank count (1 = monolithic).
-func (r *Rank) Partitions() int { return r.parts }
 
 // Instrument attaches every chip-bank of the rank to timeline tracks
 // grouped under "pcm chan<channel>". A nil tracer is a no-op.
@@ -134,41 +117,6 @@ func (r *Rank) Instrument(tr *obs.Tracer, channel int) {
 	for _, c := range r.Chips {
 		c.Instrument(tr, process)
 	}
-}
-
-// StatusFlags implements the DIMM register's per-bank status word: bit
-// i is set when chip i is busy in the given bank at time t. The memory
-// controller obtains this by issuing the Status command (the polling
-// cost is charged by the controller, not here).
-func (r *Rank) StatusFlags(bank int, t sim.Time) uint16 {
-	var m uint16
-	for i, c := range r.Chips {
-		if !c.FreeAt(bank, t) {
-			m |= 1 << uint(i)
-		}
-	}
-	return m
-}
-
-// BusyChips returns the status flags across all banks OR-ed together:
-// bit i set when chip i is busy in any bank at time t.
-func (r *Rank) BusyChips(t sim.Time) uint16 {
-	var m uint16
-	for i, c := range r.Chips {
-		for b := 0; b < r.banks; b++ {
-			if !c.FreeAt(b, t) {
-				m |= 1 << uint(i)
-				break
-			}
-		}
-	}
-	return m
-}
-
-// FreeForAll reports whether every chip in mask is idle in the given
-// bank at time t.
-func (r *Rank) FreeForAll(mask uint16, bank int, t sim.Time) bool {
-	return r.StatusFlags(bank, t)&mask == 0
 }
 
 // TotalWordWrites sums the programming operations across chips, for

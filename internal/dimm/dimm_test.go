@@ -117,36 +117,3 @@ func popcount16(x uint16) int {
 	}
 	return n
 }
-
-func TestRankStatusFlags(t *testing.T) {
-	r := NewRank(8, Layout{})
-	if f := r.StatusFlags(0, 0); f != 0 {
-		t.Fatalf("fresh rank busy flags %#x", f)
-	}
-	r.Chips[3].Reserve(0, 10, 100)
-	r.Chips[9].Reserve(0, 10, 100)
-	f := r.StatusFlags(0, 50)
-	if f != (1<<3 | 1<<9) {
-		t.Fatalf("flags %#x, want chips 3 and 9 busy", f)
-	}
-	if r.StatusFlags(1, 50) != 0 {
-		t.Fatal("other banks must be unaffected")
-	}
-	if r.StatusFlags(0, 110) != 0 {
-		t.Fatal("flags should clear after the reservation ends")
-	}
-	if !r.FreeForAll(1<<2|1<<4, 0, 50) {
-		t.Fatal("chips 2 and 4 are free")
-	}
-	if r.FreeForAll(1<<3, 0, 50) {
-		t.Fatal("chip 3 is busy")
-	}
-}
-
-func TestBusyChipsAcrossBanks(t *testing.T) {
-	r := NewRank(4, Layout{})
-	r.Chips[1].Reserve(2, 0, 100)
-	if m := r.BusyChips(50); m != 1<<1 {
-		t.Fatalf("BusyChips = %#x", m)
-	}
-}

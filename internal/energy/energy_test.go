@@ -15,7 +15,7 @@ import (
 
 func TestBreakdownArithmetic(t *testing.T) {
 	m := energy.Default()
-	rank := dimm.NewRank(8, dimm.Layout{})
+	rank := dimm.NewRank(8, 1, dimm.Layout{})
 	met := mem.NewMetrics()
 	met.Reads.Add(1000)
 	rank.Chips[0].CountWrite(pcmFlips(100, 50))
@@ -84,7 +84,7 @@ func TestDifferentialWritesSaveEnergy(t *testing.T) {
 }
 
 func TestWriteEnergyPerLine(t *testing.T) {
-	rank := dimm.NewRank(8, dimm.Layout{})
+	rank := dimm.NewRank(8, 1, dimm.Layout{})
 	met := mem.NewMetrics()
 	met.Writes.Add(10)
 	rank.Chips[3].CountWrite(pcmFlips(320, 320))
@@ -93,7 +93,7 @@ func TestWriteEnergyPerLine(t *testing.T) {
 	if math.Abs(got-want) > 1e-12 {
 		t.Fatalf("per-line %v, want %v", got, want)
 	}
-	if energy.Default().WriteEnergyPerLineUJ(dimm.NewRank(8, dimm.Layout{}), mem.NewMetrics()) != 0 {
+	if energy.Default().WriteEnergyPerLineUJ(dimm.NewRank(8, 1, dimm.Layout{}), mem.NewMetrics()) != 0 {
 		t.Fatal("zero writes must report zero")
 	}
 }

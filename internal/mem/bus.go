@@ -65,12 +65,3 @@ func (b *Bus) Acquire(earliest, dur sim.Time, write bool) (start, end sim.Time) 
 
 // FreeAt returns the time the bus next becomes free.
 func (b *Bus) FreeAt() sim.Time { return b.freeAt }
-
-// NextFree returns the later of t and the bus's free time, without
-// booking anything.
-func (b *Bus) NextFree(t sim.Time) sim.Time {
-	if b.freeAt > t {
-		return b.freeAt
-	}
-	return t
-}

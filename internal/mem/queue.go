@@ -1,7 +1,5 @@
 package mem
 
-import "pcmap/internal/sim"
-
 // Queue is a bounded FIFO of requests with FR-FCFS selection support:
 // the scheduler prefers row-buffer hits and, among equals, older
 // requests (Section II-B).
@@ -15,9 +13,6 @@ func NewQueue(capacity int) *Queue { return &Queue{cap: capacity} }
 
 // Len returns the number of queued requests.
 func (q *Queue) Len() int { return len(q.reqs) }
-
-// Cap returns the queue capacity.
-func (q *Queue) Cap() int { return q.cap }
 
 // Full reports whether the queue is at capacity.
 func (q *Queue) Full() bool { return len(q.reqs) >= q.cap }
@@ -87,13 +82,4 @@ func (q *Queue) Each(fn func(*Request) bool) {
 			return
 		}
 	}
-}
-
-// OldestArrival returns the arrival time of the head request, or zero
-// when empty.
-func (q *Queue) OldestArrival() sim.Time {
-	if len(q.reqs) == 0 {
-		return 0
-	}
-	return q.reqs[0].Arrive
 }

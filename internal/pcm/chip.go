@@ -10,38 +10,33 @@ import (
 // NoRow marks a closed row buffer.
 const NoRow int64 = -1
 
-// ChipBank is the timing state of one bank inside one chip. With rank
-// subsetting each chip-bank is an independently schedulable resource:
-// it serializes its own operations but overlaps freely with other banks
-// of the same chip and with the same bank of other chips.
-type ChipBank struct {
-	BusyUntil sim.Time
-	OpenRow   int64
-}
-
-// Chip is one x8 PCM device of a rank.
+// Chip is one x8 PCM device of a rank. With rank subsetting each
+// chip-bank is an independently schedulable resource: it serializes its
+// own operations but overlaps freely with other banks of the same chip
+// and with the same bank of other chips. PALP (partition-level access
+// parallelism) refines the resource one step further: every bank splits
+// into parts >= 1 partitions that serialize only their own operations.
+// A monolithic bank is a bank with one partition, so every reservation
+// names a (bank, partition) pair.
 type Chip struct {
-	ID    int
-	Banks []ChipBank
+	ID int
+
+	// busy[bank*parts+p] is the busy-until time of the bank's
+	// partition p. The whole bank's busy time is the latest of its
+	// partitions' (BankBusyUntil); it is not stored.
+	parts   int
+	busy    []sim.Time
+	openRow []int64 // per bank; NoRow when closed
 
 	// ProgBusyUntil serializes cell programming across the chip's
-	// banks: a PCM die's write-power delivery programs one bank at a
-	// time, so concurrent writes queue at the chip even when they
-	// target different banks. (Array reads remain per-bank.) This is
-	// why an un-rotated ECC chip serializes every write of the rank —
-	// the contention PCMap's ECC/PCC rotation removes.
+	// banks and partitions: a PCM die's write-power delivery programs
+	// one bank at a time, so concurrent writes queue at the chip even
+	// when they target different banks. (Array reads remain per
+	// partition.) This is why an un-rotated ECC chip serializes every
+	// write of the rank — the contention PCMap's ECC/PCC rotation
+	// removes — and why PALP overlaps a read's array access with a
+	// write's programming, never two programmings.
 	ProgBusyUntil sim.Time
-
-	// Partition state (PALP). With parts > 1 each bank splits into
-	// parts independently schedulable partitions: partBusy[bank*parts+p]
-	// is partition p's busy-until time, and ChipBank.BusyUntil stays the
-	// maximum over the bank's partitions so every whole-bank view
-	// (StatusFlags, verify timing, the six paper variants' scheduling)
-	// remains conservative and unchanged. parts <= 1 means monolithic
-	// banks: partBusy is nil and the partition entry points delegate to
-	// the whole-bank ones.
-	parts    int
-	partBusy []sim.Time
 
 	// Endurance / activity counters.
 	WordWrites uint64 // word-granularity programming operations
@@ -59,28 +54,15 @@ type Chip struct {
 	nmProgram  obs.NameID // programming operation (act + cell program)
 }
 
-// NewChip returns a chip with banks closed and idle.
-func NewChip(id, banks int) *Chip {
-	c := &Chip{ID: id, Banks: make([]ChipBank, banks), parts: 1}
-	for i := range c.Banks {
-		c.Banks[i].OpenRow = NoRow
+// NewChip returns a chip with its banks closed and idle, each bank
+// split into parts >= 1 partitions.
+func NewChip(id, banks, parts int) *Chip {
+	c := &Chip{ID: id, parts: parts, busy: make([]sim.Time, banks*parts), openRow: make([]int64, banks)}
+	for i := range c.openRow {
+		c.openRow[i] = NoRow
 	}
 	return c
 }
-
-// NewChipParts returns a chip whose banks split into parts partitions
-// each (PALP). parts <= 1 is identical to NewChip.
-func NewChipParts(id, banks, parts int) *Chip {
-	c := NewChip(id, banks)
-	if parts > 1 {
-		c.parts = parts
-		c.partBusy = make([]sim.Time, banks*parts)
-	}
-	return c
-}
-
-// Partitions returns the partitions-per-bank count (1 = monolithic).
-func (c *Chip) Partitions() int { return c.parts }
 
 // Instrument attaches the chip's banks to timeline tracks under the
 // given process group ("pcm chan0", ...). Call once at construction
@@ -93,30 +75,62 @@ func (c *Chip) Instrument(tr *obs.Tracer, process string) {
 	c.nmArray = tr.Name("array")
 	c.nmProgram = tr.Name("program")
 	c.bankTracks = c.bankTracks[:0]
-	for b := range c.Banks {
+	for b := range c.openRow {
 		c.bankTracks = append(c.bankTracks, tr.Track(process, fmt.Sprintf("chip%d.bank%d", c.ID, b)))
 	}
 }
 
-// FreeAt reports whether the given bank of this chip is idle at time t.
-func (c *Chip) FreeAt(bank int, t sim.Time) bool {
-	return c.Banks[bank].BusyUntil <= t
+// FreeAt reports whether partition part of the given bank is idle at
+// time t.
+func (c *Chip) FreeAt(bank, part int, t sim.Time) bool {
+	return c.busy[bank*c.parts+part] <= t
 }
 
-// Reserve books the chip-bank for a service interval starting no
-// earlier than earliest and no earlier than the bank's current
-// busy-until time, lasting dur. It returns the actual [start, end) and
-// records the occupancy.
-func (c *Chip) Reserve(bank int, earliest sim.Time, dur sim.Time) (start, end sim.Time) {
-	b := &c.Banks[bank]
-	start = earliest
-	if b.BusyUntil > start {
-		start = b.BusyUntil
+// BankBusyUntil returns when the whole bank frees: the latest
+// busy-until time over its partitions.
+func (c *Chip) BankBusyUntil(bank int) sim.Time {
+	var m sim.Time
+	for _, b := range c.busy[bank*c.parts : (bank+1)*c.parts] {
+		if b > m {
+			m = b
+		}
 	}
-	end = start + dur
-	b.BusyUntil = end
-	c.BusySum += dur
-	c.trace.Span(c.trackFor(bank), c.nmArray, start, dur)
+	return m
+}
+
+// Reserve books one partition of a chip-bank for a service interval
+// starting no earlier than earliest and no earlier than the
+// partition's current busy-until time, lasting dur. It returns the
+// actual [start, end) and records the occupancy.
+func (c *Chip) Reserve(bank, part int, earliest, dur sim.Time) (start, end sim.Time) {
+	return c.book(bank, part, earliest, dur, 0, c.nmArray)
+}
+
+// ReserveProgram books a programming operation on one partition of a
+// chip-bank: the array read (act) occupies the partition only, while
+// the cell-programming phase (prog) serializes with every other
+// programming operation on this chip. It returns the operation's
+// [start, end).
+func (c *Chip) ReserveProgram(bank, part int, earliest, act, prog sim.Time) (start, end sim.Time) {
+	return c.book(bank, part, earliest, act, prog, c.nmProgram)
+}
+
+// book reserves [start, end) on one partition; a programming phase
+// (prog > 0) also waits for and then holds the chip's ProgBusyUntil.
+func (c *Chip) book(bank, part int, earliest, act, prog sim.Time, name obs.NameID) (start, end sim.Time) {
+	b := &c.busy[bank*c.parts+part]
+	start = max(earliest, *b)
+	progStart := start + act
+	if prog > 0 {
+		progStart = max(progStart, c.ProgBusyUntil)
+	}
+	end = progStart + prog
+	*b = end
+	if prog > 0 {
+		c.ProgBusyUntil = end
+	}
+	c.BusySum += end - start
+	c.trace.Span(c.trackFor(bank), name, start, end-start)
 	return start, end
 }
 
@@ -129,105 +143,15 @@ func (c *Chip) trackFor(bank int) obs.TrackID {
 	return c.bankTracks[bank]
 }
 
-// ReserveProgram books a programming operation: the bank-level array
-// read (act) may overlap other banks, but the cell-programming phase
-// (prog) serializes with every other programming operation on this
-// chip. It returns the operation's [start, end).
-func (c *Chip) ReserveProgram(bank int, earliest, act, prog sim.Time) (start, end sim.Time) {
-	b := &c.Banks[bank]
-	start = earliest
-	if b.BusyUntil > start {
-		start = b.BusyUntil
-	}
-	progStart := start + act
-	if prog > 0 && c.ProgBusyUntil > progStart {
-		progStart = c.ProgBusyUntil
-	}
-	end = progStart + prog
-	b.BusyUntil = end
-	if prog > 0 {
-		c.ProgBusyUntil = end
-	}
-	c.BusySum += end - start
-	c.trace.Span(c.trackFor(bank), c.nmProgram, start, end-start)
-	return start, end
-}
-
 // ProgFreeAt reports whether the chip's programming circuitry is idle
 // at time t.
 func (c *Chip) ProgFreeAt(t sim.Time) bool { return c.ProgBusyUntil <= t }
 
-// FreeAtPart reports whether partition part of the given bank is idle
-// at time t. With monolithic banks it is FreeAt: the whole bank.
-func (c *Chip) FreeAtPart(bank, part int, t sim.Time) bool {
-	if c.parts <= 1 {
-		return c.FreeAt(bank, t)
-	}
-	return c.partBusy[bank*c.parts+part] <= t
-}
-
-// ReservePart books one partition of a chip-bank for a service
-// interval: the partition serializes its own operations, while the
-// bank's whole-bank BusyUntil advances to the max over partitions so
-// non-partition-aware views stay conservative. Monolithic banks
-// delegate to Reserve.
-func (c *Chip) ReservePart(bank, part int, earliest, dur sim.Time) (start, end sim.Time) {
-	if c.parts <= 1 {
-		return c.Reserve(bank, earliest, dur)
-	}
-	idx := bank*c.parts + part
-	start = earliest
-	if c.partBusy[idx] > start {
-		start = c.partBusy[idx]
-	}
-	end = start + dur
-	c.partBusy[idx] = end
-	if b := &c.Banks[bank]; end > b.BusyUntil {
-		b.BusyUntil = end
-	}
-	c.BusySum += dur
-	c.trace.Span(c.trackFor(bank), c.nmArray, start, dur)
-	return start, end
-}
-
-// ReserveProgramPart books a programming operation on one partition of
-// a chip-bank: the array read (act) occupies the partition only, while
-// the cell-programming phase still serializes chip-wide through
-// ProgBusyUntil (write-power delivery is a die-level resource even with
-// partitioned banks — PALP overlaps a read's array access with a
-// write's programming, not two programmings). Monolithic banks delegate
-// to ReserveProgram.
-func (c *Chip) ReserveProgramPart(bank, part int, earliest, act, prog sim.Time) (start, end sim.Time) {
-	if c.parts <= 1 {
-		return c.ReserveProgram(bank, earliest, act, prog)
-	}
-	idx := bank*c.parts + part
-	start = earliest
-	if c.partBusy[idx] > start {
-		start = c.partBusy[idx]
-	}
-	progStart := start + act
-	if prog > 0 && c.ProgBusyUntil > progStart {
-		progStart = c.ProgBusyUntil
-	}
-	end = progStart + prog
-	c.partBusy[idx] = end
-	if b := &c.Banks[bank]; end > b.BusyUntil {
-		b.BusyUntil = end
-	}
-	if prog > 0 {
-		c.ProgBusyUntil = end
-	}
-	c.BusySum += end - start
-	c.trace.Span(c.trackFor(bank), c.nmProgram, start, end-start)
-	return start, end
-}
-
 // RowHit reports whether row is open in the chip's bank.
-func (c *Chip) RowHit(bank int, row int64) bool { return c.Banks[bank].OpenRow == row }
+func (c *Chip) RowHit(bank int, row int64) bool { return c.openRow[bank] == row }
 
 // OpenRowIn records that the bank's row buffer now holds row.
-func (c *Chip) OpenRowIn(bank int, row int64) { c.Banks[bank].OpenRow = row }
+func (c *Chip) OpenRowIn(bank int, row int64) { c.openRow[bank] = row }
 
 // CountWrite accumulates endurance counters for a word write.
 func (c *Chip) CountWrite(f FlipKind) {

@@ -80,23 +80,6 @@ func (f *FaultModel) wearOf(lineIdx uint64) *lineWear {
 	return w
 }
 
-// WriteCount returns how many times the given slot of the line has been
-// programmed (tests and tooling).
-func (f *FaultModel) WriteCount(lineIdx uint64, slot int) uint64 {
-	if w, ok := f.lines[lineIdx]; ok {
-		return w.writes[slot]
-	}
-	return 0
-}
-
-// StuckBits returns the stuck-cell mask of the given slot.
-func (f *FaultModel) StuckBits(lineIdx uint64, slot int) uint64 {
-	if w, ok := f.lines[lineIdx]; ok {
-		return w.stuckMask[slot]
-	}
-	return 0
-}
-
 // onProgram models one word-programming operation: it advances the
 // slot's wear counter, possibly sticks a fresh cell (when the endurance
 // budget is exhausted), and returns the value the cells actually hold

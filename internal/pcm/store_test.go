@@ -223,30 +223,30 @@ func TestGetAllocFreeOnMaterializedLines(t *testing.T) {
 }
 
 func TestChipReserveSerializes(t *testing.T) {
-	c := NewChip(0, 8)
-	s1, e1 := c.Reserve(2, 100, 50)
+	c := NewChip(0, 8, 1)
+	s1, e1 := c.Reserve(2, 0, 100, 50)
 	if s1 != 100 || e1 != 150 {
 		t.Fatalf("first reservation [%v,%v)", s1, e1)
 	}
-	s2, e2 := c.Reserve(2, 120, 30)
+	s2, e2 := c.Reserve(2, 0, 120, 30)
 	if s2 != 150 || e2 != 180 {
 		t.Fatalf("overlapping reservation should chain: [%v,%v)", s2, e2)
 	}
 	// Other banks are independent.
-	s3, _ := c.Reserve(3, 120, 30)
+	s3, _ := c.Reserve(3, 0, 120, 30)
 	if s3 != 120 {
 		t.Fatalf("different bank should not chain: start %v", s3)
 	}
-	if c.FreeAt(2, 160) {
+	if c.FreeAt(2, 0, 160) {
 		t.Fatal("bank 2 should be busy at 160")
 	}
-	if !c.FreeAt(2, 180) {
+	if !c.FreeAt(2, 0, 180) {
 		t.Fatal("bank 2 should be free at 180")
 	}
 }
 
 func TestChipRowState(t *testing.T) {
-	c := NewChip(1, 4)
+	c := NewChip(1, 4, 1)
 	if c.RowHit(0, 5) {
 		t.Fatal("closed bank should miss")
 	}
@@ -310,52 +310,60 @@ func TestAnalyzeLineWriteMask(t *testing.T) {
 	}
 }
 
-// TestChipPartitions covers the PALP partition state: FreeAtPart sees
-// per-partition busy times, whole-bank views stay conservative (max
-// over partitions), and parts<=1 delegates to the monolithic methods.
+// TestChipPartitions covers the one chip-time model: every reservation
+// names a (bank, partition) pair, FreeAt sees that partition only, the
+// whole-bank busy time is the latest of the bank's partitions, and
+// programming serializes chip-wide across partitions and banks. A
+// monolithic bank is the one-partition case of the same model.
 func TestChipPartitions(t *testing.T) {
-	c := NewChipParts(0, 2, 4)
-	if c.Partitions() != 4 {
-		t.Fatalf("Partitions = %d, want 4", c.Partitions())
-	}
+	c := NewChip(0, 2, 4)
 	// Reserve partition 1 of bank 0 for [0, 100).
-	start, end := c.ReservePart(0, 1, 0, 100)
+	start, end := c.Reserve(0, 1, 0, 100)
 	if start != 0 || end != 100 {
-		t.Fatalf("ReservePart = [%v, %v)", start, end)
+		t.Fatalf("Reserve = [%v, %v)", start, end)
 	}
-	if c.FreeAtPart(0, 1, 50) {
+	if c.FreeAt(0, 1, 50) {
 		t.Fatal("partition 1 must be busy at 50")
 	}
-	if !c.FreeAtPart(0, 2, 50) {
+	if !c.FreeAt(0, 2, 50) {
 		t.Fatal("partition 2 must be free while partition 1 is busy")
 	}
-	if c.FreeAt(0, 50) {
-		t.Fatal("whole-bank view must be conservative: bank 0 busy at 50")
+	if got := c.BankBusyUntil(0); got != 100 {
+		t.Fatalf("BankBusyUntil(0) = %v, want 100 (max over partitions)", got)
 	}
-	if !c.FreeAtPart(1, 1, 50) {
+	if !c.FreeAt(1, 1, 50) || c.BankBusyUntil(1) != 0 {
 		t.Fatal("bank 1 must be unaffected")
 	}
 	// A second reservation on the same partition queues behind the first.
-	if s2, _ := c.ReservePart(0, 1, 0, 10); s2 != 100 {
+	if s2, _ := c.Reserve(0, 1, 0, 10); s2 != 100 {
 		t.Fatalf("same-partition reservation must serialize, start = %v", s2)
 	}
 	// Programming serializes chip-wide even across partitions.
-	_, e3 := c.ReserveProgramPart(0, 2, 0, 10, 50)
+	_, e3 := c.ReserveProgram(0, 2, 0, 10, 50)
 	if e3 != 60 {
 		t.Fatalf("program on partition 2 = end %v, want 60", e3)
 	}
-	if s4, _ := c.ReserveProgramPart(1, 0, 0, 0, 20); s4 != 0 {
+	if s4, _ := c.ReserveProgram(1, 0, 0, 0, 20); s4 != 0 {
 		t.Fatalf("other-bank program may start at 0, started %v", s4)
 	}
 	if c.ProgBusyUntil != 80 {
 		t.Fatalf("ProgBusyUntil = %v, want 80 (chip-wide serialization)", c.ProgBusyUntil)
 	}
+	if got := c.BankBusyUntil(0); got != 110 {
+		t.Fatalf("BankBusyUntil(0) = %v, want 110", got)
+	}
+	if got := c.BankBusyUntil(1); got != 80 {
+		t.Fatalf("BankBusyUntil(1) = %v, want 80", got)
+	}
 
-	// Monolithic chips: the partition entry points are the whole-bank ones.
-	m := NewChipParts(1, 1, 1)
-	m.ReservePart(0, 3, 0, 100)
-	if m.FreeAtPart(0, 2, 50) || m.FreeAt(0, 50) {
-		t.Fatal("parts=1 must delegate to whole-bank state")
+	// Monolithic banks: partition 0 is the whole bank.
+	m := NewChip(1, 2, 1)
+	m.Reserve(1, 0, 0, 100)
+	if m.FreeAt(1, 0, 50) || m.BankBusyUntil(1) != 100 {
+		t.Fatal("a one-partition bank must be busy as a whole")
+	}
+	if !m.FreeAt(0, 0, 50) {
+		t.Fatal("bank 0 must be unaffected")
 	}
 }
 

@@ -32,9 +32,6 @@ func (t Time) Nanoseconds() float64 { return float64(t) / 10 }
 // CPUCycles reports t as a floating point number of CPU cycles.
 func (t Time) CPUCycles() float64 { return float64(t) / float64(CPUCycle) }
 
-// MemCycles reports t as a floating point number of memory cycles.
-func (t Time) MemCycles() float64 { return float64(t) / float64(MemCycle) }
-
 func (t Time) String() string { return fmt.Sprintf("%.1fns", t.Nanoseconds()) }
 
 // NS returns a duration of n nanoseconds.
@@ -203,6 +200,3 @@ func (e *Engine) RunUntil(t Time) {
 		e.now = t
 	}
 }
-
-// RunFor executes events for d ticks from the current time.
-func (e *Engine) RunFor(d Time) { e.RunUntil(e.now + d) }

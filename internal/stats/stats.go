@@ -7,7 +7,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"pcmap/internal/sim"
@@ -35,9 +34,6 @@ type Mean struct {
 
 // Add folds a sample into the mean.
 func (m *Mean) Add(x float64) { m.sum += x; m.n++ }
-
-// AddN folds a pre-aggregated sum of n samples into the mean.
-func (m *Mean) AddN(sum float64, n uint64) { m.sum += sum; m.n += n }
 
 // Value returns the mean, or zero when no samples were added.
 func (m *Mean) Value() float64 {
@@ -301,11 +297,4 @@ func ArithMean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Sorted returns a sorted copy of xs.
-func Sorted(xs []float64) []float64 {
-	out := append([]float64(nil), xs...)
-	sort.Float64s(out)
-	return out
 }

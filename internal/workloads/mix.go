@@ -2,7 +2,6 @@ package workloads
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Mix is one evaluated workload: what each of the 8 cores runs.
@@ -70,16 +69,6 @@ func MustMix(name string) Mix {
 		panic(fmt.Sprintf("workloads: unknown mix %q", name))
 	}
 	return m
-}
-
-// MixNames lists all defined mixes, sorted.
-func MixNames() []string {
-	out := make([]string, 0, len(mixes))
-	for n := range mixes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // TableIIMT lists the six multithreaded workloads of Table II, in the

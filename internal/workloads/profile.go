@@ -80,15 +80,6 @@ func dist(p0, p1, p2, p3, p4, p5, p6, p7, p8 float64) [9]float64 {
 	return d
 }
 
-// MeanDirtyWords returns the distribution's expected dirty-word count.
-func (p Profile) MeanDirtyWords() float64 {
-	var m float64
-	for k, f := range p.DirtyWordDist {
-		m += float64(k) * f
-	}
-	return m
-}
-
 // profiles is the application table. RPKI/WPKI for the six Table II
 // multithreaded programs and the solo programs recoverable from the
 // homogeneous mixes (MP4 => astar, MP5 => gemsFDTD) are the paper's

@@ -4,7 +4,11 @@
 # (the paper's six plus PALP and RWoW-DCA), that both follow-on
 # variants run as adhoc simulations with their variant-specific report
 # lines, and that PALP actually overlaps partition accesses on a
-# write-heavy mix while RWoW-DCA actually counts SET bits.
+# write-heavy mix while RWoW-DCA actually counts SET bits. Two more
+# adhoc runs cover the paths that book chip time outside the plain
+# read/write issuers: PALP with program-and-verify under fault
+# injection must verify writes, and the Baseline write-pausing
+# comparator must pause.
 set -eu
 
 GO=${GO:-go}
@@ -56,4 +60,26 @@ if ! awk -v s="$sets" 'BEGIN { exit !(s > 0) }'; then
     exit 1
 fi
 
-echo "variant-smoke: OK ($overlaps PALP partition overlaps, $sets mean SET bits/write)"
+# PALP with program-and-verify: read-backs, re-programs and remaps book
+# the line's partition; the run must complete and verify writes.
+$bin -exp adhoc -workload MP4 -variant PALP -verify -endurance 1 -drift 0.005 \
+    -warmup 500 -measure 8000 2> /dev/null > "$tmp/palp_verify.txt"
+verified=$(awk '/^verify path/ {print $3}' "$tmp/palp_verify.txt")
+if [ -z "$verified" ] || [ "$verified" -le 0 ]; then
+    echo "variant-smoke: PALP -verify reports no verified writes" >&2
+    cat "$tmp/palp_verify.txt" >&2
+    exit 1
+fi
+
+# Baseline write pausing: the coarse write books in segments and must
+# pause for reads on MP4.
+$bin -exp adhoc -workload MP4 -variant Baseline -pausing -warmup 500 -measure 8000 \
+    2> /dev/null > "$tmp/pausing.txt"
+pauses=$(awk '/^write pauses/ {print $3}' "$tmp/pausing.txt")
+if [ -z "$pauses" ] || [ "$pauses" -le 0 ]; then
+    echo "variant-smoke: Baseline -pausing reports no write pauses" >&2
+    cat "$tmp/pausing.txt" >&2
+    exit 1
+fi
+
+echo "variant-smoke: OK ($overlaps PALP partition overlaps, $sets mean SET bits/write, $verified PALP verified writes, $pauses write pauses)"
