@@ -578,6 +578,29 @@ func BenchmarkGeneratorNext(b *testing.B) {
 	}
 }
 
+// BenchmarkFeedNext measures a core's op feed as System.RunCtx runs
+// it, with a producer goroutine filling batches ahead: the consuming
+// side's per-op cost plus one channel hand-off per batch. Pinned at 0
+// allocs/op: the feed and its producer pass the same batches back and
+// forth.
+func BenchmarkFeedNext(b *testing.B) {
+	p := workloads.MustByName("canneal")
+	f := workloads.NewFeed(workloads.NewGenerator(p, 0, sim.NewRNG(17), nil))
+	var op workloads.Op
+	for i := 0; i < 200_000; i++ {
+		f.Next(&op)
+	}
+	prod := workloads.Produce(f)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.Next(&op)
+	}
+	b.StopTimer()
+	prod.Stop()
+	f.Release()
+}
+
 // BenchmarkDirectory measures coherence directory lookups: a
 // Load/Store/Evict mix over 128K lines, the L2's line count, with the
 // table already grown to hold them. Pinned at 0 allocs/op: entries

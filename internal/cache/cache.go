@@ -210,6 +210,19 @@ func (c *Cache) Lookup(addr uint64) bool {
 	return true
 }
 
+// Touch refreshes addr's line like a hit when it is present and
+// reports whether it was. An absent line counts nothing: a
+// write-through store that does not allocate is not a miss.
+func (c *Cache) Touch(addr uint64) bool {
+	base, way, _, idx := c.find(addr)
+	if way < 0 {
+		return false
+	}
+	c.touch(idx, base, way)
+	c.Hits++
+	return true
+}
+
 // Present probes without touching LRU or hit/miss counters.
 func (c *Cache) Present(addr uint64) bool {
 	_, way, _, _ := c.find(addr)
@@ -219,10 +232,17 @@ func (c *Cache) Present(addr uint64) bool {
 // Insert fills addr's line, returning the evicted victim, if any. The
 // line starts clean. Inserting an already-present line refreshes it.
 func (c *Cache) Insert(addr uint64) (Victim, bool) {
+	_, v, had := c.insert(addr)
+	return v, had
+}
+
+// insert is Insert that also returns the line's slot, so a caller can
+// dirty the line it just filled without probing for it again.
+func (c *Cache) insert(addr uint64) (slot int, v Victim, had bool) {
 	base, way, tag, idx := c.find(addr)
 	if way >= 0 {
 		c.touch(idx, base, way)
-		return Victim{}, false
+		return base + way, Victim{}, false
 	}
 	if n := c.fill[idx]; int(n) < c.ways {
 		// Free slot: fill in append order (invalid slots are not
@@ -233,11 +253,11 @@ func (c *Cache) Insert(addr uint64) (Victim, bool) {
 		c.ess[base+w] = 0
 		c.order[base+w] = n
 		c.fill[idx] = n + 1
-		return Victim{}, false
+		return base + w, Victim{}, false
 	}
 	// Evict the true-LRU way: the front of the recency list.
 	vi := int(c.order[base])
-	v := Victim{
+	v = Victim{
 		Addr:    c.addrOf(uint64(c.tags[base+vi]), idx),
 		Dirty:   c.meta[base+vi]&metaDirty != 0,
 		EssMask: c.ess[base+vi],
@@ -250,7 +270,7 @@ func (c *Cache) Insert(addr uint64) (Victim, bool) {
 	c.meta[base+vi] = metaValid
 	c.ess[base+vi] = 0
 	c.touch(idx, base, vi)
-	return v, true
+	return base + vi, v, true
 }
 
 func (c *Cache) addrOf(tag, idx uint64) uint64 {
@@ -266,9 +286,15 @@ func (c *Cache) MarkDirty(addr uint64, essMask uint8) bool {
 		return false
 	}
 	c.touch(idx, base, way)
-	c.meta[base+way] |= metaDirty
-	c.ess[base+way] |= essMask
+	c.dirty(base+way, essMask)
 	return true
+}
+
+// dirty marks the line in slot dirty and adds essMask to its
+// essential words.
+func (c *Cache) dirty(slot int, essMask uint8) {
+	c.meta[slot] |= metaDirty
+	c.ess[slot] |= essMask
 }
 
 // DirtyInfo returns the line's dirty state and essential mask.

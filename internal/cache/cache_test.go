@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -203,5 +204,68 @@ func TestInsertLookupAllocFree(t *testing.T) {
 		addr += 64
 	}); n != 0 {
 		t.Fatalf("Insert/Lookup/MarkDirty allocated %.1f/op, want 0", n)
+	}
+}
+
+// TestDirtyInsertMatchesInsertThenMarkDirty: the one-probe dirty insert
+// the L2 fill paths use (insert, then dirty the returned slot) leaves a cache in exactly the state, with the
+// same victims and counters, as Insert followed by MarkDirty, across
+// hits, free-slot fills and evictions mixed with clean traffic.
+func TestDirtyInsertMatchesInsertThenMarkDirty(t *testing.T) {
+	two, one := tiny(), tiny()
+	rng := uint64(0x9e3779b97f4a7c15)
+	for i := 0; i < 20_000; i++ {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		addr := (rng >> 8) % 32 * 64 // 32 lines over 4 sets of 2 ways
+		mask := uint8(rng >> 48)
+		var v2, v1 Victim
+		var had2, had1 bool
+		switch rng % 4 {
+		case 0:
+			v2, had2 = two.Insert(addr)
+			two.MarkDirty(addr, mask)
+			var slot int
+			slot, v1, had1 = one.insert(addr)
+			one.dirty(slot, mask)
+		case 1:
+			v2, had2 = two.Insert(addr)
+			v1, had1 = one.Insert(addr)
+		case 2:
+			two.Lookup(addr)
+			one.Lookup(addr)
+		case 3:
+			two.Invalidate(addr)
+			one.Invalidate(addr)
+		}
+		if v2 != v1 || had2 != had1 {
+			t.Fatalf("op %d: victims differ: %+v/%v vs %+v/%v", i, v2, had2, v1, had1)
+		}
+	}
+	if !reflect.DeepEqual(two, one) {
+		t.Fatalf("caches diverged:\n%+v\n%+v", two, one)
+	}
+}
+
+// TestTouchCountsOnlyHits: Touch refreshes a present line like a
+// Lookup hit and leaves an absent one uncounted.
+func TestTouchCountsOnlyHits(t *testing.T) {
+	c := tiny()
+	a, b, d := uint64(0), uint64(1024), uint64(2048) // one set
+	if c.Touch(a) {
+		t.Fatal("Touch of an absent line reported present")
+	}
+	if c.Hits != 0 || c.Misses != 0 {
+		t.Fatalf("Touch of an absent line counted: hits=%d misses=%d", c.Hits, c.Misses)
+	}
+	c.Insert(a)
+	c.Insert(b)
+	if !c.Touch(a) || c.Hits != 1 {
+		t.Fatalf("Touch of a present line: hits=%d", c.Hits)
+	}
+	// a is now most recently used, so d evicts b.
+	if v, _ := c.Insert(d); v.Addr != b {
+		t.Fatalf("Touch did not refresh LRU: evicted %#x", v.Addr)
 	}
 }

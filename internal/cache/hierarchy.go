@@ -4,6 +4,7 @@ import (
 	"pcmap/internal/coherence"
 	"pcmap/internal/config"
 	"pcmap/internal/core"
+	"pcmap/internal/flat"
 	"pcmap/internal/mem"
 	"pcmap/internal/noc"
 	"pcmap/internal/sim"
@@ -198,7 +199,7 @@ type Hierarchy struct {
 	llcBankBusy []sim.Time
 	llcBanks    int
 
-	pending    map[uint64]*fetch
+	pending    flat.Table[*fetch] // outstanding fetches, keyed line|1
 	pendingCap int
 	wbBacklog  int
 	wbCap      int
@@ -239,7 +240,6 @@ func NewHierarchy(eng *sim.Engine, cfg *config.Config, memory *core.Memory) *Hie
 		LLC:         New("LLC", cfg.DRAMLLC),
 		llcBanks:    cfg.DRAMLLC.Banks,
 		llcBankBusy: make([]sim.Time, cfg.DRAMLLC.Banks),
-		pending:     make(map[uint64]*fetch),
 		pendingCap:  cfg.L2.MSHRs,
 		wbCap:       4 * cfg.Memory.Channels,
 	}
@@ -288,7 +288,7 @@ func (h *Hierarchy) PrewarmLLC(addr uint64) { h.LLC.Insert(line64(addr)) }
 func (h *Hierarchy) PrewarmL2(addr uint64) {
 	l := line64(addr)
 	h.LLC.Insert(l)
-	h.fillL2(l)
+	h.fillL2(l, false, 0)
 }
 
 func line64(addr uint64) uint64 { return addr &^ 63 }
@@ -352,12 +352,16 @@ func (h *Hierarchy) fillL1(corID int, addr uint64) {
 	}
 }
 
-// fillL2 inserts a line into the L2, writing back a dirty victim to the
-// LLC (or straight to PCM when the LLC does not hold it — the LLC is
+// fillL2 inserts a line into the L2, dirtied with essMask when dirty
+// (a store's write-allocate), writing back a dirty victim to the LLC
+// (or straight to PCM when the LLC does not hold it — the LLC is
 // write-around for write-backs, see DESIGN.md) and maintaining L1
 // inclusion.
-func (h *Hierarchy) fillL2(addr uint64) {
-	v, had := h.L2.Insert(addr)
+func (h *Hierarchy) fillL2(addr uint64, dirty bool, essMask uint8) {
+	slot, v, had := h.L2.insert(addr)
+	if dirty {
+		h.L2.dirty(slot, essMask)
+	}
 	if !had {
 		return
 	}
@@ -436,7 +440,7 @@ func (h *Hierarchy) Load(corID int, addr uint64, nonTemporal bool, seq uint64) (
 	if h.LLC.Lookup(l) {
 		h.LLCHits++
 		lat := h.llcLatency(l2lat, l)
-		h.fillL2(l)
+		h.fillL2(l, false, 0)
 		h.fillL1(corID, addr)
 		return HitLLC, lat + fwd
 	}
@@ -466,9 +470,7 @@ func (h *Hierarchy) Store(corID int, addr uint64, essMask uint8, nonTemporal boo
 	act := h.Dir.Store(l, corID)
 	h.invalidateForStore(corID, addr, act.Invalidate)
 	// Write-through L1: refresh our own copy if present (no allocate).
-	if h.L1[corID].Present(addr) {
-		h.L1[corID].Lookup(addr)
-	}
+	h.L1[corID].Touch(addr)
 	if h.L2.MarkDirty(l, essMask) {
 		return HitL2
 	}
@@ -476,8 +478,7 @@ func (h *Hierarchy) Store(corID int, addr uint64, essMask uint8, nonTemporal boo
 	if h.LLC.Lookup(l) {
 		h.LLCHits++
 		h.llcLatency(0, l)
-		h.fillL2(l)
-		h.L2.MarkDirty(l, essMask)
+		h.fillL2(l, true, essMask)
 		return HitLLC
 	}
 	res, _ := h.startFetch(corID, addr, true, essMask, false, 0, false)
@@ -506,7 +507,8 @@ func (h *Hierarchy) invalidateForStore(corID int, addr uint64, mask uint16) {
 // pass false.
 func (h *Hierarchy) startFetch(corID int, addr uint64, store bool, storeMask uint8, bypass bool, seq uint64, wantFill bool) (Result, sim.Time) {
 	l := line64(addr)
-	if f, ok := h.pending[l]; ok {
+	if p := h.pending.Get(l | 1); p != nil {
+		f := *p
 		h.CoalescedMisses++
 		f.store = f.store || store
 		f.storeMask |= storeMask
@@ -516,7 +518,7 @@ func (h *Hierarchy) startFetch(corID int, addr uint64, store bool, storeMask uin
 		}
 		return GoesToMemory, 0
 	}
-	if len(h.pending) >= h.pendingCap || h.wbBacklog >= h.wbCap {
+	if h.pending.Len() >= h.pendingCap || h.wbBacklog >= h.wbCap {
 		h.StallEvents++
 		return Stalled, 0
 	}
@@ -527,7 +529,8 @@ func (h *Hierarchy) startFetch(corID int, addr uint64, store bool, storeMask uin
 	if wantFill {
 		f.waiters = append(f.waiters, fillWaiter{core: corID, seq: seq})
 	}
-	h.pending[l] = f
+	p, _ := h.pending.Put(l | 1)
+	*p = f
 	h.MemFetches++
 	if storeMask != 0 {
 		h.StoreFetches++
@@ -540,14 +543,11 @@ func (h *Hierarchy) startFetch(corID int, addr uint64, store bool, storeMask uin
 // finishFetch lands a PCM fill: LLC, L2 (with pending store dirt), L1,
 // then wakes the coalesced waiters.
 func (h *Hierarchy) finishFetch(f *fetch) {
-	delete(h.pending, f.addr)
+	h.pending.Delete(f.addr | 1)
 	if !f.bypass {
 		h.fillLLC(f.addr)
 	}
-	h.fillL2(f.addr)
-	if f.store {
-		h.L2.MarkDirty(f.addr, f.storeMask)
-	}
+	h.fillL2(f.addr, f.store, f.storeMask)
 	h.fillL1(f.core, f.addr)
 	for _, w := range f.waiters {
 		if fn := h.fillHandlers[w.core]; fn != nil {

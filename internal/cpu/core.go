@@ -34,8 +34,10 @@ type Core struct {
 	eng  *sim.Engine
 	cfg  config.Core
 	hier *cache.Hierarchy
-	gen  *workloads.Generator
+	feed *workloads.Feed
 	rng  *sim.RNG
+
+	baseCPI float64 // the workload's CPI for non-memory instructions
 
 	budget uint64 // instruction budget; a zero budget finishes immediately
 
@@ -87,15 +89,16 @@ type Core struct {
 	nmReadLat, nmMSHRFull, nmWriteQFull, nmBankConfl obs.NameID
 }
 
-// NewCore builds a core running gen on hier.
-func NewCore(eng *sim.Engine, cfg *config.Config, id int, hier *cache.Hierarchy, gen *workloads.Generator, rng *sim.RNG) *Core {
+// NewCore builds a core running feed's op stream on hier.
+func NewCore(eng *sim.Engine, cfg *config.Config, id int, hier *cache.Hierarchy, feed *workloads.Feed, rng *sim.RNG) *Core {
 	c := &Core{
 		ID:         id,
 		eng:        eng,
 		cfg:        cfg.Core,
 		hier:       hier,
-		gen:        gen,
+		feed:       feed,
 		rng:        rng,
+		baseCPI:    feed.Generator().P.BaseCPI,
 		commitMin:  100 * sim.CPUCycle,
 		commitMean: float64((2000 * sim.CPUCycle).Ticks()),
 	}
@@ -211,11 +214,11 @@ func (c *Core) step() {
 			if c.current == nil {
 				c.current = new(workloads.Op)
 			}
-			c.gen.Next(c.current)
+			c.feed.Next(c.current)
 			c.haveOp = true
 			// The gap instructions execute at the base CPI.
 			c.instrs += uint64(c.current.Gap)
-			c.now += sim.CPUCycle.Scale(float64(c.current.Gap) * c.gen.P.BaseCPI)
+			c.now += sim.CPUCycle.Scale(float64(c.current.Gap) * c.baseCPI)
 		}
 		c.retireCompleted()
 		// Window limit: cannot run more than WindowSize instructions

@@ -20,7 +20,7 @@ func buildOne(t *testing.T, profile string, cfg *config.Config) (*sim.Engine, *C
 	h := cache.NewHierarchy(eng, cfg, m)
 	p := workloads.MustByName(profile)
 	gen := workloads.NewGenerator(p, 0, sim.NewRNG(1), nil)
-	c := NewCore(eng, cfg, 0, h, gen, sim.NewRNG(2))
+	c := NewCore(eng, cfg, 0, h, workloads.NewFeed(gen), sim.NewRNG(2))
 	return eng, c, h
 }
 
@@ -117,7 +117,7 @@ func TestFasterMemoryRaisesIPC(t *testing.T) {
 		var cores []*Core
 		for i := 0; i < cfg.Cores; i++ {
 			gen := workloads.NewGenerator(p, i, sim.NewRNG(uint64(i+1)), nil)
-			cores = append(cores, NewCore(eng, cfg, i, h, gen, sim.NewRNG(uint64(100+i))))
+			cores = append(cores, NewCore(eng, cfg, i, h, workloads.NewFeed(gen), sim.NewRNG(uint64(100+i))))
 		}
 		for _, c := range cores {
 			c.Start(20_000, nil)

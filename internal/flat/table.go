@@ -1,9 +1,10 @@
 // Package flat provides Table, the open-addressing hash table behind
 // the simulator's line-keyed hot structures: the PCM line store, the
-// coherence directory and the workload generators' write-pattern memo.
-// Values live in place in one slot array, so tracking a key allocates
-// nothing beyond the array's doublings, and a lookup is one probe
-// sequence over adjacent slots.
+// coherence directory, the cache hierarchy's outstanding fetches and
+// the workload generators' write-pattern memo. Values live in place
+// in one slot array, so tracking a key allocates nothing beyond the
+// array's doublings, and a lookup is one probe sequence over adjacent
+// slots.
 package flat
 
 // slot is one entry of a table; key 0 marks it empty.

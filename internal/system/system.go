@@ -27,6 +27,10 @@ type System struct {
 	Cores []*cpu.Core
 	Mix   workloads.Mix
 
+	// feeds carry each core's op stream; RunCtx attaches a producer
+	// goroutine to them for the length of the run.
+	feeds []*workloads.Feed
+
 	// Tracer is the attached timeline tracer, nil when tracing is off.
 	Tracer *obs.Tracer
 }
@@ -52,7 +56,9 @@ func assemble(cfg *config.Config, mix workloads.Mix) (*System, error) {
 		p := workloads.MustByName(pname)
 		gen := workloads.NewGenerator(p, i, rng.Fork(), shared)
 		gens = append(gens, gen)
-		s.Cores = append(s.Cores, cpu.NewCore(eng, cfg, i, hier, gen, rng.Fork()))
+		feed := workloads.NewFeed(gen)
+		s.feeds = append(s.feeds, feed)
+		s.Cores = append(s.Cores, cpu.NewCore(eng, cfg, i, hier, feed, rng.Fork()))
 	}
 	prewarm(hier, gens, shared)
 	return s, nil
@@ -114,8 +120,8 @@ type Results struct {
 }
 
 // Release returns the system's pooled resources — the cache levels'
-// slab-backed state arrays — for reuse by the next System of the same
-// geometry. Call it once after the final Run; the system must not be
+// slab-backed state arrays and the op feeds' batches — for reuse by the
+// next System. Call it once after the final Run; the system must not be
 // used afterwards. Sweeps that build many systems sequentially (the
 // figure experiments, benchmarks) recycle tens of MB per run this way.
 func (s *System) Release() {
@@ -123,6 +129,10 @@ func (s *System) Release() {
 		s.Hier.Release()
 		s.Hier = nil
 	}
+	for _, f := range s.feeds {
+		f.Release()
+	}
+	s.feeds = nil
 }
 
 // Run executes warmup instructions per core, resets statistics, then
@@ -145,7 +155,14 @@ const cancelCheckInterval = 8192
 // context takes the exact same single-call engine path as Run, so
 // uncancelled runs stay bit-identical. A cancelled run returns no
 // Results — partial simulation state is not a meaningful measurement.
+//
+// For the length of the call a producer goroutine generates the cores'
+// op streams ahead of them (see workloads.Feed); it is stopped and
+// joined before RunCtx returns, whatever the outcome. The streams do
+// not depend on the host schedule, so neither do the Results.
 func (s *System) RunCtx(ctx context.Context, warmup, measure uint64) (*Results, error) {
+	prod := workloads.Produce(s.feeds...)
+	defer prod.Stop()
 	steps0 := s.Eng.Steps()
 	if err := s.runPhase(ctx, warmup); err != nil {
 		return nil, fmt.Errorf("system: warmup: %w", err)

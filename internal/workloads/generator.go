@@ -51,9 +51,6 @@ type Generator struct {
 	lastOffset int
 
 	shared *SharedRegion
-
-	// Counters for calibration checks.
-	Ops, StoresGen, MemLoads, MemStores uint64
 }
 
 // Region geometry (lines): the reuse pools behind the derived bucket
@@ -140,7 +137,6 @@ func clamp01(x float64) float64 {
 // read-for-ownership is emitted explicitly as a follow-up load, which
 // preserves the paper's read traffic.
 func (g *Generator) Next(op *Op) {
-	g.Ops++
 	if g.hasQueued {
 		*op = g.queued
 		g.hasQueued = false
@@ -151,13 +147,11 @@ func (g *Generator) Next(op *Op) {
 
 	pMem := g.pMemLoad
 	if op.Store {
-		g.StoresGen++
 		pMem = g.pMemStore
 	}
 	if g.rng.Float64() < pMem {
 		op.Addr = g.nextStreamAddr()
 		if op.Store {
-			g.MemStores++
 			op.NonTemporal = true
 			if g.rng.Bool(g.allocFrac) {
 				// Write-allocate traffic: the RFO read (streaming too).
@@ -165,7 +159,6 @@ func (g *Generator) Next(op *Op) {
 				g.hasQueued = true
 			}
 		} else {
-			g.MemLoads++
 			op.NonTemporal = true
 		}
 	} else {

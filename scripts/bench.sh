@@ -13,17 +13,17 @@
 #                               (allocs/op >= 5x, bytes/op >= 3x)
 #
 # The suite covers the perf-critical substrates (event engine, timers,
-# SECDED, PCC, RNG, PCM line store, coherence directory, IRLP
-# accounting), one end-to-end controller bench, and one full
-# figure regeneration — enough to catch both micro-level allocation
-# regressions and macro-level slowdowns without CI running every
-# figure. BENCHTIME trades precision for CI time.
+# SECDED, PCC, RNG, PCM line store, op generation and its feed,
+# coherence directory, IRLP accounting), one end-to-end controller
+# bench, and one full figure regeneration — enough to catch both
+# micro-level allocation regressions and macro-level slowdowns without
+# CI running every figure. BENCHTIME trades precision for CI time.
 set -eu
 
 cd "$(dirname "$0")/.."
 
 BENCHTIME="${BENCHTIME:-1s}"
-PATTERN='^(BenchmarkEngine|BenchmarkEngineTimer|BenchmarkEngineTraceDisabled|BenchmarkSECDEDEncode|BenchmarkSECDEDCorrect|BenchmarkSECDEDDecodeClean|BenchmarkPCCReconstruct|BenchmarkPCCUpdate|BenchmarkRNGUint64|BenchmarkRNGExp|BenchmarkRNGPick|BenchmarkCacheLoadHit|BenchmarkStoreGetWarm|BenchmarkStoreWriteScattered|BenchmarkAnalyzeLineWrite|BenchmarkGeneratorNext|BenchmarkDirectory|BenchmarkIRLPStream|BenchmarkControllerRequests|BenchmarkFig1)$'
+PATTERN='^(BenchmarkEngine|BenchmarkEngineTimer|BenchmarkEngineTraceDisabled|BenchmarkSECDEDEncode|BenchmarkSECDEDCorrect|BenchmarkSECDEDDecodeClean|BenchmarkPCCReconstruct|BenchmarkPCCUpdate|BenchmarkRNGUint64|BenchmarkRNGExp|BenchmarkRNGPick|BenchmarkCacheLoadHit|BenchmarkStoreGetWarm|BenchmarkStoreWriteScattered|BenchmarkAnalyzeLineWrite|BenchmarkGeneratorNext|BenchmarkFeedNext|BenchmarkDirectory|BenchmarkIRLPStream|BenchmarkControllerRequests|BenchmarkFig1)$'
 
 OUT="$(mktemp)"
 trap 'rm -f "$OUT"' EXIT
