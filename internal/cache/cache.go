@@ -52,7 +52,7 @@ type Cache struct {
 	setShift  uint // log2(number of sets)
 	setMask   uint64
 
-	Hits, Misses, Evictions, Writebacks uint64
+	Hits, Misses uint64
 }
 
 const (
@@ -261,10 +261,6 @@ func (c *Cache) insert(addr uint64) (slot int, v Victim, had bool) {
 		Addr:    c.addrOf(uint64(c.tags[base+vi]), idx),
 		Dirty:   c.meta[base+vi]&metaDirty != 0,
 		EssMask: c.ess[base+vi],
-	}
-	c.Evictions++
-	if v.Dirty {
-		c.Writebacks++
 	}
 	c.tags[base+vi] = tag
 	c.meta[base+vi] = metaValid

@@ -134,13 +134,18 @@ func (h *Hierarchy) recycleFetch(f *fetch) {
 	f.cores = f.cores[:0]
 	f.store, f.bypass = false, false
 	f.storeMask = 0
-	r := &f.req
+	resetRequest(&f.req)
+	f.next = h.fetchFree
+	h.fetchFree = f
+}
+
+// resetRequest clears a pooled request's per-access state, keeping the
+// callbacks bound to it. Kind, Addr and Core are set on every reuse.
+func resetRequest(r *mem.Request) {
 	r.Mask, r.Data = 0, nil
 	r.Arrive, r.Issue, r.Done = 0, 0, 0
 	r.Started, r.Reconstructed, r.DelayedByWrite = false, false, false
 	r.Err = nil
-	f.next = h.fetchFree
-	h.fetchFree = f
 }
 
 // wbReq is one pooled write-back request with its retry callback
@@ -174,11 +179,7 @@ func (h *Hierarchy) newWB() *wbReq {
 }
 
 func (h *Hierarchy) recycleWB(w *wbReq) {
-	r := &w.req
-	r.Mask, r.Data = 0, nil
-	r.Arrive, r.Issue, r.Done = 0, 0, 0
-	r.Started, r.Reconstructed, r.DelayedByWrite = false, false, false
-	r.Err = nil
+	resetRequest(&w.req)
 	w.next = h.wbFree
 	h.wbFree = w
 }
@@ -219,13 +220,7 @@ type Hierarchy struct {
 	fillHandlers []func(seq uint64)
 
 	// Statistics.
-	Loads, Stores            uint64
-	L1Hits, L2Hits, LLCHits  uint64
-	MemFetches, StoreFetches uint64
-	WBToLLC, WBToPCM         uint64
-	InvalidationsSent        uint64
-	CoalescedMisses          uint64
-	StallEvents              uint64
+	L1Hits, MemFetches, CoalescedMisses, InvalidationsSent uint64
 }
 
 // NewHierarchy builds the hierarchy for cfg on top of memory.
@@ -377,14 +372,9 @@ func (h *Hierarchy) fillL2(addr uint64, dirty bool, essMask uint8) {
 			h.InvalidationsSent++
 		}
 	}
-	if !v.Dirty {
-		return
+	if v.Dirty && !h.LLC.MarkDirty(v.Addr, v.EssMask) {
+		h.submitWriteback(v.Addr, v.EssMask)
 	}
-	if h.LLC.MarkDirty(v.Addr, v.EssMask) {
-		h.WBToLLC++
-		return
-	}
-	h.submitWriteback(v.Addr, v.EssMask)
 }
 
 // fillLLC inserts a line into the DRAM cache, pushing a dirty victim's
@@ -402,7 +392,6 @@ func (h *Hierarchy) fillLLC(addr uint64) {
 // completion (every accepted write completes exactly once — the
 // controller never merges queued writes).
 func (h *Hierarchy) submitWriteback(addr uint64, essMask uint8) {
-	h.WBToPCM++
 	w := h.newWB()
 	w.req.Kind, w.req.Addr, w.req.Mask, w.req.Core = mem.Write, addr, essMask, -1
 	if h.Mem.Submit(&w.req) {
@@ -419,7 +408,6 @@ func (h *Hierarchy) submitWriteback(addr uint64, essMask uint8) {
 // done; retry after OnUnstall. Non-temporal (streaming) loads fill
 // L1/L2 but bypass the DRAM cache.
 func (h *Hierarchy) Load(corID int, addr uint64, nonTemporal bool, seq uint64) (Result, sim.Time) {
-	h.Loads++
 	if h.L1[corID].Lookup(addr) {
 		h.L1Hits++
 		return HitL1, cpuCycles(h.cfg.L1D.HitCycles)
@@ -433,12 +421,10 @@ func (h *Hierarchy) Load(corID int, addr uint64, nonTemporal bool, seq uint64) (
 	}
 	l2lat := h.l2PathLatency(corID, l)
 	if h.L2.Lookup(l) {
-		h.L2Hits++
 		h.fillL1(corID, addr)
 		return HitL2, l2lat + fwd
 	}
 	if h.LLC.Lookup(l) {
-		h.LLCHits++
 		lat := h.llcLatency(l2lat, l)
 		h.fillL2(l, false, 0)
 		h.fillL1(corID, addr)
@@ -454,13 +440,11 @@ func (h *Hierarchy) Load(corID int, addr uint64, nonTemporal bool, seq uint64) (
 // but may return Stalled when no MSHR (or write-back backlog slot) is
 // available.
 func (h *Hierarchy) Store(corID int, addr uint64, essMask uint8, nonTemporal bool) Result {
-	h.Stores++
 	l := line64(addr)
 	if nonTemporal && !h.L2.Present(l) && !h.LLC.Present(l) {
 		// Streaming store to an uncached line: no allocation, direct
 		// PCM write (with backpressure).
 		if h.wbBacklog >= h.wbCap {
-			h.StallEvents++
 			return Stalled
 		}
 		h.invalidateForStore(corID, addr, h.Dir.Store(l, corID).Invalidate)
@@ -476,7 +460,6 @@ func (h *Hierarchy) Store(corID int, addr uint64, essMask uint8, nonTemporal boo
 	}
 	// Write-allocate: fetch the line (from LLC or PCM), then dirty it.
 	if h.LLC.Lookup(l) {
-		h.LLCHits++
 		h.llcLatency(0, l)
 		h.fillL2(l, true, essMask)
 		return HitLLC
@@ -519,7 +502,6 @@ func (h *Hierarchy) startFetch(corID int, addr uint64, store bool, storeMask uin
 		return GoesToMemory, 0
 	}
 	if h.pending.Len() >= h.pendingCap || h.wbBacklog >= h.wbCap {
-		h.StallEvents++
 		return Stalled, 0
 	}
 	f := h.newFetch()
@@ -532,9 +514,6 @@ func (h *Hierarchy) startFetch(corID int, addr uint64, store bool, storeMask uin
 	p, _ := h.pending.Put(l | 1)
 	*p = f
 	h.MemFetches++
-	if storeMask != 0 {
-		h.StoreFetches++
-	}
 	f.req.Kind, f.req.Addr, f.req.Core = mem.Read, l, corID
 	f.trySubmit()
 	return GoesToMemory, 0

@@ -50,7 +50,7 @@ type Controller struct {
 	draining   bool
 	powerInUse int
 	active     []*activeWrite // writes currently in service
-	paused     *pausedWrite   // baseline write-pausing comparator state
+	paused     *activeWrite   // the write-pausing comparator's segmented write
 
 	rng     *sim.RNG
 	Metrics *mem.Metrics
@@ -74,23 +74,9 @@ type Controller struct {
 	readWaiters  []func()
 	writeWaiters []func()
 
-	// Scheduling-pass scratch state, pre-bound once so the hot issue
-	// loop allocates nothing: plans is cleared (not reallocated) per
-	// pass, and the two queue-scan predicates close over the controller
-	// alone.
-	plans         map[*mem.Request]readPlan
-	serviceableFn func(*mem.Request) bool
-	rowHitFn      func(*mem.Request) bool
-
-	// Free lists recycling the per-request bookkeeping objects: active
-	// writes (with their inline intended-content buffer) and the event
-	// records that carry read/write/verify completions through the
-	// engine. Each record pre-binds its fire closure once, so a request
-	// costs no closure allocations in steady state.
-	awFree       *activeWrite
-	readEvFree   *readEv
-	verifyEvFree *verifyEv
-	writeEvFree  *writeEv
+	// Free lists recycling the per-request records.
+	awFree *activeWrite
+	arFree *activeRead
 
 	// AssertContent makes the controller panic if a PCC reconstruction
 	// ever disagrees with stored content absent injected faults;
@@ -108,15 +94,18 @@ type Controller struct {
 	drainStart       sim.Time
 }
 
-// activeWrite tracks a write in service for scheduling decisions and
-// the Figure 1 delayed-read accounting. The verify fields carry the
-// program-and-verify state when cfg.VerifyWrites is on; they stay zero
-// otherwise.
+// activeWrite is one write's record from issue to completeWrite: the
+// scheduling and Figure 1 accounting state, the program-and-verify
+// state (zero unless cfg.VerifyWrites), the write-pausing segment state
+// (zero unless the comparator runs), and the step its one pending event
+// runs. The record's fire callback is bound once, when the pool
+// allocates it, so a write costs no closure allocations in steady
+// state.
 type activeWrite struct {
 	req      *mem.Request
-	bank     int
 	essCount int
-	end      sim.Time
+	end      sim.Time // when the current programming booking ends
+	power    int      // power slots released when programming ends
 
 	coord    mem.Coord            // decoded target (post wear-level and remap)
 	intended *[ecc.LineBytes]byte // content the write meant to store
@@ -124,38 +113,55 @@ type activeWrite struct {
 	attempts int                  // re-program attempts so far
 	progEnd  sim.Time             // when programming finished (verify overhead baseline)
 
+	// wordProg holds a coarse write's essential words' programming
+	// times, which its bookings report to IRLP.
+	wordProg [ecc.WordsPerLine]sim.Time
+
+	// Write-pausing comparator state: the write programs in segments,
+	// and between them the chips are free for reads (see pausing.go).
+	act       sim.Time // activation still to charge (first segment only)
+	prog      sim.Time // the write's whole programming time
+	remaining sim.Time // programming time left
+	segment   sim.Time // per-segment slice
+	inFlight  bool     // a segment is currently reserved
+
 	// intendedBuf backs intended when the producer supplied no real
 	// bytes and the controller synthesized content; inlining it here
 	// keeps the synthesis allocation-free across the pool.
 	intendedBuf [ecc.LineBytes]byte
-	next        *activeWrite // free-list link
+
+	step writeStep // what the pending event does
+	fire func()    // runs step; bound once per pooled record
+	next *activeWrite
 }
 
-// newActive pops a recycled activeWrite (or allocates the pool's next
-// one) with every scheduling-visible field reset. intendedBuf is left
-// dirty: applyWrite overwrites it before anything reads it.
+// writeStep names the event a write has pending.
+type writeStep uint8
+
+const (
+	stepProgrammed   writeStep = iota // programming ended: release power, maybe verify
+	stepReadBack                      // verify read-back done: compare with the intent
+	stepReprogrammed                  // re-program done: read back again
+	stepRemapped                      // spare-line copy done: complete
+	stepSegment                       // a pausable segment ended
+)
+
+// newActive pops a recycled activeWrite, reset to zero apart from its
+// fire callback, or allocates the pool's next one with fire bound.
 func (c *Controller) newActive() *activeWrite {
 	aw := c.awFree
 	if aw == nil {
-		return &activeWrite{}
+		aw = &activeWrite{}
+		aw.fire = func() { c.stepWrite(aw) }
+		return aw
 	}
 	c.awFree = aw.next
-	aw.next = nil
-	aw.req = nil
-	aw.bank = 0
-	aw.essCount = 0
-	aw.end = 0
-	aw.coord = mem.Coord{}
-	aw.intended = nil
-	aw.mask = 0
-	aw.attempts = 0
-	aw.progEnd = 0
+	*aw = activeWrite{fire: aw.fire}
 	return aw
 }
 
-// recycleActive returns a completed write's record to the pool.
-// completeWrite is the unique terminal of every write path (plain,
-// verify-retry, remap, pausing), so the record is dead once it runs.
+// recycleActive returns a write's record to the pool at its terminal,
+// completeWrite.
 func (c *Controller) recycleActive(aw *activeWrite) {
 	aw.req = nil
 	aw.intended = nil
@@ -163,99 +169,68 @@ func (c *Controller) recycleActive(aw *activeWrite) {
 	c.awFree = aw
 }
 
-// readEv carries one read's completion through the engine. The fire
-// closure is bound once per record; recycling re-arms it for the next
-// read at zero allocations.
-type readEv struct {
-	r        *mem.Request
-	verifyAt sim.Time
-	fire     func()
-	next     *readEv
+// at arms a write's one pending event: step runs at t.
+func (c *Controller) at(t sim.Time, aw *activeWrite, step writeStep) {
+	aw.step = step
+	c.eng.At(t, aw.fire)
 }
 
-func (c *Controller) newReadEv(r *mem.Request, verifyAt sim.Time) *readEv {
-	ev := c.readEvFree
-	if ev == nil {
-		ev = &readEv{}
-		ev.fire = func() {
-			r, verifyAt := ev.r, ev.verifyAt
-			ev.r = nil
-			ev.next = c.readEvFree
-			c.readEvFree = ev
-			c.completeRead(r, verifyAt)
-		}
-	} else {
-		c.readEvFree = ev.next
+// stepWrite runs a write's pending event.
+func (c *Controller) stepWrite(aw *activeWrite) {
+	switch aw.step {
+	case stepProgrammed:
+		c.powerInUse -= aw.power
+		c.maybeVerifyWrite(aw)
+	case stepReadBack:
+		c.checkVerify(aw)
+	case stepReprogrammed:
+		c.scheduleVerifyRead(aw)
+	case stepRemapped:
+		c.verifiedWrite(aw)
+	case stepSegment:
+		c.segmentDone(aw)
 	}
-	ev.r, ev.verifyAt = r, verifyAt
-	return ev
 }
 
-// verifyEv carries a reconstructed read's deferred SECDED verification.
-type verifyEv struct {
-	r      *mem.Request
-	faulty bool
-	fire   func()
-	next   *verifyEv
+// activeRead is one read's record from issue to its last event: the
+// completion, or for a read served by PCC reconstruction the deferred
+// SECDED verification that follows it. Its fire callback is bound once,
+// when the pool allocates the record.
+type activeRead struct {
+	req      *mem.Request
+	verifyAt sim.Time // when a reconstructed read's verification runs
+	faulty   bool     // the verification's injected-fault outcome
+	returned bool     // data returned; the pending event is the verification
+
+	fire func() // completeRead, then verifyRoW once returned
+	next *activeRead
 }
 
-func (c *Controller) newVerifyEv(r *mem.Request, faulty bool) *verifyEv {
-	ev := c.verifyEvFree
-	if ev == nil {
-		ev = &verifyEv{}
-		ev.fire = func() {
-			r, faulty := ev.r, ev.faulty
-			ev.r = nil
-			ev.next = c.verifyEvFree
-			c.verifyEvFree = ev
-			c.Metrics.RoWVerifies.Inc()
-			if faulty {
-				c.Metrics.RoWFaulty.Inc()
-			}
-			if r.OnVerify != nil {
-				r.OnVerify(r, faulty)
-			}
-		}
-	} else {
-		c.verifyEvFree = ev.next
-	}
-	ev.r, ev.faulty = r, faulty
-	return ev
-}
-
-// writeEv carries one write's end-of-programming event: releasing its
-// power slots, then either completing a silent write directly or
-// entering the (maybe-)verify path.
-type writeEv struct {
-	r      *mem.Request
-	aw     *activeWrite
-	power  int
-	silent bool
-	fire   func()
-	next   *writeEv
-}
-
-func (c *Controller) newWriteEv(r *mem.Request, aw *activeWrite, power int, silent bool) *writeEv {
-	ev := c.writeEvFree
-	if ev == nil {
-		ev = &writeEv{}
-		ev.fire = func() {
-			r, aw, power, silent := ev.r, ev.aw, ev.power, ev.silent
-			ev.r, ev.aw = nil, nil
-			ev.next = c.writeEvFree
-			c.writeEvFree = ev
-			c.powerInUse -= power
-			if silent {
-				c.completeWrite(r, aw)
+// newActiveRead pops a recycled activeRead, or allocates the pool's
+// next one with fire bound, and assigns it to r.
+func (c *Controller) newActiveRead(r *mem.Request, verifyAt sim.Time) *activeRead {
+	ar := c.arFree
+	if ar == nil {
+		ar = &activeRead{}
+		ar.fire = func() {
+			if ar.returned {
+				c.verifyRoW(ar)
 			} else {
-				c.maybeVerifyWrite(r, aw)
+				c.completeRead(ar)
 			}
 		}
 	} else {
-		c.writeEvFree = ev.next
+		c.arFree = ar.next
 	}
-	ev.r, ev.aw, ev.power, ev.silent = r, aw, power, silent
-	return ev
+	*ar = activeRead{req: r, verifyAt: verifyAt, fire: ar.fire}
+	return ar
+}
+
+// recycleRead returns a read's record to the pool at its last event.
+func (c *Controller) recycleRead(ar *activeRead) {
+	ar.req = nil
+	ar.next = c.arFree
+	c.arFree = ar
 }
 
 // NewController builds a controller for one channel.
@@ -281,20 +256,6 @@ func NewController(eng *sim.Engine, cfgAll *config.Config, channel int, amap *me
 	}
 	c.runTimer = eng.NewTimer(c.run)
 	c.kickTimer = eng.NewTimer(c.kick)
-	c.plans = make(map[*mem.Request]readPlan)
-	c.serviceableFn = func(r *mem.Request) bool {
-		if r.Started || r.Kind != mem.Read {
-			return false
-		}
-		p, ok := c.planRead(r)
-		if ok {
-			c.plans[r] = p
-		} else if p.blockedByWr {
-			r.DelayedByWrite = true
-		}
-		return ok
-	}
-	c.rowHitFn = func(r *mem.Request) bool { return c.plans[r].rowHit }
 	c.dataBus.Turnaround = m.Timing.TWTR.Time()
 	if fc := (pcm.FaultConfig{EnduranceBudget: m.EnduranceBudget, DriftProb: m.DriftProb}); fc.Enabled() {
 		// The fault model owns a private randomness stream derived from

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"pcmap/internal/ecc"
 	"pcmap/internal/mem"
 	"pcmap/internal/sim"
 )
@@ -10,23 +9,11 @@ import (
 // write's programming divides into.
 const writePauseSegments = 4
 
-// pausedWrite carries the state of a baseline write executing in
-// interruptible segments (the write-pausing comparator of Qureshi et
-// al., HPCA 2010 — Section VII of the paper). Between segments the
-// chips are free and pending reads slip through; the write resumes
-// once the read queue drains.
-type pausedWrite struct {
-	aw        *activeWrite
-	act       sim.Time // activation still to charge (first segment only)
-	prog      sim.Time // the write's whole programming time
-	remaining sim.Time // programming time left
-	segment   sim.Time // per-segment slice
-	inFlight  bool     // a segment is currently reserved
-
-	wordProg [ecc.WordsPerLine]sim.Time // essential words' programming times
-}
-
-// pausingEnabled reports whether this controller runs the comparator.
+// pausingEnabled reports whether this controller runs the
+// write-pausing comparator (Qureshi et al., HPCA 2010 — Section VII of
+// the paper): a baseline write programs in interruptible segments;
+// between segments the chips are free and pending reads slip through,
+// and the write resumes once the read queue drains.
 func (c *Controller) pausingEnabled() bool {
 	return c.cfg.WritePausing && !c.feat.FineGrained
 }
@@ -34,26 +21,25 @@ func (c *Controller) pausingEnabled() bool {
 // resumeSegment books the next slice of the paused write no earlier
 // than earliest.
 func (c *Controller) resumeSegment(earliest sim.Time) {
-	pw := c.paused
-	if pw == nil || pw.inFlight {
+	aw := c.paused
+	if aw == nil || aw.inFlight {
 		return
 	}
-	dur := min(pw.segment, pw.remaining)
-	end := c.bookCoarse(pw.aw.coord, earliest, pw.act, pw.prog-pw.remaining, dur, &pw.wordProg)
-	pw.act = 0
-	pw.remaining -= dur
-	pw.inFlight = true
-	pw.aw.end = end
-	c.eng.At(end, func() { c.segmentDone(pw) })
+	dur := min(aw.segment, aw.remaining)
+	aw.end = c.bookCoarse(aw.coord, earliest, aw.act, aw.prog-aw.remaining, dur, &aw.wordProg)
+	aw.act = 0
+	aw.remaining -= dur
+	aw.inFlight = true
+	c.at(aw.end, aw, stepSegment)
 }
 
 // segmentDone finishes a slice: either the write completes, or it
 // parks in the paused state so queued reads can run.
-func (c *Controller) segmentDone(pw *pausedWrite) {
-	pw.inFlight = false
-	if pw.remaining <= 0 {
+func (c *Controller) segmentDone(aw *activeWrite) {
+	aw.inFlight = false
+	if aw.remaining <= 0 {
 		c.paused = nil
-		c.maybeVerifyWrite(pw.aw.req, pw.aw)
+		c.maybeVerifyWrite(aw)
 		return
 	}
 	c.Metrics.WritePauses.Inc()

@@ -99,21 +99,34 @@ func (c *Controller) rowServiceAllowed() bool {
 	return c.active[0].essCount <= 1
 }
 
-// tryIssueRead attempts to start service of one queued read, honoring
-// FR-FCFS in normal mode and oldest-first during a drain (the paper's
-// RoW scheduler picks the oldest read).
-func (c *Controller) tryIssueRead() bool {
-	clear(c.plans)
-	var chosen *mem.Request
-	if c.draining {
-		chosen = c.rdq.Oldest(c.serviceableFn)
-	} else {
-		chosen = c.rdq.SelectFRFCFS(c.serviceableFn, c.rowHitFn)
+// classify is the scheduling pass's queue-scan classifier: whether r
+// can be served now and whether it counts as a row hit. A read blocked
+// by the write path is marked DelayedByWrite (the Figure 1 numerator).
+// During a drain every serviceable read counts as a hit, so FR-FCFS
+// selection degenerates to the oldest serviceable read (the paper's
+// RoW scheduler picks the oldest read, Section IV-D2).
+func (c *Controller) classify(r *mem.Request) (ready, rowHit bool) {
+	if r.Started || r.Kind != mem.Read {
+		return false, false
 	}
-	if chosen == nil {
+	p, ok := c.planRead(r)
+	if !ok && p.blockedByWr {
+		r.DelayedByWrite = true
+	}
+	return ok, ok && (p.rowHit || c.draining)
+}
+
+// tryIssueRead attempts to start service of one queued read, honoring
+// FR-FCFS in normal mode and oldest-first during a drain. planRead is a
+// pure function of controller state, so re-planning the chosen read
+// reproduces the plan its classification saw.
+func (c *Controller) tryIssueRead() bool {
+	r := c.rdq.SelectFRFCFS(c.classify)
+	if r == nil {
 		return false
 	}
-	c.issueRead(chosen, c.plans[chosen])
+	p, _ := c.planRead(r)
+	c.issueRead(r, p)
 	return true
 }
 
@@ -194,7 +207,7 @@ func (c *Controller) issueRead(r *mem.Request, p readPlan) {
 	}
 	c.decodeRead(r, p.coord.LineIdx)
 
-	c.eng.At(done, c.newReadEv(r, verifyAt).fire)
+	c.eng.At(done, c.newActiveRead(r, verifyAt).fire)
 }
 
 // decodeRead is the SECDED decode every serviced read passes through:
@@ -260,7 +273,11 @@ func (c *Controller) decodeRead(r *mem.Request, lineIdx uint64) {
 	}
 }
 
-func (c *Controller) completeRead(r *mem.Request, verifyAt sim.Time) {
+// completeRead returns a read's data. A read served by reconstruction
+// keeps its record until the deferred verification; any other read
+// ends here.
+func (c *Controller) completeRead(ar *activeRead) {
+	r := ar.req
 	r.Done = c.eng.Now()
 	c.rdq.Remove(r)
 	c.Metrics.Reads.Inc()
@@ -274,8 +291,8 @@ func (c *Controller) completeRead(r *mem.Request, verifyAt sim.Time) {
 		c.Metrics.ReadsDelayedByWrite.Inc()
 	}
 
-	faulty := c.injectedFault()
-	if !r.Reconstructed && faulty {
+	ar.faulty = c.injectedFault()
+	if !r.Reconstructed && ar.faulty {
 		// SECDED runs inline (when the ECC chip streamed with the
 		// data) or is postponed; either way a single-bit fault is
 		// corrected before the CPU commits, without rollback.
@@ -292,10 +309,26 @@ func (c *Controller) completeRead(r *mem.Request, verifyAt sim.Time) {
 	if r.Reconstructed {
 		// The deferred SECDED verification runs once the busy chip has
 		// freed and streamed the missing word.
-		c.eng.At(verifyAt, c.newVerifyEv(r, faulty).fire)
+		ar.returned = true
+		c.eng.At(ar.verifyAt, ar.fire)
+	} else {
+		c.recycleRead(ar)
 	}
 	c.notifySpace(mem.Read)
 	c.kick()
+}
+
+// verifyRoW is a reconstructed read's deferred SECDED verification, its
+// last event.
+func (c *Controller) verifyRoW(ar *activeRead) {
+	c.Metrics.RoWVerifies.Inc()
+	if ar.faulty {
+		c.Metrics.RoWFaulty.Inc()
+	}
+	if r := ar.req; r.OnVerify != nil {
+		r.OnVerify(r, ar.faulty)
+	}
+	c.recycleRead(ar)
 }
 
 // injectedFault samples the configured fault model: FaultMode overrides

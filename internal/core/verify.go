@@ -2,7 +2,6 @@ package core
 
 import (
 	"pcmap/internal/ecc"
-	"pcmap/internal/mem"
 	"pcmap/internal/pcm"
 	"pcmap/internal/sim"
 )
@@ -14,20 +13,20 @@ import (
 // remaps the line to the spare pool when cells refuse to hold their
 // value. With VerifyWrites off the write completes directly, so the
 // baseline timing is untouched.
-func (c *Controller) maybeVerifyWrite(r *mem.Request, aw *activeWrite) {
+func (c *Controller) maybeVerifyWrite(aw *activeWrite) {
 	if !c.cfg.VerifyWrites || aw.intended == nil || aw.mask == 0 || aw.essCount == 0 {
-		c.completeWrite(r, aw)
+		c.completeWrite(aw)
 		return
 	}
 	aw.progEnd = c.eng.Now()
 	c.Metrics.WriteVerifies.Inc()
-	c.scheduleVerifyRead(r, aw)
+	c.scheduleVerifyRead(aw)
 }
 
 // scheduleVerifyRead charges one read-back of the write's masked words
 // (plus the ECC word) on the chips that hold them and schedules the
 // comparison at its completion.
-func (c *Controller) scheduleVerifyRead(r *mem.Request, aw *activeWrite) {
+func (c *Controller) scheduleVerifyRead(aw *activeWrite) {
 	c.Metrics.VerifyReads.Inc()
 	now := c.eng.Now()
 	timing := c.cfg.Timing
@@ -51,28 +50,34 @@ func (c *Controller) scheduleVerifyRead(r *mem.Request, aw *activeWrite) {
 	if _, e := c.rank.Chips[l.ECCChip(aw.coord.RotIdx)].Reserve(aw.coord.Bank, part, now, dur); e > end {
 		end = e
 	}
-	c.eng.At(end, func() { c.checkVerify(r, aw) })
+	c.at(end, aw, stepReadBack)
 }
 
 // checkVerify compares the read-back against the intended content and
 // decides: done, retry, or remap.
-func (c *Controller) checkVerify(r *mem.Request, aw *activeWrite) {
+func (c *Controller) checkVerify(aw *activeWrite) {
 	// The read-back senses the array like any read, so it can itself
 	// observe (and, for masked words, catch) a drift flip.
 	c.rank.Store.InjectDrift(aw.coord.LineIdx)
 	bad := c.verifyMismatch(aw)
 	if bad == 0 {
-		c.Metrics.VerifyLatency.Add(c.eng.Now() - aw.progEnd)
-		c.completeWrite(r, aw)
+		c.verifiedWrite(aw)
 		return
 	}
 	if aw.attempts >= c.cfg.WriteRetryLimit {
-		c.remapLine(r, aw)
+		c.remapLine(aw)
 		return
 	}
 	aw.attempts++
 	c.Metrics.WriteRetries.Inc()
-	c.reprogram(r, aw, bad)
+	c.reprogram(aw, bad)
+}
+
+// verifiedWrite ends a verified write's lifecycle, recording the
+// verify overhead since programming finished.
+func (c *Controller) verifiedWrite(aw *activeWrite) {
+	c.Metrics.VerifyLatency.Add(c.eng.Now() - aw.progEnd)
+	c.completeWrite(aw)
 }
 
 // verifyMismatch reads the stored words of the write's mask back and
@@ -96,7 +101,7 @@ func (c *Controller) verifyMismatch(aw *activeWrite) uint8 {
 // reprogram re-applies the intended content to the words that failed
 // verification, charging the differential write on their chips, and
 // schedules another verify read-back.
-func (c *Controller) reprogram(r *mem.Request, aw *activeWrite, bad uint8) {
+func (c *Controller) reprogram(aw *activeWrite, bad uint8) {
 	res := c.rank.Store.WriteWords(aw.coord.LineIdx, bad, aw.intended)
 	now := c.eng.Now()
 	timing := c.cfg.Timing
@@ -130,7 +135,7 @@ func (c *Controller) reprogram(r *mem.Request, aw *activeWrite, bad uint8) {
 	if res.PCCFlips.Any() {
 		reserve(l.PCCChip(aw.coord.RotIdx), res.PCCFlips)
 	}
-	c.eng.At(end, func() { c.scheduleVerifyRead(r, aw) })
+	c.at(end, aw, stepReprogrammed)
 }
 
 // remapLine retires a line whose cells failed every re-program attempt:
@@ -139,11 +144,10 @@ func (c *Controller) reprogram(r *mem.Request, aw *activeWrite, bad uint8) {
 // line and all future decodes of the worn line follow the redirect. When
 // the pool is exhausted the write completes with the corruption left in
 // place — the read path's decode will report it rather than hide it.
-func (c *Controller) remapLine(r *mem.Request, aw *activeWrite) {
+func (c *Controller) remapLine(aw *activeWrite) {
 	if c.spareNext >= c.cfg.SpareLines {
 		c.Metrics.RemapFailures.Inc()
-		c.Metrics.VerifyLatency.Add(c.eng.Now() - aw.progEnd)
-		c.completeWrite(r, aw)
+		c.verifiedWrite(aw)
 		return
 	}
 	spare := c.amap.LinesPerChannel() + uint64(c.spareNext)
@@ -175,8 +179,5 @@ func (c *Controller) remapLine(r *mem.Request, aw *activeWrite) {
 	coord := c.amap.CoordFromLineIdx(c.channel, spare)
 	end := c.programChips(allChipsMask, coord, c.eng.Now(),
 		c.cfg.Timing.WriteArrayRead.Time(), c.cfg.Timing.CellSET.Time())
-	c.eng.At(end, func() {
-		c.Metrics.VerifyLatency.Add(c.eng.Now() - aw.progEnd)
-		c.completeWrite(r, aw)
-	})
+	c.at(end, aw, stepRemapped)
 }

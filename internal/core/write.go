@@ -159,13 +159,12 @@ func (c *Controller) issueCoarseWrite(r *mem.Request) {
 	// Longest transition among data words and the ECC word sets the
 	// lock-step program time of the whole bank. Only the essential
 	// words count as serving data (IRLP).
-	var wordProg [ecc.WordsPerLine]sim.Time
 	prog := c.progTime(res.ECCFlips)
 	for w := 0; w < ecc.WordsPerLine; w++ {
 		d := c.progTime(res.PerWord[w])
 		prog = max(prog, d)
 		if essMask&(1<<uint(w)) != 0 {
-			wordProg[w] = d
+			aw.wordProg[w] = d
 		}
 	}
 	// Endurance accounting on the programming chips.
@@ -179,24 +178,19 @@ func (c *Controller) issueCoarseWrite(r *mem.Request) {
 	}
 
 	c.powerInUse = c.cfg.PowerSlots
-	aw.req, aw.bank, aw.essCount = r, coord.Bank, essCount
+	aw.req, aw.essCount = r, essCount
 	aw.coord, aw.mask = coord, r.Mask
 	c.active = append(c.active, aw)
 
 	if c.pausingEnabled() {
-		c.paused = &pausedWrite{
-			aw:        aw,
-			act:       act,
-			prog:      prog,
-			remaining: prog,
-			segment:   prog.DivCeil(writePauseSegments),
-			wordProg:  wordProg,
-		}
+		aw.act, aw.prog, aw.remaining = act, prog, prog
+		aw.segment = prog.DivCeil(writePauseSegments)
+		c.paused = aw
 		c.resumeSegment(t0)
 		return
 	}
-	aw.end = c.bookCoarse(coord, t0, act, 0, prog, &wordProg)
-	c.eng.At(aw.end, c.newWriteEv(r, aw, 0, false).fire)
+	aw.end = c.bookCoarse(coord, t0, act, 0, prog, &aw.wordProg)
+	c.at(aw.end, aw, stepProgrammed)
 }
 
 // bookCoarse books dur of a coarse write's programming, starting off
@@ -286,9 +280,10 @@ func (c *Controller) issueFineWrite(r *mem.Request, overlap bool) {
 				}
 			}
 		}
-		aw.req, aw.bank, aw.essCount, aw.end = r, coord.Bank, 0, end
+		// With essCount zero, maybeVerifyWrite completes the write.
+		aw.req, aw.end = r, end
 		c.active = append(c.active, aw)
-		c.eng.At(end, c.newWriteEv(r, aw, 0, true).fire)
+		c.at(end, aw, stepProgrammed)
 		return
 	}
 
@@ -384,17 +379,21 @@ func (c *Controller) issueFineWrite(r *mem.Request, overlap bool) {
 
 	c.irlp().AddWriteWindow(t0, end)
 
-	aw.req, aw.bank, aw.essCount, aw.end = r, coord.Bank, essCount, end
+	aw.req, aw.essCount, aw.end, aw.power = r, essCount, end, power
 	aw.coord, aw.mask = coord, r.Mask
 	c.active = append(c.active, aw)
-	c.eng.At(end, c.newWriteEv(r, aw, power, false).fire)
+	c.at(end, aw, stepProgrammed)
 }
 
-func (c *Controller) completeWrite(r *mem.Request, aw *activeWrite) {
+// completeWrite is the terminal of every write path (plain,
+// verify-retry, remap, pausing): it retires the request and recycles
+// its record.
+func (c *Controller) completeWrite(aw *activeWrite) {
 	if !c.feat.FineGrained {
 		c.powerInUse = 0
 	}
 	c.removeActive(aw)
+	r := aw.req
 	r.Done = c.eng.Now()
 	c.wrq.Remove(r)
 	c.Metrics.Writes.Inc()

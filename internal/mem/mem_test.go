@@ -137,13 +137,12 @@ func TestQueueFRFCFS(t *testing.T) {
 			t.Fatal("push failed")
 		}
 	}
-	ready := func(r *Request) bool { return r != r1 } // r1 blocked
-	rowHit := func(r *Request) bool { return r == r3 }
-	if got := q.SelectFRFCFS(ready, rowHit); got != r3 {
+	rowHit := func(r *Request) (bool, bool) { return r != r1, r == r3 } // r1 blocked
+	if got := q.SelectFRFCFS(rowHit); got != r3 {
 		t.Fatalf("FR-FCFS should pick the row hit, got %v", got.Addr)
 	}
-	noHit := func(*Request) bool { return false }
-	if got := q.SelectFRFCFS(ready, noHit); got != r2 {
+	noHit := func(r *Request) (bool, bool) { return r != r1, false }
+	if got := q.SelectFRFCFS(noHit); got != r2 {
 		t.Fatalf("without hits, oldest ready wins, got %v", got.Addr)
 	}
 }

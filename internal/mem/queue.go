@@ -45,16 +45,18 @@ func (q *Queue) Oldest(pred func(*Request) bool) *Request {
 	return nil
 }
 
-// SelectFRFCFS returns the request the FR-FCFS policy would issue next
-// among those matching ready: the oldest row-hit request if any,
-// otherwise the oldest ready request. rowHit classifies a request.
-func (q *Queue) SelectFRFCFS(ready func(*Request) bool, rowHit func(*Request) bool) *Request {
+// SelectFRFCFS returns the request the FR-FCFS policy would issue next:
+// the oldest ready row-hit request if any, otherwise the oldest ready
+// request. classify reports whether a request is ready and whether it
+// is a row hit; the scan stops at the first ready row hit.
+func (q *Queue) SelectFRFCFS(classify func(*Request) (ready, rowHit bool)) *Request {
 	var firstReady *Request
 	for _, r := range q.reqs {
-		if !ready(r) {
+		ready, rowHit := classify(r)
+		if !ready {
 			continue
 		}
-		if rowHit(r) {
+		if rowHit {
 			return r
 		}
 		if firstReady == nil {

@@ -14,8 +14,9 @@
 #
 # The suite covers the perf-critical substrates (event engine, timers,
 # SECDED, PCC, RNG, PCM line store, op generation and its feed,
-# coherence directory, IRLP accounting), one end-to-end controller
-# bench, and one full figure regeneration — enough to catch both
+# coherence directory, IRLP accounting), two end-to-end controller
+# benches (mixed traffic, and the program-and-verify write path), and
+# one full figure regeneration — enough to catch both
 # micro-level allocation regressions and macro-level slowdowns without
 # CI running every figure. BENCHTIME trades precision for CI time.
 set -eu
@@ -23,7 +24,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 BENCHTIME="${BENCHTIME:-1s}"
-PATTERN='^(BenchmarkEngine|BenchmarkEngineTimer|BenchmarkEngineTraceDisabled|BenchmarkSECDEDEncode|BenchmarkSECDEDCorrect|BenchmarkSECDEDDecodeClean|BenchmarkPCCReconstruct|BenchmarkPCCUpdate|BenchmarkRNGUint64|BenchmarkRNGExp|BenchmarkRNGPick|BenchmarkCacheLoadHit|BenchmarkStoreGetWarm|BenchmarkStoreWriteScattered|BenchmarkAnalyzeLineWrite|BenchmarkGeneratorNext|BenchmarkFeedNext|BenchmarkDirectory|BenchmarkIRLPStream|BenchmarkControllerRequests|BenchmarkFig1)$'
+PATTERN='^(BenchmarkEngine|BenchmarkEngineTimer|BenchmarkEngineTraceDisabled|BenchmarkSECDEDEncode|BenchmarkSECDEDCorrect|BenchmarkSECDEDDecodeClean|BenchmarkPCCReconstruct|BenchmarkPCCUpdate|BenchmarkRNGUint64|BenchmarkRNGExp|BenchmarkRNGPick|BenchmarkCacheLoadHit|BenchmarkStoreGetWarm|BenchmarkStoreWriteScattered|BenchmarkAnalyzeLineWrite|BenchmarkGeneratorNext|BenchmarkFeedNext|BenchmarkDirectory|BenchmarkIRLPStream|BenchmarkControllerRequests|BenchmarkControllerVerify|BenchmarkFig1)$'
 
 OUT="$(mktemp)"
 trap 'rm -f "$OUT"' EXIT
