@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -35,6 +36,33 @@ func TestPaperVariantsByteIdentical(t *testing.T) {
 		compareGolden(t, filepath.Join("testdata", "golden", "fig1.csv"),
 			"-exp", "fig1", "-warmup", "200", "-measure", "2000", "-format", "csv")
 	})
+}
+
+// TestAllExperimentsByteIdentical pins every experiment at once: the
+// CSV stdout of -exp all and its -json series must match the committed
+// goldens byte for byte. At these budgets the reliability sweep injects
+// and handles faults, so its rows are not all zero. Regenerate only
+// with an explicit simulator semantics change:
+// go run ./cmd/pcmapsim <args below> -json all.json > all.csv
+func TestAllExperimentsByteIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("every experiment at small budgets; skipped in -short")
+	}
+	jsonPath := filepath.Join(t.TempDir(), "all.json")
+	compareGolden(t, filepath.Join("testdata", "golden", "all.csv"),
+		"-exp", "all", "-warmup", "2000", "-measure", "20000", "-format", "csv",
+		"-json", jsonPath)
+	want, err := os.ReadFile(filepath.Join("testdata", "golden", "all.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(jsonPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("-json series drifted from testdata/golden/all.json\n got:\n%s", got)
+	}
 }
 
 // compareGolden runs the built binary and byte-compares its stdout

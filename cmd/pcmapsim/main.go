@@ -156,10 +156,12 @@ func main() {
 	if *measure == 0 {
 		fatal(fmt.Errorf("invalid -measure 0 (need a measured instruction budget)"))
 	}
-	if *ratio < 0 {
-		fatal(fmt.Errorf("invalid -ratio %g (must be >= 0)", *ratio))
+	if *ratio != 0 {
+		if err := config.Default().Memory.CheckWriteToReadRatio(*ratio); err != nil {
+			fatal(fmt.Errorf("invalid -ratio: %v", err))
+		}
 	}
-	if *drift < 0 || *drift >= 1 {
+	if !(*drift >= 0 && *drift < 1) {
 		fatal(fmt.Errorf("invalid -drift %g (must be in [0,1))", *drift))
 	}
 	if *resume && *cacheDir == "" {
@@ -238,7 +240,7 @@ func main() {
 		"palp":      func() (*exp.FigureResult, error) { return exp.Palp(ctx, r) },
 		"ablations": func() (*exp.FigureResult, error) { return exp.Ablations(ctx, r) },
 		"reliability": func() (*exp.FigureResult, error) {
-			v, err := lookupVariant(*variant)
+			v, err := config.ParseVariant(*variant)
 			if err != nil {
 				return nil, err
 			}
@@ -295,15 +297,6 @@ func main() {
 	}
 }
 
-// lookupVariant resolves a -variant flag value against the variant
-// registry, with a clear error listing the valid names.
-func lookupVariant(name string) (config.Variant, error) {
-	if v, ok := config.VariantByName(name); ok {
-		return v, nil
-	}
-	return 0, fmt.Errorf("unknown variant %q (want one of %s)", name, strings.Join(config.VariantNames(), ", "))
-}
-
 // adhocOpts bundles the adhoc run's flag values.
 type adhocOpts struct {
 	workload, variant string
@@ -318,7 +311,7 @@ type adhocOpts struct {
 }
 
 func runAdhoc(ctx context.Context, r *exp.Runner, o adhocOpts) error {
-	variant, err := lookupVariant(o.variant)
+	variant, err := config.ParseVariant(o.variant)
 	if err != nil {
 		return err
 	}

@@ -41,6 +41,10 @@ func TestInvalidFlagsExitNonZero(t *testing.T) {
 		{"zero measure", []string{"-measure", "0"}, "invalid -measure 0"},
 		{"negative ratio", []string{"-exp", "adhoc", "-ratio", "-1"}, "invalid -ratio"},
 		{"drift out of range", []string{"-exp", "adhoc", "-drift", "1.5"}, "invalid -drift"},
+		{"NaN drift", []string{"-exp", "adhoc", "-drift", "NaN"}, "invalid -drift"},
+		{"NaN ratio", []string{"-exp", "adhoc", "-ratio", "NaN"}, "invalid -ratio"},
+		{"infinite ratio", []string{"-exp", "adhoc", "-ratio", "+Inf"}, "invalid -ratio"},
+		{"ratio below one read tick", []string{"-exp", "adhoc", "-ratio", "1e-30"}, "invalid -ratio"},
 		{"unknown experiment", []string{"-exp", "fig99"}, `unknown experiment "fig99"`},
 		{"unknown variant", []string{"-exp", "adhoc", "-variant", "NoSuch"}, `unknown variant "NoSuch"`},
 		{"unknown reliability variant", []string{"-exp", "reliability", "-variant", "NoSuch"}, `unknown variant "NoSuch"`},

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math/bits"
 	"os"
-	"strings"
 
 	"pcmap/internal/cli"
 	"pcmap/internal/config"
@@ -206,10 +205,9 @@ func cmdReplay(args []string) error {
 	if err != nil {
 		return err
 	}
-	variant, found := config.VariantByName(*variantName)
-	if !found {
-		return fmt.Errorf("unknown variant %q (want one of %s)",
-			*variantName, strings.Join(config.VariantNames(), ", "))
+	variant, err := config.ParseVariant(*variantName)
+	if err != nil {
+		return err
 	}
 
 	cfg := config.Default().WithVariant(variant)

@@ -6,6 +6,7 @@ package config
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"pcmap/internal/mem"
@@ -165,6 +166,15 @@ func VariantByName(name string) (Variant, bool) {
 	return 0, false
 }
 
+// ParseVariant resolves a variant name given on a command line or in a
+// job request, with an error listing the registered names.
+func ParseVariant(name string) (Variant, error) {
+	if v, ok := VariantByName(name); ok {
+		return v, nil
+	}
+	return 0, fmt.Errorf("unknown variant %q (want one of %s)", name, strings.Join(VariantNames(), ", "))
+}
+
 // VariantNames lists every registered variant name in registry order.
 func VariantNames() []string {
 	names := make([]string, 0, len(AllVariants))
@@ -176,11 +186,10 @@ func VariantNames() []string {
 
 // Core configures one out-of-order core of the interval model.
 type Core struct {
-	ClockGHz    float64 // processor frequency
-	IssueWidth  int     // instructions issued per cycle when unstalled
-	WindowSize  int     // reorder-buffer window (instructions)
-	DataMSHRs   int     // outstanding data misses allowed
-	RollbackPen int     // pipeline-refill cycles charged per rollback
+	IssueWidth  int // instructions issued per cycle when unstalled
+	WindowSize  int // reorder-buffer window (instructions)
+	DataMSHRs   int // outstanding data misses allowed
+	RollbackPen int // pipeline-refill cycles charged per rollback
 }
 
 // CacheLevel configures one cache level.
@@ -271,7 +280,6 @@ func (t PCMTiming) DCAWriteLatency(sets, resets, rounds int) sim.Time {
 // Memory configures the PCM main memory and its controllers.
 type Memory struct {
 	Channels      int // independent controllers/channels
-	RanksPerChan  int
 	DataChips     int // x8 data chips per rank (8)
 	BanksPerChip  int
 	RowBytes      int64 // row-buffer size per bank across the rank (8 KB)
@@ -398,7 +406,6 @@ func Default() *Config {
 	return &Config{
 		Cores: 8,
 		Core: Core{
-			ClockGHz:    2.5,
 			IssueWidth:  4,
 			WindowSize:  192,
 			DataMSHRs:   32,
@@ -414,7 +421,6 @@ func Default() *Config {
 		NoC: NoC{Rows: 2, Cols: 4, RouterCycles: 1, LinkCycles: 1, FlitBytes: 16},
 		Memory: Memory{
 			Channels:            4,
-			RanksPerChan:        1,
 			DataChips:           8,
 			BanksPerChip:        8,
 			RowBytes:            8 << 10,
@@ -481,9 +487,9 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: BanksPerChip must be positive, got %d", c.Memory.BanksPerChip)
 	case c.Memory.CapacityBytes%int64(c.Memory.Channels) != 0:
 		return fmt.Errorf("config: capacity %d not divisible by %d channels", c.Memory.CapacityBytes, c.Memory.Channels)
-	case c.Memory.DrainHighPct <= c.Memory.DrainLowPct:
+	case !(c.Memory.DrainHighPct > c.Memory.DrainLowPct):
 		return fmt.Errorf("config: DrainHighPct %.2f must exceed DrainLowPct %.2f", c.Memory.DrainHighPct, c.Memory.DrainLowPct)
-	case c.Memory.DrainHighPct > 1 || c.Memory.DrainLowPct < 0:
+	case !(c.Memory.DrainLowPct >= 0 && c.Memory.DrainHighPct <= 1):
 		return fmt.Errorf("config: drain thresholds must lie in [0,1]")
 	case c.Memory.Timing.ArrayRead <= 0 || c.Memory.Timing.WriteArrayRead <= 0 ||
 		c.Memory.Timing.CellSET <= 0 || c.Memory.Timing.CellRESET <= 0:
@@ -492,9 +498,9 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: L2 and DRAM LLC line size must be %d bytes", LineBytes)
 	case c.NoC.Rows*c.NoC.Cols < c.Cores:
 		return fmt.Errorf("config: NoC %dx%d too small for %d cores", c.NoC.Rows, c.NoC.Cols, c.Cores)
-	case c.Memory.DriftProb < 0 || c.Memory.DriftProb >= 1:
+	case !(c.Memory.DriftProb >= 0 && c.Memory.DriftProb < 1):
 		return fmt.Errorf("config: DriftProb %g must lie in [0,1)", c.Memory.DriftProb)
-	case c.Memory.BitErrorRate < 0 || c.Memory.BitErrorRate >= 1:
+	case !(c.Memory.BitErrorRate >= 0 && c.Memory.BitErrorRate < 1):
 		return fmt.Errorf("config: BitErrorRate %g must lie in [0,1)", c.Memory.BitErrorRate)
 	case c.Memory.WriteRetryLimit < 0:
 		return fmt.Errorf("config: WriteRetryLimit must be non-negative, got %d", c.Memory.WriteRetryLimit)
@@ -565,17 +571,31 @@ func (m Memory) WriteToReadRatio() float64 {
 	return float64(m.Timing.CellSET.Time().Ticks()) / float64(m.Timing.ArrayRead.Time().Ticks())
 }
 
+// maxReadTicks bounds the read time a write-to-read ratio may resolve
+// to: the largest tick count whose picosecond value fits in mem.Picos.
+const maxReadTicks = math.MaxInt64 / 100
+
+// CheckWriteToReadRatio reports whether SetWriteToReadRatio can apply
+// ratio exactly. The ratio must be finite and positive, and the read
+// time it resolves to must be at least one engine tick and fit in
+// mem.Picos, so no clamping or overflow ever changes the machine asked
+// for. Every caller that accepts a ratio from outside checks it here.
+func (m Memory) CheckWriteToReadRatio(ratio float64) error {
+	t := float64(m.Timing.CellSET.Time().Ticks()) / ratio
+	if !(ratio > 0 && t >= 1 && t <= maxReadTicks) {
+		return fmt.Errorf("write-to-read ratio %g must be positive and give a representable read time of at least one %v tick", ratio, sim.Tick)
+	}
+	return nil
+}
+
 // SetWriteToReadRatio fixes the write latency at its current value and
 // adjusts the read latency so that write/read equals ratio, mirroring
 // the Table III sensitivity study. The result is computed in engine
 // ticks and floored, matching the resolution the timing model uses.
+// It panics on a ratio CheckWriteToReadRatio rejects.
 func (m *Memory) SetWriteToReadRatio(ratio float64) {
-	if ratio <= 0 {
-		panic("config: non-positive write-to-read ratio")
+	if err := m.CheckWriteToReadRatio(ratio); err != nil {
+		panic("config: " + err.Error())
 	}
-	t := sim.Time(float64(m.Timing.CellSET.Time().Ticks()) / ratio)
-	if t < 1 {
-		t = 1
-	}
-	m.Timing.ArrayRead = mem.PicosOf(t)
+	m.Timing.ArrayRead = mem.PicosOf(sim.Time(float64(m.Timing.CellSET.Time().Ticks()) / ratio))
 }

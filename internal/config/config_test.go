@@ -1,6 +1,8 @@
 package config
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"pcmap/internal/mem"
@@ -59,6 +61,10 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		{"odd line size", func(c *Config) { c.L1D.LineBytes, c.L1D.SizeBytes = 48, 2*48*512 }},
 		{"zero partitions", func(c *Config) { c.Memory.Partitions = 0 }},
 		{"zero DCA rounds", func(c *Config) { c.Memory.DCARounds = 0 }},
+		{"NaN drift", func(c *Config) { c.Memory.DriftProb = math.NaN() }},
+		{"NaN bit error rate", func(c *Config) { c.Memory.BitErrorRate = math.NaN() }},
+		{"NaN drain high", func(c *Config) { c.Memory.DrainHighPct = math.NaN() }},
+		{"NaN drain low", func(c *Config) { c.Memory.DrainLowPct = math.NaN() }},
 	}
 	for _, m := range mutations {
 		c := Default()
@@ -103,6 +109,26 @@ func TestWriteToReadRatio(t *testing.T) {
 		got := m.WriteToReadRatio()
 		if got < ratio*0.99 || got > ratio*1.01 {
 			t.Fatalf("ratio %v after set %v", got, ratio)
+		}
+	}
+}
+
+// TestCheckWriteToReadRatio pins the one ratio check every entry point
+// shares: only ratios that resolve exactly, to a read time of at least
+// one tick, are accepted.
+func TestCheckWriteToReadRatio(t *testing.T) {
+	m := Default().Memory
+	cases := []struct {
+		ratio float64
+		ok    bool
+	}{
+		{2, true}, {8, true}, {0.5, true}, {1200, true},
+		{0, false}, {-1, false}, {math.NaN(), false}, {math.Inf(1), false},
+		{math.Inf(-1), false}, {1201, false}, {1e-30, false},
+	}
+	for _, tc := range cases {
+		if err := m.CheckWriteToReadRatio(tc.ratio); (err == nil) != tc.ok {
+			t.Errorf("CheckWriteToReadRatio(%g) = %v, want ok=%v", tc.ratio, err, tc.ok)
 		}
 	}
 }
@@ -156,6 +182,12 @@ func TestVariantRegistry(t *testing.T) {
 	}
 	if _, ok := VariantByName("nope"); ok {
 		t.Fatal("VariantByName must reject unknown names")
+	}
+	if v, err := ParseVariant("PALP"); err != nil || v != PALP {
+		t.Fatalf("ParseVariant(PALP) = %v, %v", v, err)
+	}
+	if _, err := ParseVariant("nope"); err == nil || !strings.Contains(err.Error(), `unknown variant "nope"`) {
+		t.Fatalf("ParseVariant(nope) error = %v", err)
 	}
 	if got := Variant(99).String(); got != "Variant(99)" {
 		t.Fatalf("unknown variant prints %q", got)

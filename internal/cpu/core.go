@@ -128,19 +128,13 @@ func (c *Core) Instrument(tr *obs.Tracer) {
 	}
 }
 
-// Start begins execution of up to budget instructions; onFinish runs
-// when the budget is reached.
+// Start runs budget more instructions; onFinish runs when they have
+// retired. A new core's budget is zero, so the first call runs exactly
+// budget instructions and a later call extends a finished core (the
+// measurement phase after warmup). The core's clock needs no reset
+// here: step advances it to the engine's time before executing.
 func (c *Core) Start(budget uint64, onFinish func()) {
-	c.budget = budget
-	c.onFinish = onFinish
-	c.now = c.eng.Now()
-	c.stepTimer.Schedule(0)
-}
-
-// Continue extends a finished core's budget by extra instructions
-// (used to run the measurement phase after warmup).
-func (c *Core) Continue(extra uint64, onFinish func()) {
-	c.budget += extra
+	c.budget += budget
 	c.finished = false
 	c.onFinish = onFinish
 	c.stepTimer.Schedule(0)

@@ -81,10 +81,10 @@ func TestContinueExtendsBudget(t *testing.T) {
 	c.Start(10_000, nil)
 	eng.Run()
 	first := c.Instructions()
-	c.Continue(10_000, nil)
+	c.Start(10_000, nil)
 	eng.Run()
 	if c.Instructions() <= first {
-		t.Fatal("Continue did not extend execution")
+		t.Fatal("a second Start did not extend execution")
 	}
 }
 
@@ -97,7 +97,7 @@ func TestResetWindowIsolatesMeasurement(t *testing.T) {
 	if got := c.IPC(); got != 0 {
 		t.Fatalf("IPC right after reset should be 0, got %v", got)
 	}
-	c.Continue(20_000, nil)
+	c.Start(20_000, nil)
 	eng.Run()
 	if c.IPC() <= 0 {
 		t.Fatal("post-reset IPC not measured")

@@ -19,24 +19,27 @@ import (
 //
 // Version history: 1 = bare Results JSON; 2 = checksummed envelope
 // (cacheEntry); 3 = every metrics tracker required on decode (entries
-// from before the content-aware histograms lack SetBits/ResetBits).
-const cacheFormatVersion = 3
+// from before the content-aware histograms lack SetBits/ResetBits);
+// 4 = keyed by the resolved run (workload and config) without the Spec
+// that named it, and Config lost Core.ClockGHz and Memory.RanksPerChan.
+const cacheFormatVersion = 4
 
 // CacheKey derives the content address of one run: a SHA-256 over the
-// cache format version, the Spec, the fully resolved configuration, and
-// the instruction budgets. Everything a simulation's output depends on
-// is in the hash — two runs share a key if and only if they are the
+// cache format version, the workload, the fully resolved configuration,
+// and the instruction budgets. Everything a simulation's output depends
+// on is in the hash — two runs share a key if and only if they are the
 // same deterministic computation — so resuming can never serve a result
 // produced under different settings.
-func CacheKey(s Spec, cfg *config.Config, warmup, measure uint64) string {
+func CacheKey(workload string, cfg *config.Config, warmup, measure uint64) string {
 	payload, err := json.Marshal(struct {
 		Version         int
-		Spec            Spec
+		Workload        string
 		Config          *config.Config
 		Warmup, Measure uint64
-	}{cacheFormatVersion, s, cfg, warmup, measure})
+	}{cacheFormatVersion, workload, cfg, warmup, measure})
 	if err != nil {
-		// Spec and Config are plain data; marshaling cannot fail.
+		// Config is plain data and validated finite before it runs;
+		// marshaling cannot fail.
 		panic(fmt.Sprintf("exp: cache key: %v", err))
 	}
 	sum := sha256.Sum256(payload)

@@ -13,20 +13,22 @@ import (
 )
 
 func TestCacheKeySensitivity(t *testing.T) {
-	base := Spec{Workload: "MP4", Variant: config.RWoWRDE, VerifyWrites: true}
-	cfg := config.Default().WithVariant(base.Variant)
-	key := CacheKey(base, cfg, 1000, 2000)
-	if key != CacheKey(base, cfg, 1000, 2000) {
+	cfg := config.Default().WithVariant(config.RWoWRDE)
+	cfg.Memory.VerifyWrites = true
+	key := CacheKey("MP4", cfg, 1000, 2000)
+	if key != CacheKey("MP4", cfg, 1000, 2000) {
 		t.Fatal("cache key is not deterministic")
 	}
+	noVerify := *cfg
+	noVerify.Memory.VerifyWrites = false
 	perturbed := []struct {
 		name string
 		key  string
 	}{
-		{"workload", CacheKey(Spec{Workload: "MP6", Variant: base.Variant, VerifyWrites: true}, cfg, 1000, 2000)},
-		{"spec knob", CacheKey(Spec{Workload: "MP4", Variant: base.Variant}, cfg, 1000, 2000)},
-		{"warmup", CacheKey(base, cfg, 999, 2000)},
-		{"measure", CacheKey(base, cfg, 1000, 2001)},
+		{"workload", CacheKey("MP6", cfg, 1000, 2000)},
+		{"config field", CacheKey("MP4", &noVerify, 1000, 2000)},
+		{"warmup", CacheKey("MP4", cfg, 999, 2000)},
+		{"measure", CacheKey("MP4", cfg, 1000, 2001)},
 	}
 	seen := map[string]string{key: "base"}
 	for _, p := range perturbed {
@@ -35,11 +37,11 @@ func TestCacheKeySensitivity(t *testing.T) {
 		}
 		seen[p.key] = p.name
 	}
-	// The resolved config is part of the key even when the Spec is
-	// identical: a changed default must not be served stale results.
-	cfg2 := config.Default().WithVariant(base.Variant)
+	// Every config field is part of the key, defaults included: a
+	// changed default must not be served stale results.
+	cfg2 := *cfg
 	cfg2.Memory.ReadQueueCap++
-	if CacheKey(base, cfg2, 1000, 2000) == key {
+	if CacheKey("MP4", &cfg2, 1000, 2000) == key {
 		t.Error("config change did not change the cache key")
 	}
 }
@@ -193,8 +195,7 @@ func TestCacheCorruptionQuarantine(t *testing.T) {
 				t.Fatal(err)
 			}
 			spec := Spec{Workload: "MP4", Variant: config.Baseline}
-			cfg := config.Default()
-			key := CacheKey(spec, cfg, 100, 1000)
+			key := CacheKey(spec.Workload, config.Default(), 100, 1000)
 			res := fakeResults(spec)
 			res.IPCSum = 1.5
 			if err := cache.Store(key, res); err != nil {

@@ -90,11 +90,16 @@ func TestRunAllSurvivesPanickingSpec(t *testing.T) {
 	}
 }
 
-// memoized reports whether s has a completed memo entry (test helper).
+// memoized reports whether the run s names has a completed memo entry
+// (test helper).
 func (r *Runner) memoized(s Spec) (*system.Results, bool) {
+	k, err := resolve(s)
+	if err != nil {
+		return nil, false
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	res, ok := r.memo[s]
+	res, ok := r.memo[k]
 	return res, ok
 }
 

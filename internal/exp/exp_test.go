@@ -68,15 +68,21 @@ func TestRunAllParallel(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range specs {
-		if res := r.MustRun(s); res.IPCSum <= 0 {
+		res, err := r.Run(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.IPCSum <= 0 {
 			t.Fatalf("%v: no result", s)
 		}
 	}
 }
 
 func TestSpecConfigMapping(t *testing.T) {
-	r := testRunner()
-	cfg := r.configFor(Spec{Workload: "x", Variant: config.RWoWRDE, WriteToReadRatio: 4, FaultMode: "always"})
+	cfg, err := configFor(Spec{Workload: "x", Variant: config.RWoWRDE, WriteToReadRatio: 4, FaultMode: "always"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if cfg.Variant != config.RWoWRDE {
 		t.Fatal("variant not applied")
 	}
@@ -86,7 +92,10 @@ func TestSpecConfigMapping(t *testing.T) {
 	if cfg.Memory.FaultMode != "always" {
 		t.Fatal("fault mode not applied")
 	}
-	sym := r.configFor(Spec{Symmetric: true})
+	sym, err := configFor(Spec{Symmetric: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if sym.Memory.Timing.CellSET != sym.Memory.Timing.ArrayRead {
 		t.Fatal("symmetric spec must equalize write and read latency")
 	}

@@ -45,15 +45,20 @@ func TestReliabilitySweep(t *testing.T) {
 // values leave the Spec->config mapping inert, so memoized fault-free
 // results are shared with runs that never mention the knobs.
 func TestReliabilitySpecZeroPerturbation(t *testing.T) {
-	r := testRunner()
-	cfg := r.configFor(Spec{Workload: "MP4", Variant: config.RWoWRDE})
+	cfg, err := configFor(Spec{Workload: "MP4", Variant: config.RWoWRDE})
+	if err != nil {
+		t.Fatal(err)
+	}
 	//pcmaplint:ignore floatcmp DriftProb is assigned, never computed; the default must be exactly zero
 	if cfg.Memory.EnduranceBudget != 0 || cfg.Memory.DriftProb != 0 || cfg.Memory.VerifyWrites {
 		t.Fatalf("default spec sets fault knobs: budget=%d drift=%g verify=%v",
 			cfg.Memory.EnduranceBudget, cfg.Memory.DriftProb, cfg.Memory.VerifyWrites)
 	}
-	cfg = r.configFor(Spec{Workload: "MP4", Variant: config.RWoWRDE,
+	cfg, err = configFor(Spec{Workload: "MP4", Variant: config.RWoWRDE,
 		EnduranceBudget: 9, DriftProb: 1e-3, VerifyWrites: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	//pcmaplint:ignore floatcmp DriftProb is assigned, never computed; the knob must round-trip exactly
 	if cfg.Memory.EnduranceBudget != 9 || cfg.Memory.DriftProb != 1e-3 || !cfg.Memory.VerifyWrites {
 		t.Fatal("fault knobs not mapped into the memory config")

@@ -1,14 +1,17 @@
 // Package exp defines one experiment per figure and table of the
 // paper's evaluation (Section VI) and the runner that executes the
-// underlying simulations. Runs are memoized — Figures 8-11 share the
-// same 12-workload x 6-variant sweep — and executed in parallel across
-// OS threads (each simulation is single-threaded and deterministic).
+// underlying simulations. Runs are memoized by the machine they
+// simulate — Figures 8-11 share the same 12-workload x 6-variant sweep,
+// and Table III's 2x column is that sweep again — and executed in
+// parallel across OS threads (each simulation is single-threaded and
+// deterministic).
 package exp
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -19,7 +22,9 @@ import (
 	"pcmap/internal/system"
 )
 
-// Spec identifies one simulation run.
+// Spec names one simulation run as a set of knobs over the Table I
+// machine. configFor resolves it; two Specs that resolve to the same
+// machine name the same run.
 type Spec struct {
 	Workload string
 	Variant  config.Variant
@@ -43,8 +48,17 @@ type Spec struct {
 	Seed         uint64
 }
 
+// run is one resolved simulation: the workload and the complete machine
+// configuration. A simulation's output is a function of its run and the
+// runner's budgets alone, so runs, not the Specs that name them, key the
+// memo, the single-flight map and the disk cache.
+type run struct {
+	Workload string
+	Config   config.Config
+}
+
 // Runner executes, memoizes, and optionally disk-caches simulation
-// runs. Concurrent callers of the same Spec share one in-flight
+// runs. Concurrent callers of the same run share one in-flight
 // execution (single-flight); completed results are memoized in memory
 // and, when Cache is set, persisted so an interrupted sweep can resume.
 type Runner struct {
@@ -58,7 +72,7 @@ type Runner struct {
 	Progress func(string)
 
 	// Cache, when non-nil, persists every executed run's Results to
-	// disk (content-addressed by Spec + resolved config + budgets).
+	// disk (content-addressed by workload, resolved config and budgets).
 	// Writes happen regardless of Resume; reads only when Resume is
 	// set, so a non-resume sweep reproduces results from scratch while
 	// still leaving a cache behind.
@@ -80,9 +94,9 @@ type Runner struct {
 
 	mu sync.Mutex
 	//pcmaplint:guardedby mu
-	memo map[Spec]*system.Results
+	memo map[run]*system.Results
 	//pcmaplint:guardedby mu
-	calls map[Spec]*inflight
+	calls map[run]*inflight
 
 	// simulate executes one run; tests substitute it to count or fail
 	// executions without building real systems. ctx carries the caller's
@@ -116,13 +130,20 @@ func NewRunner() *Runner {
 	return &Runner{Warmup: 40_000, Measure: 400_000}
 }
 
-func (r *Runner) configFor(s Spec) *config.Config {
+// configFor resolves a Spec to the machine it names: the Table I
+// configuration with the spec's variant and knobs applied. It rejects
+// a write-to-read ratio the timing model cannot apply exactly.
+func configFor(s Spec) (*config.Config, error) {
 	cfg := config.Default().WithVariant(s.Variant)
 	if s.Seed != 0 {
 		cfg.Seed = s.Seed
 	}
-	if s.WriteToReadRatio > 0 {
-		cfg.Memory.SetWriteToReadRatio(s.WriteToReadRatio)
+	// Zero keeps Table I's ratio; every other value is checked, NaN too.
+	if r := s.WriteToReadRatio; r < 0 || r > 0 || math.IsNaN(r) {
+		if err := cfg.Memory.CheckWriteToReadRatio(r); err != nil {
+			return nil, err
+		}
+		cfg.Memory.SetWriteToReadRatio(r)
 	}
 	if s.Symmetric {
 		cfg.Memory.Timing.CellSET = cfg.Memory.Timing.ArrayRead
@@ -133,7 +154,24 @@ func (r *Runner) configFor(s Spec) *config.Config {
 	cfg.Memory.EnduranceBudget = s.EnduranceBudget
 	cfg.Memory.DriftProb = s.DriftProb
 	cfg.Memory.VerifyWrites = s.VerifyWrites
-	return cfg
+	return cfg, nil
+}
+
+// resolve returns the run s names once edit has changed its
+// configuration, in order. The configuration must validate, so every
+// memo key is a machine that can run and equals itself (no NaN).
+func resolve(s Spec, edit ...func(*config.Config)) (run, error) {
+	cfg, err := configFor(s)
+	if err == nil {
+		for _, e := range edit {
+			e(cfg)
+		}
+		err = cfg.Validate()
+	}
+	if err != nil {
+		return run{}, fmt.Errorf("exp: %s/%s: %w", s.Workload, s.Variant, err)
+	}
+	return run{Workload: s.Workload, Config: *cfg}, nil
 }
 
 // runSimulation is the untraced default simulate implementation.
@@ -166,11 +204,11 @@ func (r *Runner) defaultSimulate(ctx context.Context, cfg *config.Config, worklo
 // *JobPanicError instead of unwinding the worker goroutine and killing
 // the whole process. The stack is captured here, inside the recovering
 // frame, so it points at the panic site.
-func (r *Runner) callSimulate(ctx context.Context, s Spec, cfg *config.Config) (res *system.Results, err error) {
+func (r *Runner) callSimulate(ctx context.Context, k run) (res *system.Results, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			res = nil
-			err = &JobPanicError{Workload: s.Workload, Variant: s.Variant,
+			err = &JobPanicError{Workload: k.Workload, Variant: k.Config.Variant,
 				Value: v, Stack: debug.Stack()}
 		}
 	}()
@@ -178,7 +216,7 @@ func (r *Runner) callSimulate(ctx context.Context, s Spec, cfg *config.Config) (
 	if sim == nil {
 		sim = r.defaultSimulate
 	}
-	return sim(ctx, cfg, s.Workload, r.Warmup, r.Measure)
+	return sim(ctx, &k.Config, k.Workload, r.Warmup, r.Measure)
 }
 
 // Run executes (or returns the memoized result of) one spec. It is
@@ -187,20 +225,29 @@ func (r *Runner) Run(s Spec) (*system.Results, error) {
 	return r.RunCtx(context.Background(), s)
 }
 
-// RunCtx executes one spec, deduplicating concurrent callers: however
-// many goroutines ask for the same Spec, exactly one simulation runs
-// and all callers receive its result. ctx cancels waiting and prevents
-// new executions from starting; an execution already in progress runs
-// to completion (simulations are not interruptible mid-run) but its
-// result still lands in the memo and cache for a later resume.
+// RunCtx executes the run s names, deduplicating concurrent callers:
+// however many goroutines ask for the same run, under whichever Specs,
+// exactly one simulation executes and all callers receive its result.
+// ctx cancels waiting and prevents new executions from starting; it
+// also stops an execution in progress between engine events (see
+// system.RunCtx), in which case nothing is memoized or cached.
 func (r *Runner) RunCtx(ctx context.Context, s Spec) (*system.Results, error) {
+	k, err := resolve(s)
+	if err != nil {
+		return nil, err
+	}
+	return r.runCtx(ctx, k)
+}
+
+// runCtx is RunCtx on a resolved run.
+func (r *Runner) runCtx(ctx context.Context, k run) (*system.Results, error) {
 	r.mu.Lock()
-	if res, ok := r.memo[s]; ok {
+	if res, ok := r.memo[k]; ok {
 		r.mu.Unlock()
 		return res, nil
 	}
-	if c, ok := r.calls[s]; ok {
-		// Another goroutine is already executing this spec: wait for it
+	if c, ok := r.calls[k]; ok {
+		// Another goroutine is already executing this run: wait for it
 		// (or for cancellation) instead of running a duplicate.
 		r.mu.Unlock()
 		select {
@@ -211,39 +258,38 @@ func (r *Runner) RunCtx(ctx context.Context, s Spec) (*system.Results, error) {
 		}
 	}
 	if r.calls == nil {
-		r.calls = make(map[Spec]*inflight)
+		r.calls = make(map[run]*inflight)
 	}
 	c := &inflight{done: make(chan struct{})}
-	r.calls[s] = c
+	r.calls[k] = c
 	r.mu.Unlock()
 
-	c.res, c.err = r.execute(ctx, s)
+	c.res, c.err = r.execute(ctx, k)
 
 	r.mu.Lock()
 	if c.err == nil {
 		if r.memo == nil {
-			r.memo = make(map[Spec]*system.Results)
+			r.memo = make(map[run]*system.Results)
 		}
-		r.memo[s] = c.res
+		r.memo[k] = c.res
 	}
 	// Failed calls leave no memo entry, so a later identical Run (e.g.
 	// after the caller clears an environmental problem) re-executes.
-	delete(r.calls, s)
+	delete(r.calls, k)
 	r.mu.Unlock()
 	close(c.done)
 	return c.res, c.err
 }
 
-// execute runs one spec for real: disk-cache lookup (when resuming),
+// execute runs one run for real: disk-cache lookup (when resuming),
 // then up to 1+Retries simulation attempts, then a cache store.
-func (r *Runner) execute(ctx context.Context, s Spec) (*system.Results, error) {
+func (r *Runner) execute(ctx context.Context, k run) (*system.Results, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	cfg := r.configFor(s)
 	var key string
 	if r.Cache != nil {
-		key = CacheKey(s, cfg, r.Warmup, r.Measure)
+		key = CacheKey(k.Workload, &k.Config, r.Warmup, r.Measure)
 		if r.Resume {
 			if res, ok := r.Cache.Load(key); ok {
 				r.mu.Lock()
@@ -251,7 +297,7 @@ func (r *Runner) execute(ctx context.Context, s Spec) (*system.Results, error) {
 				r.mu.Unlock()
 				if r.Progress != nil {
 					r.Progress(fmt.Sprintf("cached %-14s %-9s IPC=%.2f IRLP=%.2f",
-						s.Workload, s.Variant, res.IPCSum, res.IRLPAvg))
+						k.Workload, k.Config.Variant, res.IPCSum, res.IRLPAvg))
 				}
 				return res, nil
 			}
@@ -266,7 +312,7 @@ func (r *Runner) execute(ctx context.Context, s Spec) (*system.Results, error) {
 	for attempt := 0; ; attempt++ {
 		//pcmaplint:ignore nodeterminism wall-clock feeds only stderr throughput reporting, never simulation results
 		start := time.Now()
-		res, err = r.callSimulate(ctx, s, cfg)
+		res, err = r.callSimulate(ctx, k)
 		//pcmaplint:ignore nodeterminism wall-clock feeds only stderr throughput reporting, never simulation results
 		elapsed = time.Since(start)
 		if err == nil {
@@ -276,11 +322,11 @@ func (r *Runner) execute(ctx context.Context, s Spec) (*system.Results, error) {
 		// reported immediately; burning retry budget on them cannot help.
 		if attempt >= r.Retries || ctx.Err() != nil || !IsRetryable(err) {
 			return nil, fmt.Errorf("exp: %s/%s (attempt %d/%d): %w",
-				s.Workload, s.Variant, attempt+1, r.Retries+1, err)
+				k.Workload, k.Config.Variant, attempt+1, r.Retries+1, err)
 		}
 		if r.Progress != nil {
 			r.Progress(fmt.Sprintf("retry  %-14s %-9s attempt %d/%d: %v",
-				s.Workload, s.Variant, attempt+2, r.Retries+1, err))
+				k.Workload, k.Config.Variant, attempt+2, r.Retries+1, err))
 		}
 	}
 
@@ -291,12 +337,12 @@ func (r *Runner) execute(ctx context.Context, s Spec) (*system.Results, error) {
 	r.mu.Unlock()
 	if r.Progress != nil {
 		r.Progress(fmt.Sprintf("ran %-14s %-9s IPC=%.2f IRLP=%.2f wall=%6.2fs %5.1fM ev/s",
-			s.Workload, s.Variant, res.IPCSum, res.IRLPAvg,
+			k.Workload, k.Config.Variant, res.IPCSum, res.IRLPAvg,
 			elapsed.Seconds(), eventsPerSec(res.Events, elapsed)/1e6))
 	}
 	if r.Cache != nil {
 		if err := r.Cache.Store(key, res); err != nil {
-			return nil, fmt.Errorf("exp: %s/%s: %w", s.Workload, s.Variant, err)
+			return nil, fmt.Errorf("exp: %s/%s: %w", k.Workload, k.Config.Variant, err)
 		}
 	}
 	return res, nil
@@ -338,7 +384,7 @@ func (r *Runner) SetSimulate(fn func(ctx context.Context, cfg *config.Config, wo
 	r.simulate = fn
 }
 
-// MemoLen reports how many completed specs the in-memory memo holds.
+// MemoLen reports how many completed runs the in-memory memo holds.
 // Long-running callers (the serve layer) use it to bound memory: when
 // the memo grows past their budget they retire the runner and start a
 // fresh one, falling back to the disk cache for previously computed
@@ -349,22 +395,35 @@ func (r *Runner) MemoLen() int {
 	return len(r.memo)
 }
 
-// RunAll executes specs concurrently. Dispatch genuinely stops at the
-// first failure (or when ctx is cancelled): no spec is handed to a
-// worker after a worker has reported an error. Simulations already in
-// flight run to completion — they are not interruptible — and their
-// results stay memoized and cached, so a failed or interrupted sweep
-// keeps its partial results and can resume. The returned error is the
-// errors.Join of every worker failure, plus ctx.Err() when the caller's
-// context was cancelled; internal halt noise (workers observing the
-// sweep's own cancellation) is filtered out.
+// RunAll executes the runs specs name concurrently. Dispatch genuinely
+// stops at the first failure (or when ctx is cancelled): no run is
+// handed to a worker after a worker has reported an error. Runs
+// completed before the halt stay memoized and cached, so a failed or
+// interrupted sweep keeps its partial results and can resume. The
+// returned error is the errors.Join of every worker failure, plus
+// ctx.Err() when the caller's context was cancelled; internal halt
+// noise (workers observing the sweep's own cancellation) is filtered
+// out. A spec that does not resolve fails the sweep before any run.
 func (r *Runner) RunAll(ctx context.Context, specs []Spec) error {
+	runs := make([]run, len(specs))
+	for i, s := range specs {
+		k, err := resolve(s)
+		if err != nil {
+			return err
+		}
+		runs[i] = k
+	}
+	return r.runAll(ctx, runs)
+}
+
+// runAll is RunAll on resolved runs.
+func (r *Runner) runAll(ctx context.Context, runs []run) error {
 	par := r.Parallelism
 	if par <= 0 {
 		par = runtime.NumCPU()
 	}
-	if par > len(specs) {
-		par = len(specs)
+	if par > len(runs) {
+		par = len(runs)
 	}
 	if par < 1 {
 		par = 1
@@ -372,7 +431,7 @@ func (r *Runner) RunAll(ctx context.Context, specs []Spec) error {
 	sweep, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	work := make(chan Spec)
+	work := make(chan run)
 	var (
 		wg   sync.WaitGroup
 		emu  sync.Mutex
@@ -382,8 +441,8 @@ func (r *Runner) RunAll(ctx context.Context, specs []Spec) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for s := range work {
-				_, err := r.RunCtx(sweep, s)
+			for k := range work {
+				_, err := r.runCtx(sweep, k)
 				if err == nil {
 					continue
 				}
@@ -395,14 +454,14 @@ func (r *Runner) RunAll(ctx context.Context, specs []Spec) error {
 				emu.Lock()
 				errs = append(errs, err)
 				emu.Unlock()
-				cancel() // halt dispatch; drain remaining specs cheaply
+				cancel() // halt dispatch; drain remaining runs cheaply
 			}
 		}()
 	}
 dispatch:
-	for _, s := range specs {
+	for _, k := range runs {
 		select {
-		case work <- s:
+		case work <- k:
 		case <-sweep.Done():
 			break dispatch
 		}
@@ -413,13 +472,4 @@ dispatch:
 		errs = append(errs, err)
 	}
 	return errors.Join(errs...)
-}
-
-// MustRun is Run for callers that already ran RunAll successfully.
-func (r *Runner) MustRun(s Spec) *system.Results {
-	res, err := r.Run(s)
-	if err != nil {
-		panic(err)
-	}
-	return res
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -215,5 +216,104 @@ func TestRunAllRetryDegradesToPartialSuccess(t *testing.T) {
 	}
 	if attempts != int32(len(specs))+1 {
 		t.Fatalf("%d attempts, want %d (one retry)", attempts, len(specs)+1)
+	}
+}
+
+// TestRunnerKeysByResolvedConfig checks that the memo is keyed by the
+// machine a Spec resolves to, not by the Spec: Specs that spell the
+// Table I machine differently share one execution, and an invalid
+// ratio is rejected before anything runs.
+func TestRunnerKeysByResolvedConfig(t *testing.T) {
+	r := testRunner()
+	var executions int32
+	r.simulate = func(_ context.Context, cfg *config.Config, workload string, warmup, measure uint64) (*system.Results, error) {
+		atomic.AddInt32(&executions, 1)
+		return fakeResults(Spec{Workload: workload, Variant: cfg.Variant}), nil
+	}
+	same := []Spec{
+		{Workload: "MP4", Variant: config.Baseline},
+		{Workload: "MP4", Variant: config.Baseline, WriteToReadRatio: 2},
+		{Workload: "MP4", Variant: config.Baseline, Seed: 1},
+	}
+	for _, s := range same {
+		if _, err := r.Run(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := atomic.LoadInt32(&executions); n != 1 {
+		t.Fatalf("%d executions for three spellings of one machine, want 1", n)
+	}
+	if _, err := r.Run(Spec{Workload: "MP4", Variant: config.Baseline, WriteToReadRatio: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if n := atomic.LoadInt32(&executions); n != 2 {
+		t.Fatalf("%d executions, want 2: a 4x ratio is a different machine", n)
+	}
+	for _, ratio := range []float64{-1, math.NaN(), math.Inf(1), 1e-30} {
+		if _, err := r.Run(Spec{Workload: "MP4", WriteToReadRatio: ratio}); err == nil {
+			t.Errorf("ratio %g accepted", ratio)
+		}
+	}
+	if n := atomic.LoadInt32(&executions); n != 2 {
+		t.Fatalf("%d executions, want 2: invalid ratios must not simulate", n)
+	}
+}
+
+// TestRenderPlansThenRuns drives the render helper with a draw whose
+// second run depends on the first run's result. The placeholder pass
+// cannot see that dependency, so the dependent run executes on demand
+// in the final pass; every run still executes exactly once.
+func TestRenderPlansThenRuns(t *testing.T) {
+	r := testRunner()
+	var executions int32
+	r.simulate = func(_ context.Context, cfg *config.Config, workload string, warmup, measure uint64) (*system.Results, error) {
+		atomic.AddInt32(&executions, 1)
+		return fakeResults(Spec{Workload: workload}), nil
+	}
+	var b *system.Results
+	draw := func(get getFunc) (*FigureResult, error) {
+		a := get(Spec{Workload: "a"})
+		get(Spec{Workload: "a", Seed: 1}) // the same run, spelled differently
+		if a.IPCSum > 0 {
+			b = get(Spec{Workload: "b"})
+		}
+		return newFigure("t", "t"), nil
+	}
+	if _, err := r.render(context.Background(), draw); err != nil {
+		t.Fatal(err)
+	}
+	if b == nil || b.Workload != "b" {
+		t.Fatalf("dependent run not rendered: %+v", b)
+	}
+	if n := atomic.LoadInt32(&executions); n != 2 {
+		t.Fatalf("%d executions, want 2", n)
+	}
+}
+
+// TestAblationsShareTheRunner runs the ablation sweep through a counting
+// hook: settings equal to Table I collapse onto the variant's plain run,
+// leaving 17 distinct simulations, and a repeat is served from the memo.
+func TestAblationsShareTheRunner(t *testing.T) {
+	r := testRunner()
+	var executions int32
+	r.simulate = func(_ context.Context, cfg *config.Config, workload string, warmup, measure uint64) (*system.Results, error) {
+		atomic.AddInt32(&executions, 1)
+		return fakeResults(Spec{Workload: workload, Variant: cfg.Variant}), nil
+	}
+	f, err := Ablations(context.Background(), r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(f.Table.Rows) != 22 {
+		t.Fatalf("%d ablation rows, want 22", len(f.Table.Rows))
+	}
+	if n := atomic.LoadInt32(&executions); n != 17 {
+		t.Fatalf("%d executions, want 17 distinct ablation runs", n)
+	}
+	if _, err := Ablations(context.Background(), r); err != nil {
+		t.Fatal(err)
+	}
+	if n := atomic.LoadInt32(&executions); n != 17 {
+		t.Fatalf("repeat executed %d more runs, want 0", n-17)
 	}
 }

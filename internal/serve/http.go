@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 	"time"
 
 	"pcmap/internal/config"
@@ -77,7 +76,7 @@ func (s *Server) parseJob(req JobRequest) (*task, *errorBody) {
 	if _, ok := workloads.MixByName(req.Workload); !ok {
 		return invalid("unknown workload %q", req.Workload)
 	}
-	variant, err := lookupVariant(req.Variant)
+	variant, err := config.ParseVariant(req.Variant)
 	if err != nil {
 		return invalid("%v", err)
 	}
@@ -86,10 +85,12 @@ func (s *Server) parseJob(req JobRequest) (*task, *errorBody) {
 	default:
 		return invalid("unknown fault_mode %q (want empty, always, or never)", req.FaultMode)
 	}
-	if req.WriteToReadRatio < 0 {
-		return invalid("write_to_read_ratio %g must be >= 0", req.WriteToReadRatio)
+	if req.WriteToReadRatio != 0 {
+		if err := config.Default().Memory.CheckWriteToReadRatio(req.WriteToReadRatio); err != nil {
+			return invalid("write_to_read_ratio: %v", err)
+		}
 	}
-	if req.DriftProb < 0 || req.DriftProb >= 1 {
+	if !(req.DriftProb >= 0 && req.DriftProb < 1) {
 		return invalid("drift_prob %g must be in [0,1)", req.DriftProb)
 	}
 	if req.TimeoutMS < 0 {
@@ -136,15 +137,6 @@ func (s *Server) parseJob(req JobRequest) (*task, *errorBody) {
 	// queued past its deadline answers timeout without ever simulating.
 	t.ctx, t.cancel = context.WithTimeout(s.baseCtx, timeout)
 	return t, nil
-}
-
-// lookupVariant resolves a variant name against the variant registry
-// (the paper's six plus the registered follow-on systems).
-func lookupVariant(name string) (config.Variant, error) {
-	if v, ok := config.VariantByName(name); ok {
-		return v, nil
-	}
-	return 0, fmt.Errorf("unknown variant %q (want one of %s)", name, strings.Join(config.VariantNames(), ", "))
 }
 
 // handleJob is POST /v1/jobs: parse, admit, wait, answer.

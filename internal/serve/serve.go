@@ -138,7 +138,7 @@ const maxBackoff = 2 * time.Second
 
 // budgets keys one runner: the memo and single-flight maps inside
 // exp.Runner assume runner-wide instruction budgets, so jobs with
-// different budgets must not share a runner (their Specs would collide
+// different budgets must not share a runner (their runs would collide
 // in the memo while describing different computations).
 type budgets struct {
 	warmup, measure uint64

@@ -316,6 +316,9 @@ func TestServeInvalidJobs(t *testing.T) {
 		{"unknown variant", `{"workload":"MP4","variant":"nope"}`},
 		{"bad fault mode", `{"workload":"MP4","variant":"Baseline","fault_mode":"sometimes"}`},
 		{"bad drift", `{"workload":"MP4","variant":"Baseline","drift_prob":1.5}`},
+		{"negative ratio", `{"workload":"MP4","variant":"Baseline","write_to_read_ratio":-1}`},
+		{"ratio below one read tick", `{"workload":"MP4","variant":"Baseline","write_to_read_ratio":1e30}`},
+		{"ratio past the read time range", `{"workload":"MP4","variant":"Baseline","write_to_read_ratio":1e-30}`},
 		{"negative timeout", `{"workload":"MP4","variant":"Baseline","timeout_ms":-1}`},
 		{"budget over cap", `{"workload":"MP4","variant":"Baseline","measure":99000000}`},
 	}

@@ -151,10 +151,10 @@ const cancelCheckInterval = 8192
 
 // RunCtx is Run with cooperative cancellation: when ctx carries a
 // deadline or is cancelled, the simulation stops between events (every
-// cancelCheckInterval steps) and returns ctx's error. A background
-// context takes the exact same single-call engine path as Run, so
-// uncancelled runs stay bit-identical. A cancelled run returns no
-// Results — partial simulation state is not a meaningful measurement.
+// cancelCheckInterval steps) and returns ctx's error. The check never
+// touches simulation state, so uncancelled runs stay bit-identical to
+// Run. A cancelled run returns no Results — partial simulation state is
+// not a meaningful measurement.
 //
 // For the length of the call a producer goroutine generates the cores'
 // op streams ahead of them (see workloads.Feed); it is stopped and
@@ -174,7 +174,7 @@ func (s *System) RunCtx(ctx context.Context, warmup, measure uint64) (*Results, 
 		instr0 += c.Instructions()
 	}
 	roll0, ver0 := s.rollbackCounts()
-	if err := s.continuePhase(ctx, measure); err != nil {
+	if err := s.runPhase(ctx, measure); err != nil {
 		return nil, fmt.Errorf("system: measure: %w", err)
 	}
 
@@ -216,6 +216,8 @@ func (s *System) rollbackCounts() (rollbacks, verifies uint64) {
 	return
 }
 
+// runPhase runs every core budget more instructions (warmup, then the
+// measured window) and drives the engine until no events remain.
 func (s *System) runPhase(ctx context.Context, budget uint64) error {
 	remaining := len(s.Cores)
 	for _, c := range s.Cores {
@@ -230,29 +232,8 @@ func (s *System) runPhase(ctx context.Context, budget uint64) error {
 	return nil
 }
 
-func (s *System) continuePhase(ctx context.Context, extra uint64) error {
-	remaining := len(s.Cores)
-	for _, c := range s.Cores {
-		c.Continue(extra, func() { remaining-- })
-	}
-	if err := s.runEngine(ctx); err != nil {
-		return err
-	}
-	if remaining != 0 {
-		return fmt.Errorf("%d cores wedged (deadlock?)", remaining)
-	}
-	return nil
-}
-
-// runEngine drives the engine until no events remain, honoring ctx. A
-// context that can never be cancelled (Done() == nil, e.g.
-// context.Background) takes the plain Run path so the uncancellable
-// case pays nothing and behaves exactly as before.
+// runEngine steps the engine until no events remain or ctx ends.
 func (s *System) runEngine(ctx context.Context) error {
-	if ctx == nil || ctx.Done() == nil {
-		s.Eng.Run()
-		return nil
-	}
 	for {
 		for i := 0; i < cancelCheckInterval; i++ {
 			if !s.Eng.Step() {
