@@ -166,7 +166,7 @@ func (h *Hierarchy) newWB() *wbReq {
 		w.retry = func() {
 			if w.h.Mem.Submit(&w.req) {
 				w.h.wbBacklog--
-				w.h.notifyUnstall()
+				w.h.unstall.Wake()
 				return
 			}
 			w.h.Mem.OnSpace(mem.Write, w.req.Addr, w.retry)
@@ -204,7 +204,7 @@ type Hierarchy struct {
 	pendingCap int
 	wbBacklog  int
 	wbCap      int
-	unstall    []func()
+	unstall    sim.Waiters
 
 	// Free lists for the per-miss and per-writeback request objects.
 	fetchFree *fetch
@@ -290,15 +290,7 @@ func line64(addr uint64) uint64 { return addr &^ 63 }
 
 // OnUnstall registers a one-shot callback fired when a Stalled access
 // may be retried.
-func (h *Hierarchy) OnUnstall(fn func()) { h.unstall = append(h.unstall, fn) }
-
-func (h *Hierarchy) notifyUnstall() {
-	ws := h.unstall
-	h.unstall = nil
-	for _, fn := range ws {
-		fn()
-	}
-}
+func (h *Hierarchy) OnUnstall(fn func()) { h.unstall.Add(fn) }
 
 // cpuCycles converts a CPU-cycle count to simulated time.
 func cpuCycles(n int) sim.Time { return sim.CPUCycle.Times(n) }
@@ -533,5 +525,5 @@ func (h *Hierarchy) finishFetch(f *fetch) {
 			fn(w.seq)
 		}
 	}
-	h.notifyUnstall()
+	h.unstall.Wake()
 }

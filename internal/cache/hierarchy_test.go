@@ -250,3 +250,31 @@ func TestHierarchyFiltersMemoryTraffic(t *testing.T) {
 		t.Fatal("warm loads should hit L1")
 	}
 }
+
+// TestUnstallCycleAllocFree pins the stall→unstall cycle at zero
+// allocations: cores register on OnUnstall, a landing fill wakes them,
+// and a core whose retry stalls again registers anew — the waiter list
+// reuses its backing arrays instead of growing a fresh one per episode.
+func TestUnstallCycleAllocFree(t *testing.T) {
+	_, h := newHierarchy(t)
+	stallAgain := true
+	var retry func()
+	retry = func() {
+		if stallAgain {
+			h.OnUnstall(retry)
+		}
+	}
+	cycle := func() {
+		for i := 0; i < 4; i++ {
+			h.OnUnstall(func() {})
+		}
+		h.OnUnstall(retry)
+		h.unstall.Wake()
+		stallAgain = !stallAgain
+	}
+	cycle()
+	cycle()
+	if n := testing.AllocsPerRun(1000, cycle); n != 0 {
+		t.Fatalf("stall→unstall cycle allocated %.2f/op, want 0", n)
+	}
+}

@@ -111,3 +111,29 @@ func TestSteadyStateAllocFree(t *testing.T) {
 		})
 	}
 }
+
+// TestSpaceWaitCycleAllocFree pins the queue-full wait at zero
+// allocations: requests register on OnSpace and a freed slot wakes
+// them, reusing the waiter list's backing arrays across episodes.
+func TestSpaceWaitCycleAllocFree(t *testing.T) {
+	eng := sim.NewEngine()
+	m, err := NewMemory(eng, config.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := m.Ctrls[0]
+	retry := func() {}
+	cycle := func() {
+		for _, kind := range []mem.Kind{mem.Read, mem.Write} {
+			for i := 0; i < 4; i++ {
+				c.OnSpace(kind, retry)
+			}
+			c.notifySpace(kind)
+		}
+	}
+	cycle()
+	cycle()
+	if n := testing.AllocsPerRun(1000, cycle); n != 0 {
+		t.Fatalf("OnSpace→notifySpace cycle allocated %.2f/op, want 0", n)
+	}
+}

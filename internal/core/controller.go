@@ -71,8 +71,8 @@ type Controller struct {
 	kicked       bool
 	runTimer     *sim.Timer // pre-bound run: the issue loop re-arms allocation-free
 	kickTimer    *sim.Timer // pre-bound kick, for chip-release wakeups
-	readWaiters  []func()
-	writeWaiters []func()
+	readWaiters  sim.Waiters
+	writeWaiters sim.Waiters
 
 	// Free lists recycling the per-request records.
 	awFree *activeWrite
@@ -299,8 +299,9 @@ func (c *Controller) Instrument(tr *obs.Tracer) {
 
 // decode resolves an address to (possibly wear-level-remapped)
 // physical coordinates, then follows any spare-pool remaps installed
-// by the program-and-verify path. All controller paths must use this
-// instead of the raw address map so remapping stays consistent.
+// by the program-and-verify path. Enqueue stores the result on the
+// request (r.Coord) and redecodeQueued refreshes it whenever the
+// mapping changes, so the scheduling scans never decode.
 func (c *Controller) decode(addr uint64) mem.Coord {
 	coord := c.amap.Decode(addr)
 	if c.sg != nil {
@@ -327,6 +328,17 @@ func (c *Controller) decode(addr uint64) mem.Coord {
 	return coord
 }
 
+// redecodeQueued refreshes every queued request's placement after the
+// address mapping changed (a Start-Gap move or a spare-line remap).
+func (c *Controller) redecodeQueued() {
+	redecode := func(r *mem.Request) bool {
+		r.Coord = c.decode(r.Addr)
+		return true
+	}
+	c.rdq.Each(redecode)
+	c.wrq.Each(redecode)
+}
+
 // wearTick advances the Start-Gap state on each serviced write,
 // performing the occasional gap-move line copy: real content moves in
 // the functional store, and the destination bank is charged a
@@ -340,6 +352,7 @@ func (c *Controller) wearTick() {
 		return
 	}
 	c.Metrics.WearMoves.Inc()
+	c.redecodeQueued()
 	var buf [64]byte
 	c.rank.Store.ReadLine(from, &buf)
 	c.rank.Store.WriteWords(to, 0xff, &buf)
@@ -378,6 +391,7 @@ func (c *Controller) Enqueue(r *mem.Request) bool {
 		}
 	}
 	if ok {
+		r.Coord = c.decode(r.Addr)
 		c.Metrics.NoteArrival(r.Arrive)
 		if c.trace != nil {
 			if r.Kind == mem.Read {
@@ -394,23 +408,16 @@ func (c *Controller) Enqueue(r *mem.Request) bool {
 // OnSpace registers a one-shot callback invoked when a queue slot of
 // the given kind frees up.
 func (c *Controller) OnSpace(kind mem.Kind, fn func()) {
-	if kind == mem.Read {
-		c.readWaiters = append(c.readWaiters, fn)
-	} else {
-		c.writeWaiters = append(c.writeWaiters, fn)
-	}
+	c.waiters(kind).Add(fn)
 }
 
-func (c *Controller) notifySpace(kind mem.Kind) {
-	var ws []func()
+func (c *Controller) notifySpace(kind mem.Kind) { c.waiters(kind).Wake() }
+
+func (c *Controller) waiters(kind mem.Kind) *sim.Waiters {
 	if kind == mem.Read {
-		ws, c.readWaiters = c.readWaiters, nil
-	} else {
-		ws, c.writeWaiters = c.writeWaiters, nil
+		return &c.readWaiters
 	}
-	for _, fn := range ws {
-		fn()
-	}
+	return &c.writeWaiters
 }
 
 // kick schedules a scheduling pass at the current time, coalescing

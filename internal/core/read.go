@@ -26,7 +26,7 @@ type readPlan struct {
 // how. It returns (plan, ok).
 func (c *Controller) planRead(r *mem.Request) (readPlan, bool) {
 	p := readPlan{busyChip: -1, missingWord: -1}
-	p.coord = c.decode(r.Addr)
+	p.coord = r.Coord
 	p.part = c.partOf(p.coord)
 	l := c.rank.Layout
 	if len(c.active) > 0 && !c.feat.RoW {

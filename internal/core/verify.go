@@ -172,6 +172,7 @@ func (c *Controller) remapLine(aw *activeWrite) {
 		c.remap = make(map[uint64]uint64)
 	}
 	c.remap[aw.coord.LineIdx] = spare
+	c.redecodeQueued()
 	c.Metrics.WriteRemaps.Inc()
 
 	// The spare slot folds onto a physical row (see decode); charge a

@@ -54,10 +54,9 @@ func (c *Controller) tryIssueWrite() bool {
 // the target bank idle across the DIMM's nine chips (the whole bank is
 // busy until the write completes, Section III-A1).
 func (c *Controller) coarseWriteReady(r *mem.Request) bool {
-	coord := c.decode(r.Addr)
-	part, now := c.partOf(coord), c.eng.Now()
+	bank, part, now := r.Coord.Bank, c.partOf(r.Coord), c.eng.Now()
 	for i := 0; i < 9; i++ { // data chips + ECC chip
-		if !c.rank.Chips[i].FreeAt(coord.Bank, part, now) {
+		if !c.rank.Chips[i].FreeAt(bank, part, now) {
 			return false
 		}
 	}
@@ -65,7 +64,7 @@ func (c *Controller) coarseWriteReady(r *mem.Request) bool {
 }
 
 func (c *Controller) fineWriteReady(r *mem.Request) bool {
-	coord := c.decode(r.Addr)
+	coord := &r.Coord
 	ess := r.Mask
 	need := bits.OnesCount8(ess)
 	if need > 0 {
@@ -82,7 +81,7 @@ func (c *Controller) fineWriteReady(r *mem.Request) bool {
 	// granularity, so under PALP a write may start while a read holds
 	// another partition of the same bank.
 	now := c.eng.Now()
-	part := c.partOf(coord)
+	part := c.partOf(r.Coord)
 	l := c.rank.Layout
 	for w := 0; w < ecc.WordsPerLine; w++ {
 		if ess&(1<<uint(w)) == 0 {
@@ -137,7 +136,7 @@ func (c *Controller) issueCoarseWrite(r *mem.Request) {
 	now := c.eng.Now()
 	r.Started = true
 	r.Issue = now
-	coord := c.decode(r.Addr)
+	coord := r.Coord // the placement before this write's wear tick
 	aw := c.newActive()
 	essMask, res := c.applyWrite(r, coord.LineIdx, aw)
 	essCount := bits.OnesCount8(essMask)
@@ -228,7 +227,7 @@ func (c *Controller) issueFineWrite(r *mem.Request, overlap bool) {
 	now := c.eng.Now()
 	r.Started = true
 	r.Issue = now
-	coord := c.decode(r.Addr)
+	coord := r.Coord // the placement before this write's wear tick
 	part := c.partOf(coord)
 	if c.parts > 1 {
 		// PALP accounting: this write starts while some essential chip's

@@ -22,12 +22,6 @@ import (
 // engine inside one scheduling event.
 const quantum = 1000 * sim.CPUCycle
 
-// load tracks one in-flight (or timed, not-yet-passed) load.
-type load struct {
-	seq  uint64   // instruction sequence number at issue
-	done sim.Time // completion time; 0 while unknown (PCM fetch pending)
-}
-
 // Core is one interval-model core executing a workload stream.
 type Core struct {
 	ID   int
@@ -50,7 +44,7 @@ type Core struct {
 
 	now     sim.Time // local clock, >= engine time when running
 	instrs  uint64
-	pending []load // in program order
+	win     window // pending loads, retired up to now before each issue
 	current *workloads.Op
 	haveOp  bool
 
@@ -107,7 +101,7 @@ func NewCore(eng *sim.Engine, cfg *config.Config, id int, hier *cache.Hierarchy,
 		c.waitingUnstall = false
 		c.stepTimer.Schedule(0)
 	}
-	c.pending = make([]load, 0, cfg.Core.WindowSize)
+	c.win = newWindow(cfg.Core.WindowSize)
 	hier.SetVerifyHandler(id, c.onVerify)
 	hier.SetFillHandler(id, c.fillArrived)
 	return c
@@ -214,7 +208,7 @@ func (c *Core) step() {
 			c.instrs += uint64(c.current.Gap)
 			c.now += sim.CPUCycle.Scale(float64(c.current.Gap) * c.baseCPI)
 		}
-		c.retireCompleted()
+		c.win.retire(c.now)
 		// Window limit: cannot run more than WindowSize instructions
 		// past the oldest incomplete load.
 		if !c.advancePastWindow() {
@@ -245,24 +239,11 @@ func (c *Core) step() {
 	c.stepTimer.At(c.now)
 }
 
-// retireCompleted drops loads whose completion time has passed.
-func (c *Core) retireCompleted() {
-	i := 0
-	for _, l := range c.pending {
-		if l.done != 0 && l.done <= c.now {
-			continue
-		}
-		c.pending[i] = l
-		i++
-	}
-	c.pending = c.pending[:i]
-}
-
 // advancePastWindow enforces the reorder window. It returns false when
 // the core must sleep for a PCM fill (resumed by callback).
 func (c *Core) advancePastWindow() bool {
-	for len(c.pending) > 0 && c.instrs >= c.pending[0].seq+uint64(c.cfg.WindowSize) {
-		head := c.pending[0]
+	for len(c.win.pending) > 0 && c.instrs >= c.win.pending[0].seq+uint64(c.cfg.WindowSize) {
+		head := c.win.pending[0]
 		if head.done == 0 {
 			// Unknown completion: a PCM fetch. Sleep.
 			c.waitingFill = true
@@ -274,15 +255,17 @@ func (c *Core) advancePastWindow() bool {
 			c.StallFillTime += head.done - c.now
 			c.now = head.done
 		}
-		c.retireCompleted()
+		c.win.retire(c.now)
 	}
 	return true
 }
 
-// advancePastMSHR enforces the outstanding-load limit.
+// advancePastMSHR enforces the outstanding-load limit. The window is
+// retired up to now on entry and after every advance, so every pending
+// load is outstanding and nextDone, when known, lies after now.
 func (c *Core) advancePastMSHR() bool {
 	stalled := false
-	for c.outstanding() >= c.cfg.DataMSHRs {
+	for len(c.win.pending) >= c.cfg.DataMSHRs {
 		if !stalled {
 			// Count one episode however many completions it takes to
 			// free an MSHR.
@@ -292,32 +275,14 @@ func (c *Core) advancePastMSHR() bool {
 		}
 		// Wait for the earliest known completion; if none is known,
 		// sleep for a fill.
-		var earliest sim.Time
-		for _, l := range c.pending {
-			if l.done != 0 && (earliest == 0 || l.done < earliest) {
-				earliest = l.done
-			}
-		}
-		if earliest == 0 {
+		if c.win.nextDone == never {
 			c.waitingFill = true
 			return false
 		}
-		if earliest > c.now {
-			c.now = earliest
-		}
-		c.retireCompleted()
+		c.now = c.win.nextDone
+		c.win.retire(c.now)
 	}
 	return true
-}
-
-func (c *Core) outstanding() int {
-	n := 0
-	for _, l := range c.pending {
-		if l.done == 0 || l.done > c.now {
-			n++
-		}
-	}
-	return n
 }
 
 // doLoad issues a load; false means stalled (retry via OnUnstall).
@@ -329,10 +294,10 @@ func (c *Core) doLoad(op *workloads.Op) bool {
 		// Covered by issue width; no window entry needed.
 		return true
 	case cache.HitL2, cache.HitLLC:
-		c.pending = append(c.pending, load{seq: entrySeq, done: c.now + lat})
+		c.win.add(entrySeq, c.now+lat)
 		return true
 	case cache.GoesToMemory:
-		c.pending = append(c.pending, load{seq: entrySeq, done: 0})
+		c.win.add(entrySeq, 0)
 		return true
 	case cache.Stalled:
 		c.StallBankConflict.Inc()
@@ -347,19 +312,10 @@ func (c *Core) doLoad(op *workloads.Op) bool {
 // fillArrived marks the matching pending load complete and wakes the
 // core if it slept on the fill.
 func (c *Core) fillArrived(seq uint64) {
-	c.markDone(seq, c.eng.Now())
+	c.win.markDone(seq, c.eng.Now())
 	if c.waitingFill {
 		c.waitingFill = false
 		c.stepTimer.Schedule(0)
-	}
-}
-
-func (c *Core) markDone(seq uint64, t sim.Time) {
-	for i := range c.pending {
-		if c.pending[i].seq == seq && c.pending[i].done == 0 {
-			c.pending[i].done = t
-			return
-		}
 	}
 }
 

@@ -60,6 +60,12 @@ type Request struct {
 	Issue  sim.Time
 	Done   sim.Time
 
+	// Coord is the request's physical placement, filled by the
+	// controller at enqueue and kept current while the request is
+	// queued: a wear-leveling gap move or a spare-line remap
+	// re-decodes every queued request.
+	Coord Coord
+
 	// Started marks a request that has left the queue's schedulable
 	// pool and is in service (its queue slot is held until completion,
 	// as the controller's buffers hold the data until then).
