@@ -407,8 +407,8 @@ func printAggregate(r *exp.Runner) {
 	if wall > 0 {
 		rate = float64(events) / wall.Seconds()
 	}
-	fmt.Fprintf(os.Stderr, "pcmapsim: %d sims, %d events, %.1fM events/sec per sim thread\n",
-		sims, events, rate/1e6)
+	fmt.Fprintf(os.Stderr, "pcmapsim: %d sims, %d events, %d instructions, %.1fM events/sec per sim thread\n",
+		sims, events, r.Instructions(), rate/1e6)
 }
 
 // timedOut reports a sweep stopped by -timeout and exits 1. Like a

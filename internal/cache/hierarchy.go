@@ -200,7 +200,7 @@ type Hierarchy struct {
 	llcBankBusy []sim.Time
 	llcBanks    int
 
-	pending    flat.Table[*fetch] // outstanding fetches, keyed line|1
+	pending    flat.Table[*fetch] // outstanding fetches, keyed by line number
 	pendingCap int
 	wbBacklog  int
 	wbCap      int
@@ -246,16 +246,18 @@ func NewHierarchy(eng *sim.Engine, cfg *config.Config, memory *core.Memory) *Hie
 	return h
 }
 
-// Release returns the cache levels' state arrays to the slab pool. The
-// hierarchy must not be used afterwards. Experiment harnesses call it
-// between runs so back-to-back systems of the same geometry reuse one
-// LLC's worth of arrays instead of growing the heap per run.
+// Release returns the cache levels' state arrays to the slab pool and
+// the directory's table to its pool. The hierarchy must not be used
+// afterwards. Experiment harnesses call it between runs so
+// back-to-back systems of the same geometry reuse one LLC's worth of
+// arrays instead of growing the heap per run.
 func (h *Hierarchy) Release() {
 	for _, l1 := range h.L1 {
 		l1.Release()
 	}
 	h.L2.Release()
 	h.LLC.Release()
+	h.Dir.Release()
 }
 
 // SetFillHandler registers the callback invoked when a PCM fill this
@@ -482,7 +484,7 @@ func (h *Hierarchy) invalidateForStore(corID int, addr uint64, mask uint16) {
 // pass false.
 func (h *Hierarchy) startFetch(corID int, addr uint64, store bool, storeMask uint8, bypass bool, seq uint64, wantFill bool) (Result, sim.Time) {
 	l := line64(addr)
-	if p := h.pending.Get(l | 1); p != nil {
+	if p := h.pending.Get(flat.Key(l >> 6)); p != nil {
 		f := *p
 		h.CoalescedMisses++
 		f.store = f.store || store
@@ -503,7 +505,7 @@ func (h *Hierarchy) startFetch(corID int, addr uint64, store bool, storeMask uin
 	if wantFill {
 		f.waiters = append(f.waiters, fillWaiter{core: corID, seq: seq})
 	}
-	p, _ := h.pending.Put(l | 1)
+	p, _ := h.pending.Put(flat.Key(l >> 6))
 	*p = f
 	h.MemFetches++
 	f.req.Kind, f.req.Addr, f.req.Core = mem.Read, l, corID
@@ -514,7 +516,7 @@ func (h *Hierarchy) startFetch(corID int, addr uint64, store bool, storeMask uin
 // finishFetch lands a PCM fill: LLC, L2 (with pending store dirt), L1,
 // then wakes the coalesced waiters.
 func (h *Hierarchy) finishFetch(f *fetch) {
-	h.pending.Delete(f.addr | 1)
+	h.pending.Delete(flat.Key(f.addr >> 6))
 	if !f.bypass {
 		h.fillLLC(f.addr)
 	}

@@ -8,6 +8,7 @@ package coherence
 
 import (
 	"fmt"
+	"sync"
 
 	"pcmap/internal/flat"
 )
@@ -69,27 +70,47 @@ type Action struct {
 }
 
 // Directory tracks the L1-coherence state of every line cached above
-// the L2. Lines live by value in a flat table keyed by the line address
-// with bit 0 set (line addresses are 64-byte aligned, which leaves bit
-// 0 free and the key non-zero), so tracking a line allocates nothing
-// beyond the table's doublings.
+// the L2. Every address it takes is a 64-byte-aligned line address.
+// Lines live by value in a flat table keyed by line number (see key),
+// 8 bytes a line, so tracking a line allocates nothing beyond the
+// table's doublings. Release returns the table to a pool for the next
+// directory, so a sweep grows it once, not once per system.
 type Directory struct {
-	table flat.Table[line]
+	table *flat.Table[line]
 
 	Invalidations uint64
 	Forwards      uint64
 	WriteBacks    uint64
 }
 
+// key is the table key of the line at addr.
+func key(addr uint64) uint32 { return flat.Key(addr >> 6) }
+
+// tablePool recycles directories' tables across systems. Release
+// returns a table cleared, so a table from the pool is always empty. A
+// table's slot count cannot reach any output, since a flat.Table has
+// no iteration.
+var tablePool = sync.Pool{New: func() any { return new(flat.Table[line]) }}
+
 // NewDirectory returns an empty directory.
-func NewDirectory() *Directory { return &Directory{} }
+func NewDirectory() *Directory {
+	return &Directory{table: tablePool.Get().(*flat.Table[line])}
+}
+
+// Release returns the directory's table to the pool. The directory
+// must not be used afterwards.
+func (d *Directory) Release() {
+	d.table.Clear()
+	tablePool.Put(d.table)
+	d.table = nil
+}
 
 // Entries returns the number of tracked (non-invalid) lines.
 func (d *Directory) Entries() int { return d.table.Len() }
 
 // StateOf reports the directory state of a line (Invalid if untracked).
 func (d *Directory) StateOf(addr uint64) State {
-	if l := d.table.Get(addr | 1); l != nil {
+	if l := d.table.Get(key(addr)); l != nil {
 		return l.state
 	}
 	return Invalid
@@ -97,7 +118,7 @@ func (d *Directory) StateOf(addr uint64) State {
 
 // Sharers returns the sharer bitmask of a line.
 func (d *Directory) Sharers(addr uint64) uint16 {
-	if l := d.table.Get(addr | 1); l != nil {
+	if l := d.table.Get(key(addr)); l != nil {
 		return l.sharers
 	}
 	return 0
@@ -106,7 +127,7 @@ func (d *Directory) Sharers(addr uint64) uint16 {
 // get returns addr's entry, inserting an Invalid one if the line is
 // untracked. The pointer is valid until the next insertion.
 func (d *Directory) get(addr uint64) *line {
-	l, ok := d.table.Put(addr | 1)
+	l, ok := d.table.Put(key(addr))
 	if !ok {
 		*l = line{state: Invalid, owner: -1}
 	}
@@ -177,7 +198,7 @@ func (d *Directory) Store(addr uint64, core int) Action {
 // owned dirty data the eviction writes back to the L2.
 func (d *Directory) Evict(addr uint64, core int) Action {
 	a := Action{ForwardFrom: -1}
-	l := d.table.Get(addr | 1)
+	l := d.table.Get(key(addr))
 	if l == nil {
 		return a
 	}
@@ -195,7 +216,7 @@ func (d *Directory) Evict(addr uint64, core int) Action {
 		}
 	}
 	if l.sharers == 0 {
-		d.table.Delete(addr | 1)
+		d.table.Delete(key(addr))
 	}
 	return a
 }

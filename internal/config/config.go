@@ -9,6 +9,7 @@ import (
 	"math"
 	"strings"
 
+	"pcmap/internal/flat"
 	"pcmap/internal/mem"
 	"pcmap/internal/sim"
 )
@@ -469,12 +470,30 @@ func (c *Config) WithVariant(v Variant) *Config {
 // is uniform and the baseline simply never touches the PCC chip).
 func (m Memory) TotalChips() int { return m.DataChips + 2 }
 
+// MaxCores is the most cores a machine may have: the coherence
+// directory keeps a line's sharers in a uint16, one bit per core.
+const MaxCores = 16
+
+// RangeError reports a configuration value beyond what the simulator's
+// line-keyed tables and masks can represent.
+type RangeError struct {
+	Field string // the configuration field, e.g. "Cores"
+	Value int64
+	Max   int64 // the largest accepted value
+}
+
+func (e *RangeError) Error() string {
+	return fmt.Sprintf("config: %s %d exceeds the supported maximum %d", e.Field, e.Value, e.Max)
+}
+
 // Validate checks internal consistency and returns a descriptive error
 // for the first violated constraint.
 func (c *Config) Validate() error {
 	switch {
 	case c.Cores <= 0:
 		return fmt.Errorf("config: Cores must be positive, got %d", c.Cores)
+	case c.Cores > MaxCores:
+		return &RangeError{Field: "Cores", Value: int64(c.Cores), Max: MaxCores}
 	case c.Core.IssueWidth <= 0:
 		return fmt.Errorf("config: IssueWidth must be positive, got %d", c.Core.IssueWidth)
 	case c.Core.WindowSize <= 0:
@@ -506,6 +525,10 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: WriteRetryLimit must be non-negative, got %d", c.Memory.WriteRetryLimit)
 	case c.Memory.SpareLines < 0:
 		return fmt.Errorf("config: SpareLines must be non-negative, got %d", c.Memory.SpareLines)
+	case c.Memory.SpareLines > flat.MaxLine:
+		return &RangeError{Field: "Memory.SpareLines", Value: int64(c.Memory.SpareLines), Max: flat.MaxLine}
+	case c.Memory.CapacityBytes > c.Memory.maxCapacityBytes():
+		return &RangeError{Field: "Memory.CapacityBytes", Value: c.Memory.CapacityBytes, Max: c.Memory.maxCapacityBytes()}
 	case c.Memory.FaultMode != "" && c.Memory.FaultMode != "always" && c.Memory.FaultMode != "never":
 		return fmt.Errorf("config: FaultMode %q must be \"\", \"always\" or \"never\"", c.Memory.FaultMode)
 	}
@@ -541,6 +564,19 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: DCARounds must lie in [1,64], got %d", r)
 	}
 	return nil
+}
+
+// maxCapacityBytes is the largest capacity whose every PCM store line
+// number takes a flat.Key: a channel's store holds its own lines, the
+// Start-Gap spare line after them and the spare pool from the same
+// index on. SpareLines must lie in [0, flat.MaxLine] and Channels must
+// be positive.
+func (m Memory) maxCapacityBytes() int64 {
+	lines := int64(flat.MaxLine) + 1 - int64(max(m.SpareLines, 1))
+	if int64(m.Channels) > math.MaxInt64/LineBytes/lines {
+		return math.MaxInt64
+	}
+	return lines * LineBytes * int64(m.Channels)
 }
 
 // EffectivePartitions resolves the per-bank partition count the given

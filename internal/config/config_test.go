@@ -1,10 +1,12 @@
 package config
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
 
+	"pcmap/internal/flat"
 	"pcmap/internal/mem"
 	"pcmap/internal/sim"
 )
@@ -73,6 +75,39 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 			t.Fatalf("%s: expected validation error", m.name)
 		}
 	}
+}
+
+// TestValidateRangeLimits pins the typed errors for values the
+// simulator's tables cannot represent: more cores than the directory's
+// sharer mask has bits, and a capacity or spare pool whose line
+// numbers overflow a flat.Key.
+func TestValidateRangeLimits(t *testing.T) {
+	c := Default()
+	c.Cores, c.NoC.Rows, c.NoC.Cols = MaxCores, 4, 4
+	if err := c.Validate(); err != nil {
+		t.Fatalf("%d cores rejected: %v", MaxCores, err)
+	}
+	wantRange := func(name, field string, err error) {
+		t.Helper()
+		var re *RangeError
+		if !errors.As(err, &re) || re.Field != field {
+			t.Fatalf("%s: got %v, want a RangeError on %s", name, err, field)
+		}
+	}
+	c.Cores, c.NoC.Rows = MaxCores+1, 5
+	wantRange("17 cores", "Cores", c.Validate())
+
+	c = Default()
+	c.Memory.CapacityBytes = c.Memory.maxCapacityBytes()
+	if err := c.Validate(); err != nil {
+		t.Fatalf("largest capacity rejected: %v", err)
+	}
+	c.Memory.CapacityBytes += int64(c.Memory.Channels) * LineBytes
+	wantRange("capacity past the key range", "Memory.CapacityBytes", c.Validate())
+
+	c = Default()
+	c.Memory.SpareLines = flat.MaxLine + 1
+	wantRange("spare pool past the key range", "Memory.SpareLines", c.Validate())
 }
 
 func TestWithVariantCopies(t *testing.T) {

@@ -104,13 +104,16 @@ type Runner struct {
 	simulate func(ctx context.Context, cfg *config.Config, workload string, warmup, measure uint64) (*system.Results, error)
 
 	// Sweep throughput accounting: executed (non-memoized) sims, the
-	// engine events they stepped, and their summed per-sim wall time.
+	// engine events they stepped, their simulated instructions and
+	// their summed per-sim wall time.
 	// Wall-clock feeds only stderr progress reporting — it never enters
 	// simulation results, which stay a function of config and seed.
 	//pcmaplint:guardedby mu
 	sims uint64
 	//pcmaplint:guardedby mu
 	events uint64
+	//pcmaplint:guardedby mu
+	instructions uint64
 	//pcmaplint:guardedby mu
 	simsWall time.Duration
 	// hits counts disk-cache loads (resume).
@@ -333,6 +336,7 @@ func (r *Runner) execute(ctx context.Context, k run) (*system.Results, error) {
 	r.mu.Lock()
 	r.sims++
 	r.events += res.Events
+	r.instructions += uint64(len(res.IPCPerCore))*r.Warmup + res.Instructions
 	r.simsWall += elapsed
 	r.mu.Unlock()
 	if r.Progress != nil {
@@ -365,6 +369,15 @@ func (r *Runner) Totals() (sims, events uint64, wall time.Duration) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.sims, r.events, r.simsWall
+}
+
+// Instructions reports the simulated instructions of the executed
+// simulations, all cores, warmup and measured phases: each core's
+// warmup budget plus the instructions it retired while measured.
+func (r *Runner) Instructions() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.instructions
 }
 
 // CacheHits reports how many runs were satisfied from the disk cache.

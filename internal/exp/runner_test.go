@@ -317,3 +317,24 @@ func TestAblationsShareTheRunner(t *testing.T) {
 		t.Fatalf("repeat executed %d more runs, want 0", n-17)
 	}
 }
+
+// TestRunnerCountsInstructions: the runner totals each executed run's
+// simulated instructions, every core's warmup budget plus its measured
+// instructions, and leaves memoized lookups out.
+func TestRunnerCountsInstructions(t *testing.T) {
+	r := testRunner()
+	r.simulate = func(_ context.Context, cfg *config.Config, workload string, warmup, measure uint64) (*system.Results, error) {
+		res := fakeResults(Spec{Workload: workload})
+		res.IPCPerCore = make([]float64, 8)
+		res.Instructions = 8 * measure
+		return res, nil
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := r.Run(Spec{Workload: "MP4"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := r.Instructions(), 8*(r.Warmup+r.Measure); got != want {
+		t.Fatalf("Instructions() = %d, want %d", got, want)
+	}
+}

@@ -7,7 +7,7 @@ import (
 
 // check compares every key of ref, plus each key in also, against t,
 // and the lengths.
-func check(tb testing.TB, step int, tab *Table[uint64], ref map[uint64]uint64, also []uint64) {
+func check(tb testing.TB, step int, tab *Table[uint64], ref map[uint32]uint64, also []uint32) {
 	tb.Helper()
 	if tab.Len() != len(ref) {
 		tb.Fatalf("step %d: Len %d, reference %d", step, tab.Len(), len(ref))
@@ -26,7 +26,7 @@ func check(tb testing.TB, step int, tab *Table[uint64], ref map[uint64]uint64, a
 
 // apply performs one operation on the table and the reference and
 // fails on the first disagreement in what the operation reports.
-func apply(tb testing.TB, step int, tab *Table[uint64], ref map[uint64]uint64, op byte, key, val uint64) {
+func apply(tb testing.TB, step int, tab *Table[uint64], ref map[uint32]uint64, op byte, key uint32, val uint64) {
 	tb.Helper()
 	switch op % 4 {
 	case 0, 1: // Put (twice as likely, so the table fills)
@@ -63,15 +63,15 @@ func TestTableMatchesMapClustered(t *testing.T) {
 	var probe Table[uint64]
 	probe.Put(1)
 	last := len(probe.slots) - 1
-	var keys []uint64
-	for k := uint64(1); len(keys) < 64; k++ {
+	var keys []uint32
+	for k := uint32(1); len(keys) < 64; k++ {
 		if probe.home(k) >= last-3 {
 			keys = append(keys, k)
 		}
 	}
 	for seed := uint64(1); seed <= 10; seed++ {
 		var tab Table[uint64]
-		ref := map[uint64]uint64{}
+		ref := map[uint32]uint64{}
 		x := seed
 		for step := 0; step < 5_000; step++ {
 			x ^= x << 13
@@ -91,12 +91,12 @@ func TestTableMatchesMapClustered(t *testing.T) {
 // and Clear keeps the grown slots.
 func TestTableGrowthAndClear(t *testing.T) {
 	var tab Table[uint64]
-	ref := map[uint64]uint64{}
+	ref := map[uint32]uint64{}
 	const n = 100_000
-	for k := uint64(1); k <= n; k++ {
-		apply(t, int(k), &tab, ref, 0, k*64, k)
+	for k := uint32(1); k <= n; k++ {
+		apply(t, int(k), &tab, ref, 0, k*64, uint64(k))
 	}
-	for k := uint64(2); k <= n; k += 2 {
+	for k := uint32(2); k <= n; k += 2 {
 		apply(t, int(k), &tab, ref, 2, k*64, 0)
 	}
 	check(t, n, &tab, ref, nil)
@@ -106,8 +106,8 @@ func TestTableGrowthAndClear(t *testing.T) {
 		t.Fatalf("after Clear: Len %d, slots %d (want 0 keys in %d slots)", tab.Len(), len(tab.slots), grown)
 	}
 	clear(ref)
-	for k := uint64(1); k <= n/2; k++ {
-		apply(t, int(k), &tab, ref, 0, k, k)
+	for k := uint32(1); k <= n/2; k++ {
+		apply(t, int(k), &tab, ref, 0, k, uint64(k))
 	}
 	check(t, n, &tab, ref, nil)
 	if len(tab.slots) != grown {
@@ -136,10 +136,10 @@ func TestTableZeroValue(t *testing.T) {
 func TestTableWarmAllocFree(t *testing.T) {
 	var tab Table[[80]byte]
 	const keys = 4096
-	for k := uint64(1); k <= keys; k++ {
+	for k := uint32(1); k <= keys; k++ {
 		tab.Put(k * 64)
 	}
-	var i uint64
+	var i uint32
 	if n := testing.AllocsPerRun(1000, func() {
 		k := (i%keys + 1) * 64
 		v, _ := tab.Put(k)
@@ -173,11 +173,11 @@ func FuzzTable(f *testing.F) {
 	f.Add(long)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var tab Table[uint64]
-		ref := map[uint64]uint64{}
-		var seen []uint64
+		ref := map[uint32]uint64{}
+		var seen []uint32
 		for step := 0; len(data) >= 3; step++ {
 			op := data[0]
-			key := uint64(binary.LittleEndian.Uint16(data[1:3])) + 1
+			key := uint32(binary.LittleEndian.Uint16(data[1:3])) + 1
 			if op&4 != 0 {
 				key *= 64
 			}
@@ -192,4 +192,19 @@ func FuzzTable(f *testing.F) {
 		}
 		check(t, -1, &tab, ref, seen)
 	})
+}
+
+// TestKey pins the line-number-to-key mapping at both ends of its
+// range and the panic past it: a line that does not fit must never be
+// truncated onto another line's key.
+func TestKey(t *testing.T) {
+	if Key(0) != 1 || Key(MaxLine) != 1<<32-1 {
+		t.Fatalf("Key(0) = %d, Key(MaxLine) = %d", Key(0), Key(MaxLine))
+	}
+	defer func() {
+		if _, ok := recover().(LineError); !ok {
+			t.Fatal("Key(MaxLine+1) did not panic with a LineError")
+		}
+	}()
+	Key(MaxLine + 1)
 }

@@ -42,10 +42,9 @@ func (l *Line) CheckConsistent() error {
 // Store is the sparse functional content of one rank's PCM arrays,
 // keyed by line index (line address within the rank). Lines never
 // written read as zero. Every written line is one value in a flat
-// table under key lineIdx+1 (keys must be non-zero), so a line costs
-// its own slot whatever its neighbours do: write-backs land about one
-// line per 4 KB region, which made page-granular storage pay for 64
-// lines per written one. Table membership is what "written" means, so
+// table under flat.Key(lineIdx), 84 bytes a line, so a line costs its own slot whatever its
+// neighbours do: write-backs land about one line per 4 KB region,
+// which made page-granular storage pay for 64 lines per written one. Table membership is what "written" means, so
 // Lines() and the fault model's never-written skip are exact.
 type Store struct {
 	lines flat.Table[Line]
@@ -70,7 +69,7 @@ var zeroLine Line
 // the read path use it to avoid copying; they must never mutate the
 // result (TestPeekZeroLineStaysZero enforces the invariant).
 func (s *Store) peek(lineIdx uint64) *Line {
-	if l := s.lines.Get(lineIdx + 1); l != nil {
+	if l := s.lines.Get(flat.Key(lineIdx)); l != nil {
 		return l
 	}
 	return &zeroLine
@@ -87,7 +86,7 @@ func (s *Store) Peek(lineIdx uint64) Line { return *s.peek(lineIdx) }
 // pointer stays valid until the store next takes in a line it does not
 // hold (through Get or WriteWords).
 func (s *Store) Get(lineIdx uint64) *Line {
-	l, _ := s.lines.Put(lineIdx + 1)
+	l, _ := s.lines.Put(flat.Key(lineIdx))
 	return l
 }
 
@@ -218,7 +217,7 @@ func (s *Store) InjectDrift(lineIdx uint64) bool {
 	if s.Faults == nil {
 		return false
 	}
-	l := s.lines.Get(lineIdx + 1)
+	l := s.lines.Get(flat.Key(lineIdx))
 	if l == nil {
 		return false
 	}

@@ -40,11 +40,14 @@ func (r *RNG) Intn(n int) int {
 func (r *RNG) Bool(p float64) bool { return r.Float64() < p }
 
 // Exp returns an exponentially distributed value with the given mean.
-func (r *RNG) Exp(mean float64) float64 {
-	// Inverse transform sampling; avoid log(0).
-	u := r.Float64()
+func (r *RNG) Exp(mean float64) float64 { return expOf(r.Uint64(), mean) }
+
+// expOf is the exponential value with the given mean that Exp makes of
+// the random bits x, by inverse transform sampling of Float64's u.
+func expOf(x uint64, mean float64) float64 {
+	u := float64(x>>11) / (1 << 53)
 	if u <= 0 {
-		u = 1.0 / (1 << 53)
+		u = 1.0 / (1 << 53) // avoid log(0)
 	}
 	return -mean * math.Log(1-u)
 }

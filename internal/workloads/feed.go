@@ -108,12 +108,18 @@ func (f *Feed) fill(b *batch) {
 	}
 }
 
-// Release returns the feed's batches to the pool, discarding any ops
-// not yet consumed. No producer may be attached, and the feed must not
+// Release returns the feed's batches and its generator's write-pattern
+// memo to their pools, discarding any ops not yet consumed. No
+// producer may be attached, and neither the feed nor its generator may
 // be used afterwards.
 func (f *Feed) Release() {
 	if f.prod != nil {
 		panic("workloads: Release of a feed with a producer attached")
+	}
+	if m := f.gen.patterns; m != nil {
+		m.Clear()
+		memoPool.Put(m)
+		f.gen.patterns = nil
 	}
 	if f.cur != nil {
 		batchPool.Put(f.cur)

@@ -1,6 +1,9 @@
 package workloads
 
 import (
+	"math"
+	"sync"
+
 	"pcmap/internal/flat"
 	"pcmap/internal/sim"
 )
@@ -34,7 +37,7 @@ type Generator struct {
 	pMemLoad  float64 // load goes to the streamed PCM-bound region
 	pMemStore float64 // store goes to the PCM-bound region
 	allocFrac float64 // PCM-bound stores that write-allocate (vs NT)
-	meanGap   float64
+	gaps      *sim.GapTable
 
 	base     uint64 // private region base
 	poolBase uint64 // reuse pools (set-skewed per core)
@@ -47,7 +50,7 @@ type Generator struct {
 	queued    Op
 	hasQueued bool
 
-	patterns   flat.Table[uint8] // write pattern per line, keyed line|1
+	patterns   *flat.Table[uint8] // write pattern per line, from memoPool
 	lastOffset int
 
 	shared *SharedRegion
@@ -67,18 +70,56 @@ const (
 	// eight pools would pile onto the same sets and fill them
 	// completely, turning every other fill into a thrash chain).
 	poolSkewLines = l2PoolLines + llcPoolLines + 1<<10
+
+	// memoLines caps a generator's write-pattern memo.
+	memoLines = 1 << 16
 )
+
+// memoPool recycles write-pattern memos across systems, as batchPool
+// recycles batches: a sweep builds one system after another, and each
+// generator's memo grows to memoLines lines. Feed.Release returns a
+// memo cleared, so a memo from the pool is always empty. A memo's slot
+// count cannot reach any output, since a flat.Table has no iteration.
+var memoPool = sync.Pool{New: func() any { return new(flat.Table[uint8]) }}
+
+// gapTables holds one GapTable per mean gap for the whole process, so
+// a profile's buckets are filled once, not once per simulation. It
+// holds at most maxGapTables tables; beyond that a generator gets a
+// table of its own.
+var gapTables = struct {
+	mu sync.Mutex
+	//pcmaplint:guardedby mu
+	m map[uint64]*sim.GapTable // keyed by the mean's bits
+}{m: map[uint64]*sim.GapTable{}}
+
+const maxGapTables = 64
+
+// gapTable returns the process's table of gaps with the given mean.
+func gapTable(mean float64) *sim.GapTable {
+	gapTables.mu.Lock()
+	defer gapTables.mu.Unlock()
+	k := math.Float64bits(mean)
+	t := gapTables.m[k]
+	if t == nil {
+		t = sim.NewGapTable(mean)
+		if len(gapTables.m) < maxGapTables {
+			gapTables.m[k] = t
+		}
+	}
+	return t
+}
 
 // NewGenerator builds the stream for one core. Cores of a
 // multiprogrammed mix pass shared == nil; threads of a multithreaded
 // program share one SharedRegion.
 func NewGenerator(p Profile, core int, rng *sim.RNG, shared *SharedRegion) *Generator {
 	g := &Generator{
-		P:      p,
-		rng:    rng,
-		core:   core,
-		base:   uint64(core+1) << 29, // 512 MB apart, private
-		shared: shared,
+		P:        p,
+		rng:      rng,
+		core:     core,
+		base:     uint64(core+1) << 29, // 512 MB apart, private
+		patterns: memoPool.Get().(*flat.Table[uint8]),
+		shared:   shared,
 	}
 	g.poolBase = g.base + (p.FootprintLines+uint64(core)*poolSkewLines)*64
 	// Calibration: with L loads and S stores per kilo-instruction,
@@ -109,10 +150,7 @@ func NewGenerator(p Profile, core int, rng *sim.RNG, shared *SharedRegion) *Gene
 			g.pMemLoad = clamp01(0.7 * p.RPKI / l)
 		}
 	}
-	g.meanGap = (1000 - p.MemOpsPerKI) / p.MemOpsPerKI
-	if g.meanGap < 0 {
-		g.meanGap = 0
-	}
+	g.gaps = gapTable(p.MeanGap())
 	return g
 }
 
@@ -142,7 +180,7 @@ func (g *Generator) Next(op *Op) {
 		g.hasQueued = false
 		return
 	}
-	*op = Op{Gap: int(g.rng.Exp(g.meanGap) + 0.5)}
+	*op = Op{Gap: g.gaps.Draw(g.rng)}
 	op.Store = g.rng.Bool(g.P.StoreFrac)
 
 	pMem := g.pMemLoad
@@ -234,7 +272,8 @@ func (g *Generator) remember(addr uint64) {
 // repeats the previous line's offset with probability SameOffsetCorr
 // (Section IV-C2's observation).
 func (g *Generator) patternFor(line uint64) uint8 {
-	if m := g.patterns.Get(line | 1); m != nil {
+	key := flat.Key(line >> 6)
+	if m := g.patterns.Get(key); m != nil {
 		return *m
 	}
 	k := g.rng.Pick(g.P.DirtyWordDist[:])
@@ -247,13 +286,13 @@ func (g *Generator) patternFor(line uint64) uint8 {
 	for i := 0; i < k; i++ {
 		mask |= 1 << uint((base+i)%8)
 	}
-	if g.patterns.Len() >= 1<<16 {
+	if g.patterns.Len() >= memoLines {
 		// Bounded memory; patterns re-sample. Clearing keeps the
 		// table's grown slots instead of handing a 64K-entry allocation
 		// to the GC every time the cap is hit.
 		g.patterns.Clear()
 	}
-	m, _ := g.patterns.Put(line | 1)
+	m, _ := g.patterns.Put(key)
 	*m = mask
 	return mask
 }

@@ -67,6 +67,16 @@ type Profile struct {
 	SharedFrac float64
 }
 
+// MeanGap is the mean number of non-memory instructions before each of
+// the profile's memory ops.
+func (p Profile) MeanGap() float64 {
+	g := (1000 - p.MemOpsPerKI) / p.MemOpsPerKI
+	if g < 0 {
+		g = 0
+	}
+	return g
+}
+
 // dist builds a normalized 9-bucket dirty-word distribution.
 func dist(p0, p1, p2, p3, p4, p5, p6, p7, p8 float64) [9]float64 {
 	d := [9]float64{p0, p1, p2, p3, p4, p5, p6, p7, p8}
