@@ -30,12 +30,12 @@ figures:
 	$(GO) run ./cmd/pcmapsim -exp headline
 
 # Run the hot-path benchmark suite and rewrite BENCH_3.json's
-# "current" section (set BENCHTIME=10s for publication-grade numbers).
+# "current" section, at CI's 200ms benchtime (B/op depends on it).
 bench:
 	sh scripts/bench.sh
 
-# Same suite, but fail on allocs/op regressions against the committed
-# ledger instead of rewriting it. CI runs this.
+# Same suite, but fail on allocs/op or B/op regressions against the
+# committed ledger instead of rewriting it. CI runs this.
 bench-check:
 	sh scripts/bench.sh -check
 

@@ -64,28 +64,40 @@ func TestCheckLedger(t *testing.T) {
 	path := dir + "/bench.json"
 	base := map[string]Result{
 		"BenchmarkEngine": {NsPerOp: 9.1, AllocsPerOp: 0},
-		"BenchmarkFig1":   {NsPerOp: 2e8, AllocsPerOp: 100_000},
+		"BenchmarkFig1":   {NsPerOp: 2e8, AllocsPerOp: 100_000, BytesPerOp: 2_000_000},
 	}
 	if err := writeLedger(path, base); err != nil {
 		t.Fatal(err)
 	}
 
-	// Identical run passes; jitter within 10%+1 passes.
+	// Identical run passes; jitter within the slack passes.
 	if err := checkLedger(path, base); err != nil {
 		t.Fatalf("identical run: %v", err)
 	}
 	ok := map[string]Result{
-		"BenchmarkFig1": {AllocsPerOp: 109_000}, // limit = 100000 + 10000 + 1
+		// allocs limit = 100000 + 10000 + 1; B/op limit = 2e6 + 1e6 + 16.
+		"BenchmarkFig1": {AllocsPerOp: 110_001, BytesPerOp: 3_000_016},
 	}
 	if err := checkLedger(path, ok); err != nil {
 		t.Fatalf("within-slack run: %v", err)
 	}
 
-	// A 0 in the ledger is strict: the first allocation on an
-	// allocation-free path fails, with no slack.
-	bad := map[string]Result{"BenchmarkEngine": {AllocsPerOp: 1}}
-	if err := checkLedger(path, bad); err == nil {
-		t.Fatal("1 alloc/op vs 0-alloc ledger passed the check")
+	// One past either limit fails.
+	for _, bad := range []Result{
+		{AllocsPerOp: 110_002, BytesPerOp: 2_000_000},
+		{AllocsPerOp: 100_000, BytesPerOp: 3_000_017},
+	} {
+		if err := checkLedger(path, map[string]Result{"BenchmarkFig1": bad}); err == nil {
+			t.Errorf("%+v passed the check against %+v", bad, base["BenchmarkFig1"])
+		}
+	}
+
+	// A 0 in the ledger is strict: the first allocation, or the first
+	// byte, on an allocation-free path fails, with no slack.
+	for _, bad := range []Result{{AllocsPerOp: 1}, {BytesPerOp: 1}} {
+		if err := checkLedger(path, map[string]Result{"BenchmarkEngine": bad}); err == nil {
+			t.Errorf("%+v vs a 0-alloc, 0-B/op ledger passed the check", bad)
+		}
 	}
 
 	// Unknown benchmarks are reported but not fatal (new benches land
@@ -96,7 +108,7 @@ func TestCheckLedger(t *testing.T) {
 	}
 }
 
-func TestWriteLedgerPreservesBaseline(t *testing.T) {
+func TestWriteLedgerReplacesCurrent(t *testing.T) {
 	dir := t.TempDir()
 	path := dir + "/bench.json"
 	first := map[string]Result{"BenchmarkEngine": {NsPerOp: 79.98, AllocsPerOp: 2, BytesPerOp: 48}}
@@ -110,9 +122,6 @@ func TestWriteLedgerPreservesBaseline(t *testing.T) {
 	data, err := readLedger(path)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if data.Baseline["BenchmarkEngine"].NsPerOp != 79.98 {
-		t.Fatalf("baseline overwritten: %+v", data.Baseline)
 	}
 	if data.Current["BenchmarkEngine"].NsPerOp != 9.1 {
 		t.Fatalf("current not updated: %+v", data.Current)

@@ -16,16 +16,8 @@ import (
 	"strings"
 
 	"pcmap/internal/cli"
+	"pcmap/internal/exp"
 )
-
-// figure mirrors exp.FigureResult's JSON shape (kept local so the tool
-// can be used on archived result files without importing the sim).
-type figure struct {
-	ID     string
-	Title  string
-	Series map[string]map[string]float64
-	Notes  []string
-}
 
 // paperRef carries the paper's quoted values for headline comparisons.
 var paperRef = map[string]string{
@@ -54,7 +46,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var figs []figure
+	var figs []exp.FigureResult
 	if err := json.Unmarshal(data, &figs); err != nil {
 		fatal(fmt.Errorf("parsing %s: %w", *in, err))
 	}
@@ -73,7 +65,7 @@ func main() {
 	}
 }
 
-func printSeries(f figure) {
+func printSeries(f exp.FigureResult) {
 	rows := make([]string, 0, len(f.Series))
 	colSet := map[string]bool{}
 	for r, cols := range f.Series {

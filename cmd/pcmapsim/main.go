@@ -109,71 +109,45 @@ func main() {
 		fmt.Print(cli.PrintVariants())
 		return
 	}
-	var (
-		expName   = f.exp
-		warmup    = f.warmup
-		measure   = f.measure
-		avgmt     = f.avgmt
-		format    = f.format
-		jsonPath  = f.jsonPath
-		par       = f.par
-		verbose   = f.verbose
-		workload  = f.workload
-		variant   = f.variant
-		seed      = f.seed
-		ratio     = f.ratio
-		pausing   = f.pausing
-		endurance = f.endurance
-		drift     = f.drift
-		verify    = f.verify
-		tracePath = f.tracePath
-		traceSmpl = f.traceSmpl
-		cacheDir  = f.cacheDir
-		resume    = f.resume
-		retries   = f.retries
-		timeout   = f.timeout
-		cpuProf   = f.cpuProf
-		memProf   = f.memProf
-	)
 
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
+	if *f.cpuProf != "" {
+		pf, err := os.Create(*f.cpuProf)
 		if err != nil {
 			fatal(err)
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
+		if err := pprof.StartCPUProfile(pf); err != nil {
 			fatal(err)
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if *memProf != "" {
-		defer writeHeapProfile(*memProf)
+	if *f.memProf != "" {
+		defer writeHeapProfile(*f.memProf)
 	}
 
-	if *format != "md" && *format != "csv" {
-		fatal(fmt.Errorf("invalid -format %q (want md or csv)", *format))
+	if *f.format != "md" && *f.format != "csv" {
+		fatal(fmt.Errorf("invalid -format %q (want md or csv)", *f.format))
 	}
-	if *measure == 0 {
+	if *f.measure == 0 {
 		fatal(fmt.Errorf("invalid -measure 0 (need a measured instruction budget)"))
 	}
-	if *ratio != 0 {
-		if err := config.Default().Memory.CheckWriteToReadRatio(*ratio); err != nil {
+	if *f.ratio != 0 {
+		if err := config.Default().Memory.CheckWriteToReadRatio(*f.ratio); err != nil {
 			fatal(fmt.Errorf("invalid -ratio: %v", err))
 		}
 	}
-	if !(*drift >= 0 && *drift < 1) {
-		fatal(fmt.Errorf("invalid -drift %g (must be in [0,1))", *drift))
+	if !(*f.drift >= 0 && *f.drift < 1) {
+		fatal(fmt.Errorf("invalid -drift %g (must be in [0,1))", *f.drift))
 	}
-	if *resume && *cacheDir == "" {
+	if *f.resume && *f.cacheDir == "" {
 		fatal(fmt.Errorf("invalid -resume: requires -cache DIR to resume from"))
 	}
-	if *retries < 0 {
-		fatal(fmt.Errorf("invalid -retries %d (must be >= 0)", *retries))
+	if *f.retries < 0 {
+		fatal(fmt.Errorf("invalid -retries %d (must be >= 0)", *f.retries))
 	}
-	if *traceSmpl < 1 {
-		fatal(fmt.Errorf("invalid -tracesample %d (must be >= 1)", *traceSmpl))
+	if *f.traceSmpl < 1 {
+		fatal(fmt.Errorf("invalid -tracesample %d (must be >= 1)", *f.traceSmpl))
 	}
-	if *tracePath != "" && *expName != "adhoc" {
+	if *f.tracePath != "" && *f.exp != "adhoc" {
 		fatal(fmt.Errorf("invalid -trace: timeline tracing only applies to single runs (-exp adhoc)"))
 	}
 
@@ -187,37 +161,37 @@ func main() {
 	// -timeout is the same cooperative cancellation as a signal: the
 	// deadline stops dispatch, in-flight simulations halt between engine
 	// events, and cached runs stay resumable.
-	if *timeout > 0 {
+	if *f.timeout > 0 {
 		var cancelTimeout context.CancelFunc
-		ctx, cancelTimeout = context.WithTimeout(ctx, *timeout)
+		ctx, cancelTimeout = context.WithTimeout(ctx, *f.timeout)
 		defer cancelTimeout()
 	}
 
 	r := exp.NewRunner()
-	r.Warmup, r.Measure, r.Parallelism = *warmup, *measure, *par
-	r.Resume, r.Retries = *resume, *retries
-	if *cacheDir != "" {
-		cache, err := exp.NewDiskCache(*cacheDir)
+	r.Warmup, r.Measure, r.Parallelism = *f.warmup, *f.measure, *f.par
+	r.Resume, r.Retries = *f.resume, *f.retries
+	if *f.cacheDir != "" {
+		cache, err := exp.NewDiskCache(*f.cacheDir)
 		if err != nil {
 			fatal(err)
 		}
 		r.Cache = cache
 	}
-	if *verbose {
+	if *f.verbose {
 		r.Progress = func(s string) { fmt.Fprintln(os.Stderr, s) }
 	}
 	// Sweep throughput summary: stderr only, so stdout (figures, tables,
 	// JSON series) stays a pure function of config and seed.
 	defer printAggregate(r)
 
-	if *expName == "adhoc" {
+	if *f.exp == "adhoc" {
 		if err := runAdhoc(ctx, r, adhocOpts{
-			workload: *workload, variant: *variant, ratio: *ratio, pausing: *pausing,
-			endurance: *endurance, drift: *drift, verify: *verify, seed: *seed,
-			tracePath: *tracePath, traceSample: *traceSmpl,
+			workload: *f.workload, variant: *f.variant, ratio: *f.ratio, pausing: *f.pausing,
+			endurance: *f.endurance, drift: *f.drift, verify: *f.verify, seed: *f.seed,
+			tracePath: *f.tracePath, traceSample: *f.traceSmpl,
 		}); err != nil {
 			if errors.Is(err, context.DeadlineExceeded) {
-				timedOut(r, *timeout, *cacheDir)
+				timedOut(r, *f.timeout, *f.cacheDir)
 			}
 			fatal(err)
 		}
@@ -228,32 +202,32 @@ func main() {
 	table := map[string]expFn{
 		"fig1":      func() (*exp.FigureResult, error) { return exp.Fig1(ctx, r) },
 		"fig2":      func() (*exp.FigureResult, error) { return exp.Fig2(ctx, r) },
-		"fig8":      func() (*exp.FigureResult, error) { return exp.Fig8(ctx, r, *avgmt) },
-		"fig9":      func() (*exp.FigureResult, error) { return exp.Fig9(ctx, r, *avgmt) },
-		"fig10":     func() (*exp.FigureResult, error) { return exp.Fig10(ctx, r, *avgmt) },
-		"fig11":     func() (*exp.FigureResult, error) { return exp.Fig11(ctx, r, *avgmt) },
+		"fig8":      func() (*exp.FigureResult, error) { return exp.Fig8(ctx, r, *f.avgmt) },
+		"fig9":      func() (*exp.FigureResult, error) { return exp.Fig9(ctx, r, *f.avgmt) },
+		"fig10":     func() (*exp.FigureResult, error) { return exp.Fig10(ctx, r, *f.avgmt) },
+		"fig11":     func() (*exp.FigureResult, error) { return exp.Fig11(ctx, r, *f.avgmt) },
 		"table2":    func() (*exp.FigureResult, error) { return exp.Table2(ctx, r) },
 		"table3":    func() (*exp.FigureResult, error) { return exp.Table3(ctx, r) },
 		"table4":    func() (*exp.FigureResult, error) { return exp.Table4(ctx, r) },
-		"headline":  func() (*exp.FigureResult, error) { return exp.Headline(ctx, r, *avgmt) },
+		"headline":  func() (*exp.FigureResult, error) { return exp.Headline(ctx, r, *f.avgmt) },
 		"pausing":   func() (*exp.FigureResult, error) { return exp.Pausing(ctx, r) },
 		"palp":      func() (*exp.FigureResult, error) { return exp.Palp(ctx, r) },
 		"ablations": func() (*exp.FigureResult, error) { return exp.Ablations(ctx, r) },
 		"reliability": func() (*exp.FigureResult, error) {
-			v, err := config.ParseVariant(*variant)
+			v, err := config.ParseVariant(*f.variant)
 			if err != nil {
 				return nil, err
 			}
-			return exp.Reliability(ctx, r, *workload, v)
+			return exp.Reliability(ctx, r, *f.workload, v)
 		},
 	}
 	order := []string{"fig1", "fig2", "fig8", "fig9", "fig10", "fig11", "table2", "table3", "table4", "headline", "pausing", "palp", "ablations", "reliability"}
 
 	var names []string
-	if *expName == "all" {
+	if *f.exp == "all" {
 		names = order
 	} else {
-		for _, n := range strings.Split(*expName, ",") {
+		for _, n := range strings.Split(*f.exp, ",") {
 			if _, ok := table[n]; !ok {
 				fatal(fmt.Errorf("unknown experiment %q (want one of %s, all, adhoc)", n, strings.Join(order, ", ")))
 			}
@@ -263,37 +237,37 @@ func main() {
 
 	var results []*exp.FigureResult
 	for _, n := range names {
-		f, err := table[n]()
+		fig, err := table[n]()
 		if err != nil {
 			if errors.Is(err, context.Canceled) {
-				interrupted(r, *cacheDir)
+				interrupted(r, *f.cacheDir)
 			}
 			if errors.Is(err, context.DeadlineExceeded) {
-				timedOut(r, *timeout, *cacheDir)
+				timedOut(r, *f.timeout, *f.cacheDir)
 			}
 			fatal(err)
 		}
-		results = append(results, f)
-		if *format == "csv" {
-			fmt.Println(f.Table.CSV())
+		results = append(results, fig)
+		if *f.format == "csv" {
+			fmt.Println(fig.Table.CSV())
 		} else {
-			fmt.Println(f.Table.Markdown())
+			fmt.Println(fig.Table.Markdown())
 		}
-		for _, note := range f.Notes {
+		for _, note := range fig.Notes {
 			fmt.Printf("> %s\n", note)
 		}
 		fmt.Println()
 	}
 
-	if *jsonPath != "" {
+	if *f.jsonPath != "" {
 		data, err := json.MarshalIndent(results, "", "  ")
 		if err != nil {
 			fatal(err)
 		}
-		if err := os.WriteFile(*jsonPath, data, 0o644); err != nil {
+		if err := os.WriteFile(*f.jsonPath, data, 0o644); err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonPath)
+		fmt.Fprintf(os.Stderr, "wrote %s\n", *f.jsonPath)
 	}
 }
 

@@ -16,14 +16,8 @@ import (
 	"strings"
 
 	"pcmap/internal/cli"
+	"pcmap/internal/exp"
 )
-
-type figure struct {
-	ID     string
-	Title  string
-	Series map[string]map[string]float64
-	Notes  []string
-}
 
 const barWidth = 44
 
@@ -41,7 +35,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var figs []figure
+	var figs []exp.FigureResult
 	if err := json.Unmarshal(data, &figs); err != nil {
 		fatal(fmt.Errorf("parsing %s: %w", *in, err))
 	}
@@ -58,7 +52,7 @@ func main() {
 	}
 }
 
-func render(f figure) {
+func render(f exp.FigureResult) {
 	fmt.Printf("━━ %s ━━\n\n", f.Title)
 	rows := sortedKeys(f.Series)
 	cols := columnSet(f.Series)

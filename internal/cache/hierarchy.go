@@ -70,11 +70,10 @@ type fetch struct {
 	h         *Hierarchy
 	addr      uint64
 	waiters   []fillWaiter
-	cores     []int // cores that coalesced (for verify fan-out)
+	cores     []int // coalesced cores, issuer first (fill and verify fan-out)
 	store     bool  // triggered by a store: dirty the line at fill time
 	storeMask uint8 // changed words to apply to L2 once the fill lands
 	bypass    bool  // streaming access: do not pollute the DRAM cache
-	core      int
 	req       mem.Request
 	trySubmit func()
 	next      *fetch // free-list link
@@ -129,7 +128,7 @@ func (h *Hierarchy) newFetch() *fetch {
 // recycleFetch clears the fetch (keeping slice capacity and the
 // pre-bound callbacks) and pushes it on the free list.
 func (h *Hierarchy) recycleFetch(f *fetch) {
-	f.addr, f.core = 0, 0
+	f.addr = 0
 	f.waiters = f.waiters[:0]
 	f.cores = f.cores[:0]
 	f.store, f.bypass = false, false
@@ -500,7 +499,7 @@ func (h *Hierarchy) startFetch(corID int, addr uint64, store bool, storeMask uin
 	}
 	f := h.newFetch()
 	f.addr = l
-	f.store, f.storeMask, f.bypass, f.core = store, storeMask, bypass, corID
+	f.store, f.storeMask, f.bypass = store, storeMask, bypass
 	f.cores = append(f.cores, corID)
 	if wantFill {
 		f.waiters = append(f.waiters, fillWaiter{core: corID, seq: seq})
@@ -521,7 +520,7 @@ func (h *Hierarchy) finishFetch(f *fetch) {
 		h.fillLLC(f.addr)
 	}
 	h.fillL2(f.addr, f.store, f.storeMask)
-	h.fillL1(f.core, f.addr)
+	h.fillL1(f.cores[0], f.addr) // the issuing core
 	for _, w := range f.waiters {
 		if fn := h.fillHandlers[w.core]; fn != nil {
 			fn(w.seq)

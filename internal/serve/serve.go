@@ -376,9 +376,12 @@ func (s *Server) worker() {
 // runTask executes one job with bounded backoff retry. Panics inside
 // the simulation are already converted to *exp.JobPanicError by the
 // runner; classification into an HTTP answer happens in the handler.
+// Deferred calls run last-first, so done closes before the job context
+// is cancelled: a handler woken by the cancellation then finds the
+// task finished and answers its result, not "abandoned at shutdown".
 func (s *Server) runTask(t *task) {
-	defer close(t.done)
 	defer t.cancel()
+	defer close(t.done)
 	r := s.runnerFor(t.warmup, t.measure)
 	for attempt := 0; ; attempt++ {
 		t.res, t.err = r.RunCtx(t.ctx, t.spec)

@@ -476,3 +476,36 @@ func TestServeAcceptsRegisteredVariants(t *testing.T) {
 		})
 	}
 }
+
+// TestFinishedJobAnswersAtCancel pins the order in which a worker
+// finishes a task: its job context is cancelled only after done has
+// closed. A handler woken by that cancellation must answer the job's
+// result; the reverse order answered 503 "job abandoned at shutdown"
+// for a job that had succeeded.
+func TestFinishedJobAnswersAtCancel(t *testing.T) {
+	tune := func(r *exp.Runner) {
+		r.SetSimulate(func(_ context.Context, _ *config.Config, workload string, _, _ uint64) (*system.Results, error) {
+			return stubResults(workload), nil
+		})
+	}
+	s := New(Config{Workers: 1, tune: tune})
+	defer s.Close()
+
+	tk := &task{
+		spec:    exp.Spec{Workload: "MP4", Variant: config.Baseline},
+		warmup:  1,
+		measure: 1,
+		done:    make(chan struct{}),
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	tk.ctx = ctx
+	rec := httptest.NewRecorder()
+	tk.cancel = func() {
+		cancel()
+		s.answer(rec, tk) // what a handler woken by ctx.Done() does
+	}
+	s.runTask(tk)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("finished job answered %d at cancellation; body %s", rec.Code, rec.Body)
+	}
+}
