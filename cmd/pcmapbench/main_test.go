@@ -70,7 +70,7 @@ func TestCheckLedger(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Identical run passes; jitter within the slack passes.
+	// Identical run passes; noise within the slack passes.
 	if err := checkLedger(path, base); err != nil {
 		t.Fatalf("identical run: %v", err)
 	}

@@ -17,7 +17,7 @@ func TestFlagSurface(t *testing.T) {
 	want := []string{
 		"avgmt", "cache", "cpuprofile", "drift", "endurance", "exp",
 		"format", "json", "list-variants", "measure", "memprofile", "par",
-		"pausing", "ratio", "resume", "retries", "seed", "timeout",
+		"pausing", "ratio", "resume", "seed", "timeout",
 		"trace", "tracesample", "v", "variant", "verify", "warmup", "workload",
 	}
 	if got := cli.Surface(fs); !reflect.DeepEqual(got, want) {
@@ -32,7 +32,7 @@ func TestServeFlagSurface(t *testing.T) {
 	defineServeFlags(fs)
 	want := []string{
 		"addr", "cache", "drain", "maxbudget", "maxtimeout", "measure",
-		"queue", "retries", "seed", "timeout", "v", "warmup", "workers",
+		"queue", "timeout", "v", "warmup", "workers",
 	}
 	if got := cli.Surface(fs); !reflect.DeepEqual(got, want) {
 		t.Errorf("serve flag surface changed:\n got %v\nwant %v", got, want)

@@ -56,7 +56,6 @@ type simFlags struct {
 	traceSmpl *int
 	cacheDir  *string
 	resume    *bool
-	retries   *int
 	timeout   *time.Duration
 	cpuProf   *string
 	memProf   *string
@@ -85,7 +84,6 @@ func defineFlags(fs *flag.FlagSet) *simFlags {
 		traceSmpl: fs.Int("tracesample", 1, "adhoc: keep every Nth counter sample in the trace (spans and instants are never sampled)"),
 		cacheDir:  fs.String("cache", "", "persist completed runs to this result-cache directory"),
 		resume:    fs.Bool("resume", false, "load previously cached runs instead of re-simulating (requires -cache)"),
-		retries:   fs.Int("retries", 0, "re-attempt a failed simulation up to this many times"),
 		timeout:   cli.Timeout(fs, 0),
 		cpuProf:   fs.String("cpuprofile", "", "write a CPU profile to this file"),
 		memProf:   fs.String("memprofile", "", "write a heap profile to this file at exit"),
@@ -141,9 +139,6 @@ func main() {
 	if *f.resume && *f.cacheDir == "" {
 		fatal(fmt.Errorf("invalid -resume: requires -cache DIR to resume from"))
 	}
-	if *f.retries < 0 {
-		fatal(fmt.Errorf("invalid -retries %d (must be >= 0)", *f.retries))
-	}
 	if *f.traceSmpl < 1 {
 		fatal(fmt.Errorf("invalid -tracesample %d (must be >= 1)", *f.traceSmpl))
 	}
@@ -169,7 +164,7 @@ func main() {
 
 	r := exp.NewRunner()
 	r.Warmup, r.Measure, r.Parallelism = *f.warmup, *f.measure, *f.par
-	r.Resume, r.Retries = *f.resume, *f.retries
+	r.Resume = *f.resume
 	if *f.cacheDir != "" {
 		cache, err := exp.NewDiskCache(*f.cacheDir)
 		if err != nil {

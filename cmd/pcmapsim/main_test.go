@@ -50,7 +50,6 @@ func TestInvalidFlagsExitNonZero(t *testing.T) {
 		{"unknown reliability variant", []string{"-exp", "reliability", "-variant", "NoSuch"}, `unknown variant "NoSuch"`},
 		{"unparseable flag", []string{"-measure", "lots"}, "invalid value"},
 		{"resume without cache", []string{"-exp", "adhoc", "-resume"}, "invalid -resume"},
-		{"negative retries", []string{"-exp", "adhoc", "-retries", "-2"}, "invalid -retries"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -7,7 +7,7 @@
 // to the encoding in internal/system). GET /healthz, /readyz, and
 // /metrics expose liveness, drain state, and service counters. See
 // internal/serve for the robustness contract (admission control,
-// per-job deadlines, panic isolation, retry, graceful drain).
+// per-job deadlines, panic isolation, graceful drain).
 package main
 
 import (
@@ -37,8 +37,6 @@ type serveFlags struct {
 	timeout    *time.Duration
 	maxTimeout *time.Duration
 	drain      *time.Duration
-	retries    *int
-	seed       *uint64
 	cacheDir   *string
 	verbose    *bool
 }
@@ -54,8 +52,6 @@ func defineServeFlags(fs *flag.FlagSet) *serveFlags {
 		timeout:    cli.Timeout(fs, 0),
 		maxTimeout: fs.Duration("maxtimeout", 0, "cap on client-requested per-job deadlines (0 = 5m)"),
 		drain:      fs.Duration("drain", 30*time.Second, "on SIGTERM/SIGINT, wait this long for in-flight jobs before exiting"),
-		retries:    fs.Int("retries", 0, "re-attempt a retryable job failure up to this many times (with backoff)"),
-		seed:       cli.Seed(fs, 0),
 		cacheDir:   fs.String("cache", "", "persist and serve completed runs from this result-cache directory"),
 		verbose:    fs.Bool("v", false, "log job admissions, drains, and runner retirements to stderr"),
 	}
@@ -82,8 +78,6 @@ func cmdServe(args []string) error {
 		MaxBudget:      *f.maxBudget,
 		DefaultTimeout: *f.timeout,
 		MaxTimeout:     *f.maxTimeout,
-		Retries:        *f.retries,
-		JitterSeed:     *f.seed,
 	}
 	if *f.cacheDir != "" {
 		cache, err := exp.NewDiskCache(*f.cacheDir)

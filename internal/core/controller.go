@@ -370,9 +370,6 @@ func (c *Controller) Rank() *dimm.Rank { return c.rank }
 // Variant returns the scheduling variant in force.
 func (c *Controller) Variant() config.Variant { return c.variant }
 
-// QueueLens returns current read and write queue occupancy.
-func (c *Controller) QueueLens() (reads, writes int) { return c.rdq.Len(), c.wrq.Len() }
-
 // Enqueue presents a request to the controller. It reports false when
 // the relevant queue is full; the caller should register interest via
 // OnSpace and retry.

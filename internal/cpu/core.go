@@ -66,7 +66,6 @@ type Core struct {
 
 	// Counters.
 	Loads, Stores, Rollbacks, VerifiesSeen, FaultyVerifies uint64
-	StallFillTime                                          sim.Time
 
 	// Stall-cause accounting (observability layer): one episode per
 	// stall, bucketed by what blocked issue. When a tracer is attached,
@@ -252,7 +251,6 @@ func (c *Core) advancePastWindow() bool {
 			return false
 		}
 		if head.done > c.now {
-			c.StallFillTime += head.done - c.now
 			c.now = head.done
 		}
 		c.win.retire(c.now)

@@ -1,12 +1,9 @@
 package exp
 
 import (
-	"context"
-	"errors"
 	"fmt"
 
 	"pcmap/internal/config"
-	"pcmap/internal/system"
 )
 
 // JobPanicError reports a simulation that panicked instead of
@@ -15,10 +12,8 @@ import (
 // process) — and converts it into this typed error carrying the panic
 // value and the goroutine stack at the point of the panic.
 //
-// A panic is a simulator bug, not an environmental failure: it is never
-// retryable (the same config panics the same way every time), and
-// callers that classify failures (the serve layer, RunAll reporting)
-// detect it with errors.As.
+// A panic is a simulator bug: callers that classify failures (the
+// serve layer, RunAll reporting) detect it with errors.As.
 type JobPanicError struct {
 	Workload string
 	Variant  config.Variant
@@ -28,36 +23,4 @@ type JobPanicError struct {
 
 func (e *JobPanicError) Error() string {
 	return fmt.Sprintf("exp: %s/%s: simulation panicked: %v", e.Workload, e.Variant, e.Value)
-}
-
-// IsRetryable classifies an error from Run/RunCtx/RunAll for bounded
-// retry. Retryable means "plausibly transient": re-attempting the same
-// deterministic simulation could succeed because the failure came from
-// the environment, not the computation. Three classes are permanent:
-//
-//   - panics (JobPanicError): deterministic simulator bugs;
-//   - context cancellation and deadline expiry: the caller gave up, a
-//     retry would just burn the remaining budget;
-//   - typed option errors from system construction (system.OptionError
-//     wrapped in the run error): an invalid spec stays invalid.
-//
-// Everything else — I/O failures persisting to the result cache, wedge
-// detections under memory pressure — is treated as transient, matching
-// the Runner.Retries contract from the sweep orchestrator.
-func IsRetryable(err error) bool {
-	if err == nil {
-		return false
-	}
-	var pe *JobPanicError
-	if errors.As(err, &pe) {
-		return false
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return false
-	}
-	var oe *system.OptionError
-	if errors.As(err, &oe) {
-		return false
-	}
-	return true
 }

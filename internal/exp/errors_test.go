@@ -19,7 +19,6 @@ import (
 // process before this test could even fail).
 func TestRunRecoversPanic(t *testing.T) {
 	r := testRunner()
-	r.Retries = 3 // a panic must not consume retry budget
 	var attempts int32
 	r.simulate = func(_ context.Context, cfg *config.Config, workload string, warmup, measure uint64) (*system.Results, error) {
 		atomic.AddInt32(&attempts, 1)
@@ -43,7 +42,7 @@ func TestRunRecoversPanic(t *testing.T) {
 		t.Errorf("stack does not reach the recovery frame:\n%s", pe.Stack)
 	}
 	if n := atomic.LoadInt32(&attempts); n != 1 {
-		t.Errorf("%d attempts, want 1 (panics are not retryable)", n)
+		t.Errorf("%d attempts, want 1", n)
 	}
 
 	// The runner keeps serving: a healthy spec still runs after the
@@ -104,43 +103,16 @@ func (r *Runner) memoized(s Spec) (*system.Results, bool) {
 }
 
 // TestRunCtxDeadline runs a real simulation under an already-tight
-// deadline and requires a context.DeadlineExceeded error with no
-// retries: the engine's periodic cancellation check is what aborts
-// long jobs for the -timeout flag and the serve layer.
+// deadline and requires a context.DeadlineExceeded error: the engine's
+// periodic cancellation check is what aborts long jobs for the -timeout
+// flag and the serve layer.
 func TestRunCtxDeadline(t *testing.T) {
 	r := NewRunner()
 	r.Warmup, r.Measure = 200_000, 2_000_000 // long enough to outlive 1ms
-	r.Retries = 2                            // timeouts must not consume retry budget
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	_, err := r.RunCtx(ctx, Spec{Workload: "MP4", Variant: config.Baseline})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
-	}
-}
-
-// TestIsRetryable pins the retryable-error taxonomy the bounded-retry
-// paths (Runner.Retries, serve backoff) classify with.
-func TestIsRetryable(t *testing.T) {
-	cases := []struct {
-		name string
-		err  error
-		want bool
-	}{
-		{"nil", nil, false},
-		{"plain environmental error", errors.New("disk full"), true},
-		{"wrapped environmental error", fmt.Errorf("cache store: %w", errors.New("EIO")), true},
-		{"panic", &JobPanicError{Workload: "w", Value: "boom"}, false},
-		{"wrapped panic", fmt.Errorf("exp: w/Baseline: %w", &JobPanicError{Value: 1}), false},
-		{"canceled", context.Canceled, false},
-		{"deadline", fmt.Errorf("system: measure: %w", context.DeadlineExceeded), false},
-		{"invalid spec", &system.OptionError{Option: "WithWorkload", Err: errors.New("unknown")}, false},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := IsRetryable(tc.err); got != tc.want {
-				t.Errorf("IsRetryable(%v) = %v, want %v", tc.err, got, tc.want)
-			}
-		})
 	}
 }

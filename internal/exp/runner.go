@@ -79,13 +79,6 @@ type Runner struct {
 	Cache *DiskCache
 	// Resume loads previously cached results instead of re-simulating.
 	Resume bool
-	// Retries is how many times a failed simulation is re-attempted
-	// before the failure is reported (0 = fail on first error). Sims
-	// are deterministic, so this guards against environmental
-	// failures, not simulation bugs; a sweep with retries degrades to
-	// partial results (everything already completed stays cached)
-	// instead of losing the whole run.
-	Retries int
 	// Tracer, when non-nil, is attached to every simulation this
 	// runner executes (system.WithTracer). The tracer is single-
 	// threaded, so set it only for single-run invocations (adhoc);
@@ -175,6 +168,14 @@ func resolve(s Spec, edit ...func(*config.Config)) (run, error) {
 		return run{}, fmt.Errorf("exp: %s/%s: %w", s.Workload, s.Variant, err)
 	}
 	return run{Workload: s.Workload, Config: *cfg}, nil
+}
+
+// Validate reports whether s names a machine that can run: the error
+// resolve would fail a Run of s with, or nil. It checks the knobs, not
+// the workload name.
+func (s Spec) Validate() error {
+	_, err := resolve(s)
+	return err
 }
 
 // runSimulation is the untraced default simulate implementation.
@@ -285,7 +286,7 @@ func (r *Runner) runCtx(ctx context.Context, k run) (*system.Results, error) {
 }
 
 // execute runs one run for real: disk-cache lookup (when resuming),
-// then up to 1+Retries simulation attempts, then a cache store.
+// then one simulation, then a cache store.
 func (r *Runner) execute(ctx context.Context, k run) (*system.Results, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -307,30 +308,13 @@ func (r *Runner) execute(ctx context.Context, k run) (*system.Results, error) {
 		}
 	}
 
-	var (
-		res     *system.Results
-		err     error
-		elapsed time.Duration
-	)
-	for attempt := 0; ; attempt++ {
-		//pcmaplint:ignore nodeterminism wall-clock feeds only stderr throughput reporting, never simulation results
-		start := time.Now()
-		res, err = r.callSimulate(ctx, k)
-		//pcmaplint:ignore nodeterminism wall-clock feeds only stderr throughput reporting, never simulation results
-		elapsed = time.Since(start)
-		if err == nil {
-			break
-		}
-		// Permanent failures (panics, cancellation, invalid specs) are
-		// reported immediately; burning retry budget on them cannot help.
-		if attempt >= r.Retries || ctx.Err() != nil || !IsRetryable(err) {
-			return nil, fmt.Errorf("exp: %s/%s (attempt %d/%d): %w",
-				k.Workload, k.Config.Variant, attempt+1, r.Retries+1, err)
-		}
-		if r.Progress != nil {
-			r.Progress(fmt.Sprintf("retry  %-14s %-9s attempt %d/%d: %v",
-				k.Workload, k.Config.Variant, attempt+2, r.Retries+1, err))
-		}
+	//pcmaplint:ignore nodeterminism wall-clock feeds only stderr throughput reporting, never simulation results
+	start := time.Now()
+	res, err := r.callSimulate(ctx, k)
+	//pcmaplint:ignore nodeterminism wall-clock feeds only stderr throughput reporting, never simulation results
+	elapsed := time.Since(start)
+	if err != nil {
+		return nil, fmt.Errorf("exp: %s/%s: %w", k.Workload, k.Config.Variant, err)
 	}
 
 	r.mu.Lock()
@@ -388,7 +372,7 @@ func (r *Runner) CacheHits() uint64 {
 }
 
 // SetSimulate substitutes the simulation implementation — a test seam
-// so orchestration layers (retry, panic isolation, deadlines, the
+// so orchestration layers (panic isolation, deadlines, the
 // serve worker pool) can be exercised without building real systems.
 // Passing nil restores the default. Call before the runner serves
 // traffic; the hook is read without synchronization on the execute

@@ -153,72 +153,6 @@ func TestRunAllCancellation(t *testing.T) {
 	}
 }
 
-// TestRunRetries covers the bounded-retry path: a transient failure is
-// retried up to Retries times, and the budget is respected.
-func TestRunRetries(t *testing.T) {
-	cases := []struct {
-		name         string
-		retries      int
-		failFirst    int32 // number of leading attempts that fail
-		wantErr      bool
-		wantAttempts int32
-	}{
-		{"no retries, first attempt fails", 0, 1, true, 1},
-		{"one retry rescues one transient failure", 1, 1, false, 2},
-		{"budget exhausted", 2, 5, true, 3},
-		{"no failures, no extra attempts", 3, 0, false, 1},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			r := testRunner()
-			r.Retries = tc.retries
-			var attempts int32
-			r.simulate = func(_ context.Context, cfg *config.Config, workload string, warmup, measure uint64) (*system.Results, error) {
-				n := atomic.AddInt32(&attempts, 1)
-				if n <= tc.failFirst {
-					return nil, errors.New("transient")
-				}
-				return fakeResults(Spec{Workload: workload}), nil
-			}
-			_, err := r.Run(Spec{Workload: "MP4"})
-			if (err != nil) != tc.wantErr {
-				t.Fatalf("err = %v, wantErr = %v", err, tc.wantErr)
-			}
-			if attempts != tc.wantAttempts {
-				t.Fatalf("%d attempts, want %d", attempts, tc.wantAttempts)
-			}
-		})
-	}
-}
-
-// TestRunAllRetryDegradesToPartialSuccess is the sweep-level retry
-// story: one transient failure mid-sweep is retried away and the whole
-// sweep completes instead of aborting.
-func TestRunAllRetryDegradesToPartialSuccess(t *testing.T) {
-	r := testRunner()
-	r.Parallelism = 2
-	r.Retries = 1
-	var attempts int32
-	var failedOnce atomic.Bool
-	r.simulate = func(_ context.Context, cfg *config.Config, workload string, warmup, measure uint64) (*system.Results, error) {
-		atomic.AddInt32(&attempts, 1)
-		if workload == "w3" && failedOnce.CompareAndSwap(false, true) {
-			return nil, errors.New("transient blip")
-		}
-		return fakeResults(Spec{Workload: workload}), nil
-	}
-	specs := make([]Spec, 8)
-	for i := range specs {
-		specs[i] = Spec{Workload: fmt.Sprintf("w%d", i)}
-	}
-	if err := r.RunAll(context.Background(), specs); err != nil {
-		t.Fatalf("sweep failed despite retry budget: %v", err)
-	}
-	if attempts != int32(len(specs))+1 {
-		t.Fatalf("%d attempts, want %d (one retry)", attempts, len(specs)+1)
-	}
-}
-
 // TestRunnerKeysByResolvedConfig checks that the memo is keyed by the
 // machine a Spec resolves to, not by the Spec: Specs that spell the
 // Table I machine differently share one execution, and an invalid
@@ -256,6 +190,29 @@ func TestRunnerKeysByResolvedConfig(t *testing.T) {
 	}
 	if n := atomic.LoadInt32(&executions); n != 2 {
 		t.Fatalf("%d executions, want 2: invalid ratios must not simulate", n)
+	}
+}
+
+// TestSpecValidate checks that Validate answers what a Run would: nil
+// for a runnable spec, resolve's error for each invalid knob.
+func TestSpecValidate(t *testing.T) {
+	if err := (Spec{Workload: "MP4", Variant: config.RWoWRDE, FaultMode: "always", DriftProb: 0.5}).Validate(); err != nil {
+		t.Fatalf("valid spec: %v", err)
+	}
+	for _, s := range []Spec{
+		{Workload: "MP4", FaultMode: "sometimes"},
+		{Workload: "MP4", DriftProb: 1.5},
+		{Workload: "MP4", DriftProb: math.NaN()},
+		{Workload: "MP4", WriteToReadRatio: -1},
+	} {
+		err := s.Validate()
+		if err == nil {
+			t.Errorf("%+v validated", s)
+			continue
+		}
+		if _, rerr := testRunner().Run(s); rerr == nil || rerr.Error() != err.Error() {
+			t.Errorf("%+v: Validate says %v, Run says %v", s, err, rerr)
+		}
 	}
 }
 

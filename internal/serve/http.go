@@ -48,7 +48,9 @@ type JobRequest struct {
 //
 // Kind is the stable, machine-matchable taxonomy: invalid | overloaded
 // | draining | timeout | panic | failed. Retryable tells the client
-// whether re-submitting the identical job can help.
+// whether re-submitting the identical job can help: it is true only
+// for overloaded and draining, which describe the server, not the job.
+// A simulation is deterministic, so a job that failed fails again.
 type errorBody struct {
 	Kind      string `json:"kind"`
 	Message   string `json:"message"`
@@ -80,18 +82,20 @@ func (s *Server) parseJob(req JobRequest) (*task, *errorBody) {
 	if err != nil {
 		return invalid("%v", err)
 	}
-	switch req.FaultMode {
-	case "", "always", "never":
-	default:
-		return invalid("unknown fault_mode %q (want empty, always, or never)", req.FaultMode)
+	spec := exp.Spec{
+		Workload:         req.Workload,
+		Variant:          variant,
+		WriteToReadRatio: req.WriteToReadRatio,
+		Symmetric:        req.Symmetric,
+		FaultMode:        req.FaultMode,
+		WritePausing:     req.WritePausing,
+		EnduranceBudget:  req.EnduranceBudget,
+		DriftProb:        req.DriftProb,
+		VerifyWrites:     req.VerifyWrites,
+		Seed:             req.Seed,
 	}
-	if req.WriteToReadRatio != 0 {
-		if err := config.Default().Memory.CheckWriteToReadRatio(req.WriteToReadRatio); err != nil {
-			return invalid("write_to_read_ratio: %v", err)
-		}
-	}
-	if !(req.DriftProb >= 0 && req.DriftProb < 1) {
-		return invalid("drift_prob %g must be in [0,1)", req.DriftProb)
+	if err := spec.Validate(); err != nil {
+		return invalid("%v", err)
 	}
 	if req.TimeoutMS < 0 {
 		return invalid("timeout_ms %d must be >= 0", req.TimeoutMS)
@@ -117,18 +121,7 @@ func (s *Server) parseJob(req JobRequest) (*task, *errorBody) {
 	}
 
 	t := &task{
-		spec: exp.Spec{
-			Workload:         req.Workload,
-			Variant:          variant,
-			WriteToReadRatio: req.WriteToReadRatio,
-			Symmetric:        req.Symmetric,
-			FaultMode:        req.FaultMode,
-			WritePausing:     req.WritePausing,
-			EnduranceBudget:  req.EnduranceBudget,
-			DriftProb:        req.DriftProb,
-			VerifyWrites:     req.VerifyWrites,
-			Seed:             req.Seed,
-		},
+		spec:    spec,
 		warmup:  warmup,
 		measure: measure,
 		done:    make(chan struct{}),
@@ -229,7 +222,7 @@ func (s *Server) answer(w http.ResponseWriter, t *task) {
 	default:
 		s.met.failed.Add(1)
 		writeError(w, http.StatusInternalServerError, errorBody{
-			Kind: "failed", Message: err.Error(), Retryable: exp.IsRetryable(err)})
+			Kind: "failed", Message: err.Error()})
 	}
 }
 

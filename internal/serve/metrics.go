@@ -21,7 +21,6 @@ type svcCounters struct {
 	failed           atomic.Uint64
 	panicked         atomic.Uint64
 	timedOut         atomic.Uint64
-	retried          atomic.Uint64
 	busy             atomic.Int64
 }
 
@@ -53,7 +52,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		{"serve_jobs_failed", int64(s.met.failed.Load())},
 		{"serve_jobs_panicked", int64(s.met.panicked.Load())},
 		{"serve_jobs_timed_out", int64(s.met.timedOut.Load())},
-		{"serve_jobs_retried", int64(s.met.retried.Load())},
 		{"serve_queue_depth", int64(len(s.queue))},
 		{"serve_queue_capacity", int64(cap(s.queue))},
 		{"serve_workers", int64(s.cfg.Workers)},

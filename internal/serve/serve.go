@@ -16,8 +16,6 @@
 //     that the simulation engine honors between events;
 //   - panic isolation: a crashing job answers with a typed error while
 //     the pool keeps serving (exp.JobPanicError carries the stack);
-//   - bounded retry: transient failures (exp.IsRetryable) re-attempt
-//     with exponential backoff plus deterministic jitter;
 //   - graceful drain: BeginDrain stops admission, Drain waits for
 //     in-flight jobs up to a deadline, and Main wires the whole
 //     lifecycle to SIGTERM/SIGINT (second signal forces exit 130).
@@ -39,7 +37,6 @@ import (
 
 	"pcmap/internal/exp"
 	"pcmap/internal/mem"
-	"pcmap/internal/sim"
 	"pcmap/internal/system"
 )
 
@@ -65,15 +62,6 @@ type Config struct {
 	// does not request one (<= 0: 60s). MaxTimeout caps client-requested
 	// deadlines (<= 0: 5m); requests beyond the cap are clamped.
 	DefaultTimeout, MaxTimeout time.Duration
-
-	// Retries bounds re-attempts of retryable-classified failures
-	// (exp.IsRetryable); RetryBase is the first backoff step, doubling
-	// per attempt with jitter (<= 0: 50ms).
-	Retries   int
-	RetryBase time.Duration
-	// JitterSeed seeds the backoff jitter stream (deterministic, like
-	// every other random source in this repository).
-	JitterSeed uint64
 
 	// MemoLimit bounds the per-runner in-memory memo; past it the
 	// runner is retired and replaced, so a long-running service does
@@ -121,20 +109,11 @@ func (c Config) withDefaults() Config {
 	if c.DefaultTimeout > c.MaxTimeout {
 		c.DefaultTimeout = c.MaxTimeout
 	}
-	if c.Retries < 0 {
-		c.Retries = 0
-	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 50 * time.Millisecond
-	}
 	if c.MemoLimit <= 0 {
 		c.MemoLimit = 1024
 	}
 	return c
 }
-
-// maxBackoff caps one backoff sleep regardless of attempt count.
-const maxBackoff = 2 * time.Second
 
 // budgets keys one runner: the memo and single-flight maps inside
 // exp.Runner assume runner-wide instruction budgets, so jobs with
@@ -185,8 +164,7 @@ type Server struct {
 
 	met svcCounters
 
-	// mu guards the runner table, the simulation-counter aggregate,
-	// and the jitter stream.
+	// mu guards the runner table and the simulation-counter aggregate.
 	mu sync.Mutex
 	//pcmaplint:guardedby mu
 	runners map[budgets]*exp.Runner
@@ -199,8 +177,6 @@ type Server struct {
 	// report's fixed order; nil until the first job completes.
 	//pcmaplint:guardedby mu
 	agg []mem.NamedCounter
-	//pcmaplint:guardedby mu
-	jitter *sim.RNG
 }
 
 // New builds a Server from cfg (zero values defaulted, see Config).
@@ -214,7 +190,6 @@ func New(cfg Config) *Server {
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		runners:    map[budgets]*exp.Runner{},
-		jitter:     sim.NewRNG(cfg.JitterSeed),
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/jobs", s.handleJob)
@@ -373,9 +348,9 @@ func (s *Server) worker() {
 	}
 }
 
-// runTask executes one job with bounded backoff retry. Panics inside
-// the simulation are already converted to *exp.JobPanicError by the
-// runner; classification into an HTTP answer happens in the handler.
+// runTask executes one job. Panics inside the simulation are already
+// converted to *exp.JobPanicError by the runner; classification into an
+// HTTP answer happens in the handler.
 // Deferred calls run last-first, so done closes before the job context
 // is cancelled: a handler woken by the cancellation then finds the
 // task finished and answers its result, not "abandoned at shutdown".
@@ -383,42 +358,11 @@ func (s *Server) runTask(t *task) {
 	defer t.cancel()
 	defer close(t.done)
 	r := s.runnerFor(t.warmup, t.measure)
-	for attempt := 0; ; attempt++ {
-		t.res, t.err = r.RunCtx(t.ctx, t.spec)
-		if t.err == nil || attempt >= s.cfg.Retries || !exp.IsRetryable(t.err) {
-			break
-		}
-		s.met.retried.Add(1)
-		if !s.backoff(t.ctx, attempt) {
-			break // job deadline expired mid-backoff
-		}
-	}
+	t.res, t.err = r.RunCtx(t.ctx, t.spec)
 	if t.err == nil {
 		s.aggregate(t.res)
 	}
 	s.maybeRetire(r, budgets{t.warmup, t.measure})
-}
-
-// backoff sleeps before retry attempt+1: exponential in the attempt
-// number, capped, with the top half jittered so synchronized failures
-// do not retry in lockstep. Returns false if the job deadline expired
-// while sleeping.
-func (s *Server) backoff(ctx context.Context, attempt int) bool {
-	d := s.cfg.RetryBase << uint(attempt)
-	if d <= 0 || d > maxBackoff {
-		d = maxBackoff
-	}
-	s.mu.Lock()
-	jitter := time.Duration(s.jitter.Uint64() % uint64(d/2+1))
-	s.mu.Unlock()
-	timer := time.NewTimer(d/2 + jitter)
-	defer timer.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-timer.C:
-		return true
-	}
 }
 
 // runnerFor returns (creating on first use) the runner for one budget

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -267,37 +268,43 @@ func TestServeDeadline(t *testing.T) {
 	}
 }
 
-// TestServeRetryBackoff: transient failures are retried with backoff
-// up to the budget; the job then succeeds.
-func TestServeRetryBackoff(t *testing.T) {
+// TestServeFailedJobRunsOnce: a simulation is deterministic, so a job
+// that failed would fail again. It runs once and answers failed with
+// retryable false.
+func TestServeFailedJobRunsOnce(t *testing.T) {
 	var mu sync.Mutex
 	attempts := 0
 	tune := func(r *exp.Runner) {
-		r.SetSimulate(func(_ context.Context, _ *config.Config, workload string, _, _ uint64) (*system.Results, error) {
+		r.SetSimulate(func(_ context.Context, _ *config.Config, _ string, _, _ uint64) (*system.Results, error) {
 			mu.Lock()
 			attempts++
-			n := attempts
 			mu.Unlock()
-			if n <= 2 {
-				return nil, fmt.Errorf("transient environmental failure %d", n)
-			}
-			return stubResults(workload), nil
+			return nil, errors.New("wedged")
 		})
 	}
-	_, ts := newTestServer(t, Config{Workers: 1, Retries: 2, RetryBase: time.Millisecond, tune: tune})
+	_, ts := newTestServer(t, Config{Workers: 1, tune: tune})
 
 	status, body := postJob(t, ts.URL, JobRequest{Workload: "MP4", Variant: "Baseline"})
-	if status != http.StatusOK {
-		t.Fatalf("status %d, want 200 after retries; body %s", status, body)
+	if status != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500; body %s", status, body)
+	}
+	var e struct {
+		Error errorBody `json:"error"`
+	}
+	if err := json.Unmarshal(body, &e); err != nil {
+		t.Fatalf("error body %q: %v", body, err)
+	}
+	if e.Error.Kind != "failed" || e.Error.Retryable {
+		t.Errorf("error %+v, want kind failed, retryable false", e.Error)
 	}
 	mu.Lock()
 	n := attempts
 	mu.Unlock()
-	if n != 3 {
-		t.Errorf("%d attempts, want 3", n)
+	if n != 1 {
+		t.Errorf("%d attempts, want 1", n)
 	}
-	if m := scrapeMetrics(t, ts.URL); m["serve_jobs_retried"] != 2 {
-		t.Errorf("serve_jobs_retried = %d, want 2", m["serve_jobs_retried"])
+	if m := scrapeMetrics(t, ts.URL); m["serve_jobs_failed"] != 1 {
+		t.Errorf("serve_jobs_failed = %d, want 1", m["serve_jobs_failed"])
 	}
 }
 

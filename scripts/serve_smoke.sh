@@ -1,8 +1,8 @@
 #!/bin/sh
 # Serve smoke test: start `pcmapsim serve` on an ephemeral port, post
 # the same job twice (the second answer must be byte-identical — the
-# single-flight/cache path), reject an invalid job with a structured
-# 400, scrape the service counters and the aggregated simulation
+# single-flight/cache path), reject an unknown workload and an
+# out-of-range knob with structured 400s, scrape the service counters and the aggregated simulation
 # counters, then SIGTERM the server and require a clean drain (exit 0).
 # Exercises the service end to end through the real binary, real
 # sockets, and a real signal.
@@ -69,24 +69,27 @@ grep -q '"IPCSum"' "$tmp/res1.json" || {
     exit 1
 }
 
-# An invalid job is a structured 400, not a crash.
-code=$($CURL -s -o "$tmp/bad.json" -w '%{http_code}' --max-time 10 \
-    -X POST -H 'Content-Type: application/json' \
-    -d '{"workload":"no-such-mix","variant":"Baseline"}' "$base/v1/jobs")
-if [ "$code" != "400" ]; then
-    echo "serve-smoke: invalid job answered $code, want 400" >&2
-    cat "$tmp/bad.json" >&2
-    exit 1
-fi
-grep -q '"kind":"invalid"' "$tmp/bad.json" || {
-    echo "serve-smoke: invalid job lacks the typed error body" >&2
-    cat "$tmp/bad.json" >&2
-    exit 1
-}
+# Invalid jobs are structured 400s, not crashes: an unknown workload,
+# and a knob the machine's own validation rejects.
+for bad in '{"workload":"no-such-mix","variant":"Baseline"}' \
+    '{"workload":"MP4","variant":"Baseline","drift_prob":1.5}'; do
+    code=$($CURL -s -o "$tmp/bad.json" -w '%{http_code}' --max-time 10 \
+        -X POST -H 'Content-Type: application/json' -d "$bad" "$base/v1/jobs")
+    if [ "$code" != "400" ]; then
+        echo "serve-smoke: invalid job $bad answered $code, want 400" >&2
+        cat "$tmp/bad.json" >&2
+        exit 1
+    fi
+    grep -q '"kind":"invalid"' "$tmp/bad.json" || {
+        echo "serve-smoke: invalid job $bad lacks the typed error body" >&2
+        cat "$tmp/bad.json" >&2
+        exit 1
+    }
+done
 
 # The counters account for what just happened.
 $CURL -s --max-time 10 "$base/metrics" > "$tmp/metrics.txt"
-for want in 'serve_jobs_accepted 2' 'serve_jobs_completed 2' 'serve_jobs_rejected_invalid 1'; do
+for want in 'serve_jobs_accepted 2' 'serve_jobs_completed 2' 'serve_jobs_rejected_invalid 2'; do
     grep -q "^$want\$" "$tmp/metrics.txt" || {
         echo "serve-smoke: /metrics missing \"$want\"" >&2
         cat "$tmp/metrics.txt" >&2
@@ -109,4 +112,4 @@ if [ "$status" != "0" ]; then
     cat "$tmp/serve.log" >&2
     exit 1
 fi
-echo "serve-smoke: OK (repeat answers byte-identical, invalid job 400, clean drain)"
+echo "serve-smoke: OK (repeat answers byte-identical, invalid jobs 400, clean drain)"
