@@ -1,10 +1,10 @@
-// Package cache implements the three-level hierarchy of Table I: split
-// write-through L1s, a shared write-back L2 with a MOESI directory, and
-// a 256 MB DRAM LLC (NUCA, 8 banks), all in front of the PCM main
-// memory. Caches track tags plus per-8B-word dirty masks — the masks
-// are the paper's central measured quantity: they flow from the cores'
-// stores through L2 and LLC write-backs into the PCM controller's
-// essential-word machinery.
+// Package cache implements the three-level hierarchy of Table I:
+// write-through L1 data caches (instruction fetch is not modelled), a
+// shared write-back L2 with a MOESI directory, and a 256 MB DRAM LLC
+// (NUCA, 8 banks), all in front of the PCM main memory. Caches track
+// tags plus per-8B-word dirty masks — the masks are the paper's central
+// measured quantity: they flow from the cores' stores through L2 and
+// LLC write-backs into the PCM controller's essential-word machinery.
 package cache
 
 import (

@@ -232,9 +232,9 @@ func NewHierarchy(eng *sim.Engine, cfg *config.Config, memory *core.Memory) *Hie
 		Dir:         coherence.NewDirectory(),
 		L2:          New("L2", cfg.L2),
 		LLC:         New("LLC", cfg.DRAMLLC),
-		llcBanks:    cfg.DRAMLLC.Banks,
-		llcBankBusy: make([]sim.Time, cfg.DRAMLLC.Banks),
-		pendingCap:  cfg.L2.MSHRs,
+		llcBanks:    cfg.LLCBanks,
+		llcBankBusy: make([]sim.Time, cfg.LLCBanks),
+		pendingCap:  cfg.L2MSHRs,
 		wbCap:       4 * cfg.Memory.Channels,
 	}
 	for i := 0; i < cfg.Cores; i++ {

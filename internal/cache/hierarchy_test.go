@@ -126,7 +126,7 @@ func TestCoherenceInvalidationOnRemoteStore(t *testing.T) {
 	}
 }
 
-// TestLLCBankCountChangesContention pins the DRAMLLC.Banks wiring:
+// TestLLCBankCountChangesContention pins the LLCBanks wiring:
 // NewHierarchy used to hardcode 8 banks regardless of configuration.
 // Two back-to-back LLC hits on adjacent lines land in different banks
 // with 8 banks (no queueing) but in the same bank with 1 bank, where
@@ -135,7 +135,7 @@ func TestLLCBankCountChangesContention(t *testing.T) {
 	lat := func(banks int) sim.Time {
 		t.Helper()
 		cfg := config.Default().WithVariant(config.Baseline)
-		cfg.DRAMLLC.Banks = banks
+		cfg.LLCBanks = banks
 		if err := cfg.Validate(); err != nil {
 			t.Fatal(err)
 		}

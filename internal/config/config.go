@@ -9,6 +9,7 @@ import (
 	"math"
 	"strings"
 
+	"pcmap/internal/ecc"
 	"pcmap/internal/flat"
 	"pcmap/internal/mem"
 	"pcmap/internal/sim"
@@ -193,19 +194,14 @@ type Core struct {
 	RollbackPen int // pipeline-refill cycles charged per rollback
 }
 
-// CacheLevel configures one cache level.
+// CacheLevel configures the geometry and hit latency of one cache
+// level. The write policy is fixed by the hierarchy: the L1D writes
+// through, the L2 and the DRAM LLC write back.
 type CacheLevel struct {
 	SizeBytes int64
 	Ways      int
 	LineBytes int
 	HitCycles int // hit latency in CPU cycles
-	WriteBack bool
-	MSHRs     int
-	// Banks is the NUCA bank count used for access contention. Only
-	// the DRAM LLC models banked access; other levels ignore it. Must
-	// be a power of two (the bank index is addr low bits masked);
-	// zero means the default of 8.
-	Banks int
 }
 
 // NoC configures the on-chip mesh network.
@@ -233,13 +229,8 @@ type PCMTiming struct {
 	CellRESET      mem.Picos  // RESET programming time (50 ns)
 	TCL            mem.Cycles // CAS latency, memory cycles
 	TWL            mem.Cycles // write latency (CAS-to-data), memory cycles
-	TCCD           mem.Cycles // column-to-column delay
 	TWTR           mem.Cycles // write-to-read turnaround
-	TRTP           mem.Cycles // read-to-precharge
-	TRP            mem.Cycles // precharge (row close); PCM arrays need no restore but
-	// the interface keeps the DDR3 timing slot
-	TRRDact mem.Cycles // activate-to-activate (different banks)
-	TBurst  mem.Cycles // data burst length in memory cycles (BL8 on DDR = 4)
+	TBurst         mem.Cycles // data burst length in memory cycles (BL8 on DDR = 4)
 }
 
 // WriteLatency returns the effective cell write time: differential
@@ -381,21 +372,22 @@ type Memory struct {
 }
 
 // LineBytes is the cache-line/transfer granularity (64 B everywhere).
-const LineBytes = 64
-
-// WordBytes is the per-chip sub-block size: 64 B line / 8 data chips.
-const WordBytes = 8
-
-// WordsPerLine is the number of 8-byte words in a cache line.
-const WordsPerLine = LineBytes / WordBytes
+const LineBytes = ecc.LineBytes
 
 // Config is the root configuration.
 type Config struct {
-	Cores    int
-	Core     Core
-	L1D, L1I CacheLevel
-	L2       CacheLevel
-	DRAMLLC  CacheLevel
+	Cores int
+	Core  Core
+	L1D   CacheLevel
+	L2    CacheLevel
+	// L2MSHRs bounds the distinct lines the L2 may have in flight to
+	// memory; a miss beyond it stalls its core until a fetch lands.
+	L2MSHRs int
+	DRAMLLC CacheLevel
+	// LLCBanks is the DRAM LLC's NUCA bank count, used for access
+	// contention. Must be a power of two (the bank index is the line
+	// number's low bits masked).
+	LLCBanks int
 	NoC      NoC
 	Memory   Memory
 	Variant  Variant
@@ -412,14 +404,12 @@ func Default() *Config {
 			DataMSHRs:   32,
 			RollbackPen: 300,
 		},
-		L1D: CacheLevel{SizeBytes: 32 << 10, Ways: 2, LineBytes: 32, HitCycles: 1, WriteBack: false, MSHRs: 32},
-		L1I: CacheLevel{SizeBytes: 32 << 10, Ways: 2, LineBytes: 32, HitCycles: 1, WriteBack: false, MSHRs: 4},
-		L2:  CacheLevel{SizeBytes: 8 << 20, Ways: 8, LineBytes: 64, HitCycles: 7, WriteBack: true, MSHRs: 32},
-		DRAMLLC: CacheLevel{
-			SizeBytes: 256 << 20, Ways: 8, LineBytes: 64, HitCycles: 100, WriteBack: true, MSHRs: 32,
-			Banks: 8,
-		},
-		NoC: NoC{Rows: 2, Cols: 4, RouterCycles: 1, LinkCycles: 1, FlitBytes: 16},
+		L1D:      CacheLevel{SizeBytes: 32 << 10, Ways: 2, LineBytes: 32, HitCycles: 1},
+		L2:       CacheLevel{SizeBytes: 8 << 20, Ways: 8, LineBytes: 64, HitCycles: 7},
+		L2MSHRs:  32,
+		DRAMLLC:  CacheLevel{SizeBytes: 256 << 20, Ways: 8, LineBytes: 64, HitCycles: 100},
+		LLCBanks: 8,
+		NoC:      NoC{Rows: 2, Cols: 4, RouterCycles: 1, LinkCycles: 1, FlitBytes: 16},
 		Memory: Memory{
 			Channels:            4,
 			DataChips:           8,
@@ -444,11 +434,7 @@ func Default() *Config {
 				CellRESET:      mem.PicosFromNS(50),
 				TCL:            5,
 				TWL:            4,
-				TCCD:           4,
 				TWTR:           4,
-				TRTP:           3,
-				TRP:            60,
-				TRRDact:        2,
 				TBurst:         4,
 			},
 		},
@@ -463,12 +449,6 @@ func (c *Config) WithVariant(v Variant) *Config {
 	out.Variant = v
 	return &out
 }
-
-// TotalChips returns the number of chips in a rank including the ECC and
-// PCC chips (PCMap variants carry both; the baseline ECC DIMM carries
-// the ECC chip only, but we keep ten everywhere so that storage layout
-// is uniform and the baseline simply never touches the PCC chip).
-func (m Memory) TotalChips() int { return m.DataChips + 2 }
 
 // MaxCores is the most cores a machine may have: the coherence
 // directory keeps a line's sharers in a uint16, one bit per core.
@@ -498,10 +478,20 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: IssueWidth must be positive, got %d", c.Core.IssueWidth)
 	case c.Core.WindowSize <= 0:
 		return fmt.Errorf("config: WindowSize must be positive, got %d", c.Core.WindowSize)
+	case c.Core.DataMSHRs <= 0:
+		return fmt.Errorf("config: DataMSHRs must be positive, got %d", c.Core.DataMSHRs)
+	case c.L2MSHRs <= 0:
+		return fmt.Errorf("config: L2MSHRs must be positive, got %d", c.L2MSHRs)
+	case c.NoC.FlitBytes <= 0:
+		return fmt.Errorf("config: NoC FlitBytes must be positive, got %d", c.NoC.FlitBytes)
+	case c.Memory.ReadQueueCap <= 0 || c.Memory.WriteQueueCap <= 0:
+		return fmt.Errorf("config: ReadQueueCap %d and WriteQueueCap %d must be positive", c.Memory.ReadQueueCap, c.Memory.WriteQueueCap)
+	case c.Memory.MaxConcurrentWrites <= 0:
+		return fmt.Errorf("config: MaxConcurrentWrites must be positive, got %d", c.Memory.MaxConcurrentWrites)
 	case c.Memory.Channels <= 0:
 		return fmt.Errorf("config: Channels must be positive, got %d", c.Memory.Channels)
-	case c.Memory.DataChips != WordsPerLine:
-		return fmt.Errorf("config: DataChips must equal %d (one 8B word per chip), got %d", WordsPerLine, c.Memory.DataChips)
+	case c.Memory.DataChips != ecc.WordsPerLine:
+		return fmt.Errorf("config: DataChips must equal %d (one 8B word per chip), got %d", ecc.WordsPerLine, c.Memory.DataChips)
 	case c.Memory.BanksPerChip <= 0:
 		return fmt.Errorf("config: BanksPerChip must be positive, got %d", c.Memory.BanksPerChip)
 	case c.Memory.CapacityBytes%int64(c.Memory.Channels) != 0:
@@ -535,7 +525,7 @@ func (c *Config) Validate() error {
 	for _, lvl := range []struct {
 		name string
 		l    CacheLevel
-	}{{"L1D", c.L1D}, {"L1I", c.L1I}, {"L2", c.L2}, {"DRAMLLC", c.DRAMLLC}} {
+	}{{"L1D", c.L1D}, {"L2", c.L2}, {"DRAMLLC", c.DRAMLLC}} {
 		if lvl.l.SizeBytes <= 0 || lvl.l.Ways <= 0 || lvl.l.LineBytes <= 0 {
 			return fmt.Errorf("config: %s has non-positive geometry", lvl.name)
 		}
@@ -551,8 +541,8 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("config: %s set count %d is not a power of two", lvl.name, sets)
 		}
 	}
-	if b := c.DRAMLLC.Banks; b < 1 || b&(b-1) != 0 {
-		return fmt.Errorf("config: DRAMLLC.Banks must be a power of two >= 1, got %d", b)
+	if b := c.LLCBanks; b < 1 || b&(b-1) != 0 {
+		return fmt.Errorf("config: LLCBanks must be a power of two >= 1, got %d", b)
 	}
 	if !c.Variant.Known() {
 		return fmt.Errorf("config: unknown variant %d (registered: %s)", int(c.Variant), strings.Join(VariantNames(), ", "))

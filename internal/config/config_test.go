@@ -67,6 +67,12 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		{"NaN bit error rate", func(c *Config) { c.Memory.BitErrorRate = math.NaN() }},
 		{"NaN drain high", func(c *Config) { c.Memory.DrainHighPct = math.NaN() }},
 		{"NaN drain low", func(c *Config) { c.Memory.DrainLowPct = math.NaN() }},
+		{"zero flit size", func(c *Config) { c.NoC.FlitBytes = 0 }},
+		{"zero core MSHRs", func(c *Config) { c.Core.DataMSHRs = 0 }},
+		{"zero L2 MSHRs", func(c *Config) { c.L2MSHRs = 0 }},
+		{"zero read queue", func(c *Config) { c.Memory.ReadQueueCap = 0 }},
+		{"zero write queue", func(c *Config) { c.Memory.WriteQueueCap = 0 }},
+		{"zero concurrent writes", func(c *Config) { c.Memory.MaxConcurrentWrites = 0 }},
 	}
 	for _, m := range mutations {
 		c := Default()
@@ -165,12 +171,6 @@ func TestCheckWriteToReadRatio(t *testing.T) {
 		if err := m.CheckWriteToReadRatio(tc.ratio); (err == nil) != tc.ok {
 			t.Errorf("CheckWriteToReadRatio(%g) = %v, want ok=%v", tc.ratio, err, tc.ok)
 		}
-	}
-}
-
-func TestTotalChips(t *testing.T) {
-	if got := Default().Memory.TotalChips(); got != 10 {
-		t.Fatalf("TotalChips = %d, want 10 (8 data + ECC + PCC)", got)
 	}
 }
 

@@ -21,8 +21,12 @@ import (
 // (cacheEntry); 3 = every metrics tracker required on decode (entries
 // from before the content-aware histograms lack SetBits/ResetBits);
 // 4 = keyed by the resolved run (workload and config) without the Spec
-// that named it, and Config lost Core.ClockGHz and Memory.RanksPerChan.
-const cacheFormatVersion = 4
+// that named it, and Config lost Core.ClockGHz and Memory.RanksPerChan;
+// 5 = Config keeps only what the simulation reads: the instruction
+// cache, the levels' write-policy flag and four unapplied DDR3 timings
+// went, and the L2's MSHR and the LLC's bank counts moved out of
+// CacheLevel to Config.L2MSHRs and Config.LLCBanks.
+const cacheFormatVersion = 5
 
 // CacheKey derives the content address of one run: a SHA-256 over the
 // cache format version, the workload, the fully resolved configuration,

@@ -90,18 +90,6 @@ func (h *Histogram) Fraction(v int) float64 {
 	return float64(h.Count(v)) / float64(h.total)
 }
 
-// CumulativeFraction returns the share of samples <= v.
-func (h *Histogram) CumulativeFraction(v int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	var c uint64
-	for i := 0; i <= v && i < len(h.buckets); i++ {
-		c += h.buckets[i]
-	}
-	return float64(c) / float64(h.total)
-}
-
 // MeanValue returns the average sample value.
 func (h *Histogram) MeanValue() float64 {
 	if h.total == 0 {
@@ -270,22 +258,6 @@ func Pct(x float64) string { return fmt.Sprintf("%.1f%%", 100*x) }
 
 // N formats an integer count for table cells.
 func N(x uint64) string { return fmt.Sprintf("%d", x) }
-
-// GeoMean returns the geometric mean of xs, ignoring non-positive values.
-func GeoMean(xs []float64) float64 {
-	var s float64
-	var n int
-	for _, x := range xs {
-		if x > 0 {
-			s += math.Log(x)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(s / float64(n))
-}
 
 // ArithMean returns the arithmetic mean of xs (zero for empty input).
 func ArithMean(xs []float64) float64 {

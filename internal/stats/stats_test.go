@@ -34,9 +34,6 @@ func TestHistogramBasics(t *testing.T) {
 	if !approx(h.MeanValue(), 2.5) {
 		t.Fatalf("mean %v", h.MeanValue())
 	}
-	if !approx(h.CumulativeFraction(3), 0.5) {
-		t.Fatalf("cumulative %v", h.CumulativeFraction(3))
-	}
 }
 
 func TestHistogramClamping(t *testing.T) {
@@ -181,13 +178,10 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestMeans(t *testing.T) {
-	if got := GeoMean([]float64{1, 100}); math.Abs(got-10) > 1e-9 {
-		t.Fatalf("geomean %v", got)
-	}
 	if got := ArithMean([]float64{1, 2, 3}); !approx(got, 2) {
 		t.Fatalf("arithmean %v", got)
 	}
-	if !approx(GeoMean(nil), 0) || !approx(ArithMean(nil), 0) {
+	if !approx(ArithMean(nil), 0) {
 		t.Fatal("empty input should give 0")
 	}
 	var m Mean
