@@ -8,7 +8,6 @@ package coherence
 
 import (
 	"fmt"
-	"sync"
 
 	"pcmap/internal/flat"
 )
@@ -86,21 +85,17 @@ type Directory struct {
 // key is the table key of the line at addr.
 func key(addr uint64) uint32 { return flat.Key(addr >> 6) }
 
-// tablePool recycles directories' tables across systems. Release
-// returns a table cleared, so a table from the pool is always empty. A
-// table's slot count cannot reach any output, since a flat.Table has
-// no iteration.
-var tablePool = sync.Pool{New: func() any { return new(flat.Table[line]) }}
+// tablePool recycles directories' tables across systems.
+var tablePool flat.Pool[line]
 
 // NewDirectory returns an empty directory.
 func NewDirectory() *Directory {
-	return &Directory{table: tablePool.Get().(*flat.Table[line])}
+	return &Directory{table: tablePool.Get()}
 }
 
 // Release returns the directory's table to the pool. The directory
 // must not be used afterwards.
 func (d *Directory) Release() {
-	d.table.Clear()
 	tablePool.Put(d.table)
 	d.table = nil
 }

@@ -466,9 +466,44 @@ func (e *RangeError) Error() string {
 	return fmt.Sprintf("config: %s %d exceeds the supported maximum %d", e.Field, e.Value, e.Max)
 }
 
+// NegativeError reports a latency configured below zero.
+type NegativeError struct {
+	Field string // the configuration field, e.g. "L2.HitCycles"
+	Value int64
+}
+
+func (e *NegativeError) Error() string {
+	return fmt.Sprintf("config: %s %d must not be negative", e.Field, e.Value)
+}
+
 // Validate checks internal consistency and returns a descriptive error
 // for the first violated constraint.
 func (c *Config) Validate() error {
+	// The address map checks the memory geometry: power-of-two channel
+	// and bank counts, rows of a power-of-two line count, room for a row.
+	if _, err := mem.NewAddrMap(c.Memory.Geometry()); err != nil {
+		return err
+	}
+	for _, l := range []struct {
+		field string
+		v     int64
+	}{
+		{"L1D.HitCycles", int64(c.L1D.HitCycles)},
+		{"L2.HitCycles", int64(c.L2.HitCycles)},
+		{"DRAMLLC.HitCycles", int64(c.DRAMLLC.HitCycles)},
+		{"NoC.RouterCycles", int64(c.NoC.RouterCycles)},
+		{"NoC.LinkCycles", int64(c.NoC.LinkCycles)},
+		{"Core.RollbackPen", int64(c.Core.RollbackPen)},
+		{"Memory.StatusPollCycles", int64(c.Memory.StatusPollCycles.Int())},
+		{"Memory.Timing.TCL", int64(c.Memory.Timing.TCL.Int())},
+		{"Memory.Timing.TWL", int64(c.Memory.Timing.TWL.Int())},
+		{"Memory.Timing.TWTR", int64(c.Memory.Timing.TWTR.Int())},
+		{"Memory.Timing.TBurst", int64(c.Memory.Timing.TBurst.Int())},
+	} {
+		if l.v < 0 {
+			return &NegativeError{Field: l.field, Value: l.v}
+		}
+	}
 	switch {
 	case c.Cores <= 0:
 		return fmt.Errorf("config: Cores must be positive, got %d", c.Cores)
@@ -488,12 +523,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: ReadQueueCap %d and WriteQueueCap %d must be positive", c.Memory.ReadQueueCap, c.Memory.WriteQueueCap)
 	case c.Memory.MaxConcurrentWrites <= 0:
 		return fmt.Errorf("config: MaxConcurrentWrites must be positive, got %d", c.Memory.MaxConcurrentWrites)
-	case c.Memory.Channels <= 0:
-		return fmt.Errorf("config: Channels must be positive, got %d", c.Memory.Channels)
 	case c.Memory.DataChips != ecc.WordsPerLine:
 		return fmt.Errorf("config: DataChips must equal %d (one 8B word per chip), got %d", ecc.WordsPerLine, c.Memory.DataChips)
-	case c.Memory.BanksPerChip <= 0:
-		return fmt.Errorf("config: BanksPerChip must be positive, got %d", c.Memory.BanksPerChip)
 	case c.Memory.CapacityBytes%int64(c.Memory.Channels) != 0:
 		return fmt.Errorf("config: capacity %d not divisible by %d channels", c.Memory.CapacityBytes, c.Memory.Channels)
 	case !(c.Memory.DrainHighPct > c.Memory.DrainLowPct):

@@ -73,12 +73,46 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		{"zero read queue", func(c *Config) { c.Memory.ReadQueueCap = 0 }},
 		{"zero write queue", func(c *Config) { c.Memory.WriteQueueCap = 0 }},
 		{"zero concurrent writes", func(c *Config) { c.Memory.MaxConcurrentWrites = 0 }},
+		// A "negative F" row must fail with a NegativeError on field F.
+		{"negative L1D.HitCycles", func(c *Config) { c.L1D.HitCycles = -1 }},
+		{"negative L2.HitCycles", func(c *Config) { c.L2.HitCycles = -100 }},
+		{"negative DRAMLLC.HitCycles", func(c *Config) { c.DRAMLLC.HitCycles = -1 }},
+		{"negative NoC.RouterCycles", func(c *Config) { c.NoC.RouterCycles = -5 }},
+		{"negative NoC.LinkCycles", func(c *Config) { c.NoC.LinkCycles = -1 }},
+		{"negative Core.RollbackPen", func(c *Config) { c.Core.RollbackPen = -1 }},
+		{"negative Memory.StatusPollCycles", func(c *Config) { c.Memory.StatusPollCycles = -2 }},
+		{"negative Memory.Timing.TCL", func(c *Config) { c.Memory.Timing.TCL = -1 }},
+		{"negative Memory.Timing.TWL", func(c *Config) { c.Memory.Timing.TWL = -1 }},
+		{"negative Memory.Timing.TWTR", func(c *Config) { c.Memory.Timing.TWTR = -1 }},
+		{"negative Memory.Timing.TBurst", func(c *Config) { c.Memory.Timing.TBurst = -4 }},
+		// A "geometry" row must fail with the address map's own error.
+		{"geometry: 3 banks", func(c *Config) { c.Memory.BanksPerChip = 3 }},
+		{"geometry: 3 channels", func(c *Config) { c.Memory.Channels, c.Memory.CapacityBytes = 3, 3<<32 }},
+		{"geometry: zero row size", func(c *Config) { c.Memory.RowBytes = 0 }},
+		{"geometry: zero capacity", func(c *Config) { c.Memory.CapacityBytes = 0 }},
+		{"geometry: zero channels", func(c *Config) { c.Memory.Channels = 0 }},
+		{"geometry: zero banks", func(c *Config) { c.Memory.BanksPerChip = 0 }},
+		// Channels × banks × row bytes overflows int64 to 0 here.
+		{"geometry: overflowing row count", func(c *Config) { c.Memory.Channels, c.Memory.BanksPerChip = 1<<32, 1<<32 }},
 	}
 	for _, m := range mutations {
 		c := Default()
 		m.mut(c)
-		if err := c.Validate(); err == nil {
+		err := c.Validate()
+		if err == nil {
 			t.Fatalf("%s: expected validation error", m.name)
+		}
+		if field, ok := strings.CutPrefix(m.name, "negative "); ok {
+			var ne *NegativeError
+			if !errors.As(err, &ne) || ne.Field != field {
+				t.Fatalf("%s: got %v, want a NegativeError on %s", m.name, err, field)
+			}
+		}
+		if strings.HasPrefix(m.name, "geometry") {
+			_, want := mem.NewAddrMap(c.Memory.Geometry())
+			if want == nil || err.Error() != want.Error() {
+				t.Fatalf("%s: got %v, want the address map's error %v", m.name, err, want)
+			}
 		}
 	}
 }

@@ -252,7 +252,7 @@ func NewController(eng *sim.Engine, cfgAll *config.Config, channel int, amap *me
 		rdq:       mem.NewQueue(m.ReadQueueCap),
 		wrq:       mem.NewQueue(m.WriteQueueCap),
 		rng:       rng,
-		Metrics:   mem.NewMetrics(),
+		Metrics:   mem.PooledMetrics(),
 	}
 	c.runTimer = eng.NewTimer(c.run)
 	c.kickTimer = eng.NewTimer(c.kick)
@@ -362,6 +362,16 @@ func (c *Controller) wearTick() {
 	// The copy holds chips without a request completion behind it, so
 	// wake the scheduler when the chips free up.
 	c.kickTimer.At(end)
+}
+
+// Release returns the channel's line store and metrics block to their
+// pools for the next system's controllers. The controller must not be
+// used afterwards: its rank's store and its Metrics are nil, so any
+// later use panics instead of touching state another system now owns.
+func (c *Controller) Release() {
+	c.rank.Release()
+	c.Metrics.Release()
+	c.Metrics = nil
 }
 
 // Rank exposes the controller's rank (for tests and wear reporting).

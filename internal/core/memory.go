@@ -72,9 +72,19 @@ func (m *Memory) ResetMetrics() {
 	}
 }
 
+// Release returns every channel's line store and metrics block to
+// their pools (see Controller.Release). The memory must not be used
+// afterwards.
+func (m *Memory) Release() {
+	for _, c := range m.Ctrls {
+		c.Release()
+	}
+}
+
 // Metrics returns a merged copy of all channels' metrics. IRLP is not
 // merged here (interval trackers finalize per rank); use IRLP().
 func (m *Memory) Metrics() *mem.Metrics {
+	// A fresh block, not a pooled one: the copy escapes into Results.
 	out := mem.NewMetrics()
 	for _, c := range m.Ctrls {
 		out.Merge(c.Metrics)

@@ -107,6 +107,13 @@ func NewRank(banks, parts int, layout Layout) *Rank {
 	return r
 }
 
+// Release returns the rank's line store to its pool and drops it, so
+// any later use of the rank's store panics.
+func (r *Rank) Release() {
+	r.Store.Release()
+	r.Store = nil
+}
+
 // Instrument attaches every chip-bank of the rank to timeline tracks
 // grouped under "pcm chan<channel>". A nil tracer is a no-op.
 func (r *Rank) Instrument(tr *obs.Tracer, channel int) {

@@ -9,7 +9,10 @@
 // sequence over adjacent slots.
 package flat
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // MaxLine is the largest line number Key accepts. config.Validate
 // rejects any machine whose memory or cores could form a larger one.
@@ -164,4 +167,29 @@ func (t *Table[V]) Delete(key uint32) bool {
 func (t *Table[V]) Clear() {
 	clear(t.slots)
 	t.n = 0
+}
+
+// Pool recycles tables across their owners' lifetimes: a sweep builds
+// one system after another, and each owner's table would otherwise
+// grow from 256 slots again. Get returns an empty table; Put clears
+// the table and keeps its slot array for the next Get. A table's slot
+// count never reaches an output, since a Table has no iteration. The
+// zero Pool is ready to use and must not be copied after first use.
+type Pool[V any] struct {
+	p sync.Pool
+}
+
+// Get returns an empty table, recycled when the pool holds one.
+func (p *Pool[V]) Get() *Table[V] {
+	if t, ok := p.p.Get().(*Table[V]); ok {
+		return t
+	}
+	return new(Table[V])
+}
+
+// Put clears t and returns it to the pool. The caller must not use t
+// afterwards.
+func (p *Pool[V]) Put(t *Table[V]) {
+	t.Clear()
+	p.p.Put(t)
 }

@@ -208,3 +208,25 @@ func TestKey(t *testing.T) {
 	}()
 	Key(MaxLine + 1)
 }
+
+// TestPoolPutClears pins that a table given back to a Pool is empty,
+// with its grown slot array kept, and that Get always hands out an
+// empty table, whether the pool recycled one or made a new one.
+func TestPoolPutClears(t *testing.T) {
+	var p Pool[uint64]
+	tab := p.Get()
+	for k := uint32(1); k <= 1000; k++ {
+		v, _ := tab.Put(k)
+		*v = uint64(k)
+	}
+	grown := len(tab.slots)
+	p.Put(tab)
+	if tab.Len() != 0 || tab.Get(1) != nil || len(tab.slots) != grown {
+		t.Fatalf("after Put: Len %d, slots %d (want 0 keys in %d slots)", tab.Len(), len(tab.slots), grown)
+	}
+	for i := 0; i < 3; i++ {
+		if got := p.Get(); got.Len() != 0 || got.Get(1) != nil {
+			t.Fatalf("Get %d returned a table holding %d keys", i, got.Len())
+		}
+	}
+}

@@ -38,7 +38,7 @@ type AddrMap struct {
 // NewAddrMap builds the mapping for the given memory geometry.
 func NewAddrMap(g Geometry) (*AddrMap, error) {
 	a := &AddrMap{Channels: g.Channels, Banks: g.Banks}
-	if g.Channels&(g.Channels-1) != 0 || g.Banks&(g.Banks-1) != 0 {
+	if g.Channels <= 0 || g.Channels&(g.Channels-1) != 0 || g.Banks <= 0 || g.Banks&(g.Banks-1) != 0 {
 		return nil, fmt.Errorf("mem: channels (%d) and banks (%d) must be powers of two", g.Channels, g.Banks)
 	}
 	a.chBits = bits.TrailingZeros(uint(g.Channels))
@@ -48,7 +48,9 @@ func NewAddrMap(g Geometry) (*AddrMap, error) {
 		return nil, fmt.Errorf("mem: lines per row %d must be a positive power of two", a.linesPerRow)
 	}
 	a.colBits = bits.TrailingZeros(uint(a.linesPerRow))
-	a.rows = g.CapacityBytes / (int64(g.Channels) * int64(g.Banks) * g.RowBytes)
+	// Dividing in turn equals dividing by the product, which could
+	// overflow.
+	a.rows = g.CapacityBytes / int64(g.Channels) / int64(g.Banks) / g.RowBytes
 	if a.rows <= 0 {
 		return nil, fmt.Errorf("mem: capacity %d too small for geometry", g.CapacityBytes)
 	}

@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"sync"
+
 	"pcmap/internal/sim"
 	"pcmap/internal/stats"
 )
@@ -82,6 +84,27 @@ func NewMetrics() *Metrics {
 		ResetBits:     stats.NewHistogram(513),
 		IRLP:          stats.NewIRLP(),
 	}
+}
+
+// metricsPool recycles the controllers' metrics blocks across systems:
+// a sweep builds one system after another, and each channel's latency
+// trackers would otherwise grow their bucket arrays again.
+var metricsPool = sync.Pool{New: func() any { return NewMetrics() }}
+
+// PooledMetrics returns an empty metrics block from the pool. It
+// behaves as one from NewMetrics in every output; only its trackers'
+// spare capacity differs.
+func PooledMetrics() *Metrics { return metricsPool.Get().(*Metrics) }
+
+// Release empties m to a fresh block's state, its latency trackers back
+// to length 0 with their capacity kept, and returns it to the pool. m
+// must not be used afterwards.
+func (m *Metrics) Release() {
+	m.Reset()
+	m.ReadLatency.Recycle()
+	m.WriteLatency.Recycle()
+	m.VerifyLatency.Recycle()
+	metricsPool.Put(m)
 }
 
 // counterRef is one counter field of a Metrics block under its report

@@ -46,8 +46,12 @@ func (l *Line) CheckConsistent() error {
 // neighbours do: write-backs land about one line per 4 KB region,
 // which made page-granular storage pay for 64 lines per written one. Table membership is what "written" means, so
 // Lines() and the fault model's never-written skip are exact.
+//
+// The table comes from a pool and Release returns it, so a sweep that
+// builds one system after another grows each channel's table once, not
+// once per system.
 type Store struct {
-	lines flat.Table[Line]
+	lines *flat.Table[Line]
 
 	// Faults, when non-nil, injects endurance-driven stuck-at cells on
 	// every programming operation and drift flips on demand (see
@@ -56,8 +60,18 @@ type Store struct {
 	Faults *FaultModel
 }
 
+// linePool recycles stores' line tables across systems.
+var linePool flat.Pool[Line]
+
 // NewStore returns an empty store.
-func NewStore() *Store { return &Store{} }
+func NewStore() *Store { return &Store{lines: linePool.Get()} }
+
+// Release returns the store's line table to the pool. The store must
+// not be used afterwards: any later call panics on the nil table.
+func (s *Store) Release() {
+	linePool.Put(s.lines)
+	s.lines = nil
+}
 
 // Lines returns the number of distinct lines ever written.
 func (s *Store) Lines() int { return s.lines.Len() }

@@ -8,6 +8,7 @@ import (
 
 	"pcmap/internal/config"
 	"pcmap/internal/ecc"
+	"pcmap/internal/flat"
 	"pcmap/internal/sim"
 )
 
@@ -219,6 +220,52 @@ func TestGetAllocFreeOnMaterializedLines(t *testing.T) {
 		idx++
 	}); n != 0 {
 		t.Fatalf("Get on materialized lines allocated %.1f/op, want 0", n)
+	}
+}
+
+// TestReleasedStore pins Store.Release's contract: the table it hands
+// back to the pool is empty, with its grown slots kept, so the next
+// store to take it reads every line as never written and refills it to
+// the same size without allocating; the released store itself panics
+// on any further use.
+func TestReleasedStore(t *testing.T) {
+	const n = 5000 // past four doublings of the 256-slot start
+	fill := func(s *Store) {
+		for i := uint64(0); i < n; i++ {
+			s.Get(i * 64).Data[0] = 1
+		}
+	}
+	s := NewStore()
+	fill(s)
+	tab := s.lines
+	s.Release()
+	if tab.Len() != 0 {
+		t.Fatalf("released table holds %d lines, want 0", tab.Len())
+	}
+	for i := uint64(0); i < n; i++ {
+		if tab.Get(flat.Key(i*64)) != nil {
+			t.Fatalf("released table still holds line %d", i*64)
+		}
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a released store served a read")
+			}
+		}()
+		s.Peek(0)
+	}()
+
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops values at random")
+	}
+	s = NewStore()
+	if n := testing.AllocsPerRun(10, func() {
+		fill(s)
+		s.Release()
+		s.lines = linePool.Get() // NewStore without the Store itself
+	}); n != 0 {
+		t.Fatalf("refilling a released store allocated %.1f/run, want 0", n)
 	}
 }
 

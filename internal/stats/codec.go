@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"strconv"
 
 	"pcmap/internal/sim"
 )
@@ -61,15 +62,68 @@ type latencyJSON struct {
 	MaxNS       float64     `json:"maxNS"`
 }
 
-// MarshalJSON encodes the tracker sparsely.
+// MarshalJSON encodes the tracker sparsely. It appends latencyJSON's
+// form straight into one buffer, the bytes json.Marshal would write for
+// it, without building the pair slice or reflecting over the struct.
 func (l *LatencyTracker) MarshalJSON() ([]byte, error) {
-	w := latencyJSON{BucketCount: len(l.buckets), Total: l.total, SumNS: l.sumNS, MaxNS: l.maxNS}
-	for i, n := range l.buckets {
+	nonzero := 0
+	for _, n := range l.buckets {
 		if n != 0 {
-			w.Samples = append(w.Samples, [2]uint64{uint64(i), n})
+			nonzero++
 		}
 	}
-	return json.Marshal(w)
+	// About 16 bytes a pair ("[bucket,count],") and 96 for the rest.
+	b := make([]byte, 0, 96+16*nonzero)
+	b = append(b, `{"bucketCount":`...)
+	b = strconv.AppendInt(b, int64(len(l.buckets)), 10)
+	if nonzero > 0 {
+		b = append(b, `,"samples":`...)
+		sep := byte('[')
+		for i, n := range l.buckets {
+			if n == 0 {
+				continue
+			}
+			b = append(b, sep, '[')
+			sep = ','
+			b = strconv.AppendInt(b, int64(i), 10)
+			b = append(b, ',')
+			b = strconv.AppendUint(b, n, 10)
+			b = append(b, ']')
+		}
+		b = append(b, ']')
+	}
+	b = append(b, `,"total":`...)
+	b = strconv.AppendUint(b, l.total, 10)
+	b = append(b, `,"sumNS":`...)
+	var err error
+	if b, err = appendFloat(b, l.sumNS); err != nil {
+		return nil, err
+	}
+	b = append(b, `,"maxNS":`...)
+	if b, err = appendFloat(b, l.maxNS); err != nil {
+		return nil, err
+	}
+	return append(b, '}'), nil
+}
+
+// appendFloat appends f as encoding/json writes a float64: the shortest
+// form that parses back to the same bits, in exponent form below 1e-6
+// or from 1e21 on, with a one-digit negative exponent unpadded. Like
+// json.Marshal it refuses NaN and the infinities.
+func appendFloat(b []byte, f float64) ([]byte, error) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return nil, fmt.Errorf("stats: latency tracker holds the non-finite value %v", f)
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs > 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b, nil
 }
 
 // UnmarshalJSON decodes a tracker produced by MarshalJSON.

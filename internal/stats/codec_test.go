@@ -1,9 +1,13 @@
 package stats
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"pcmap/internal/sim"
@@ -65,6 +69,76 @@ func TestLatencyTrackerRoundTrip(t *testing.T) {
 	//pcmaplint:ignore floatcmp round-trip fidelity means bit-identical floats; an epsilon would mask codec drift
 	if got.MeanNS() != l.MeanNS() || got.MaxNS() != l.MaxNS() || got.PercentileNS(95) != l.PercentileNS(95) {
 		t.Fatalf("accessors drifted: mean %v vs %v", got.MeanNS(), l.MeanNS())
+	}
+}
+
+// marshalLatencyRef is the reflection-based encoder MarshalJSON stands
+// in for: the pair slice built from the buckets, then json.Marshal.
+func marshalLatencyRef(l *LatencyTracker) ([]byte, error) {
+	w := latencyJSON{BucketCount: len(l.buckets), Total: l.total, SumNS: l.sumNS, MaxNS: l.maxNS}
+	for i, n := range l.buckets {
+		if n != 0 {
+			w.Samples = append(w.Samples, [2]uint64{uint64(i), n})
+		}
+	}
+	return json.Marshal(w)
+}
+
+// TestLatencyMarshalMatchesReference pins MarshalJSON's bytes to the
+// reflection-based encoder's — on an empty tracker, one bucket, random
+// latencies, all 100000 buckets filled, and sums and maxima at every
+// float formatting boundary — and round-trips each case.
+func TestLatencyMarshalMatchesReference(t *testing.T) {
+	cases := map[string]*LatencyTracker{"empty": NewLatencyTracker()}
+	one := NewLatencyTracker()
+	one.Add(sim.Nanosecond.Times(250))
+	cases["one bucket"] = one
+	random := NewLatencyTracker()
+	rng := sim.NewRNG(5)
+	for i := 0; i < 5000; i++ {
+		random.Add(sim.NS(rng.Float64() * 3000))
+	}
+	cases["random"] = random
+	full := NewLatencyTracker()
+	for ns := 0; ns < latencyBucketCount; ns++ {
+		for k := 0; k <= ns%3; k++ {
+			full.Add(sim.Nanosecond.Times(ns))
+		}
+	}
+	cases["full"] = full
+	for _, f := range []float64{0, 0.1, 1e-6, 9.99e-7, 1e-7, 5e-324, 1e20, 1e21, 1.5e300, 123.456} {
+		l := NewLatencyTracker()
+		l.Add(sim.Nanosecond.Times(7))
+		l.sumNS, l.maxNS = f, -f
+		cases[fmt.Sprintf("floats %g", f)] = l
+	}
+	for name, l := range cases {
+		got, err := l.MarshalJSON()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, err := marshalLatencyRef(l)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", name, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: encoded\n%.300s\nreference encodes\n%.300s", name, got, want)
+		}
+		var back LatencyTracker
+		if err := back.UnmarshalJSON(got); err != nil {
+			t.Fatalf("%s: decode: %v", name, err)
+		}
+		if !reflect.DeepEqual(&back, l) {
+			t.Fatalf("%s: did not round-trip", name)
+		}
+	}
+	if len(full.buckets) != latencyBucketCount || slices.Contains(full.buckets, 0) {
+		t.Fatal("the full case leaves a bucket empty")
+	}
+	nan := NewLatencyTracker()
+	nan.sumNS = math.NaN()
+	if _, err := nan.MarshalJSON(); err == nil {
+		t.Fatal("a NaN sum encoded without error")
 	}
 }
 

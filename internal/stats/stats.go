@@ -156,7 +156,12 @@ func (l *LatencyTracker) Add(d sim.Time) {
 }
 
 // grow extends the physical bucket array to cover index i, doubling so
-// repeated growth stays amortized-constant.
+// repeated growth stays amortized-constant. The new length depends only
+// on the current length and i, never on the capacity, so a recycled
+// tracker grows through exactly the lengths a fresh one does: the
+// length reaches outputs (MergeLatency sizes by it, MarshalJSON writes
+// it). Within the capacity the array is re-extended and its new tail
+// zeroed, since a recycled tracker's spare capacity holds old counts.
 func (l *LatencyTracker) grow(i int) {
 	n := len(l.buckets) * 2
 	if n < 1024 {
@@ -168,6 +173,12 @@ func (l *LatencyTracker) grow(i int) {
 	if n > latencyBucketCount {
 		n = latencyBucketCount
 	}
+	if n <= cap(l.buckets) {
+		old := len(l.buckets)
+		l.buckets = l.buckets[:n]
+		clear(l.buckets[old:])
+		return
+	}
 	nb := make([]uint64, n)
 	copy(nb, l.buckets)
 	l.buckets = nb
@@ -177,6 +188,15 @@ func (l *LatencyTracker) grow(i int) {
 // so steady-state reuse (warmup-discard resets) does not reallocate.
 func (l *LatencyTracker) Reset() {
 	clear(l.buckets)
+	l.total, l.sumNS, l.maxNS = 0, 0, 0
+}
+
+// Recycle returns the tracker to a fresh tracker's state for reuse by
+// another simulation: its length goes back to 0, so it grows through
+// the same lengths as a fresh tracker, while its capacity is kept, so
+// regrowing to it does not allocate.
+func (l *LatencyTracker) Recycle() {
+	l.buckets = l.buckets[:0]
 	l.total, l.sumNS, l.maxNS = 0, 0, 0
 }
 

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -189,5 +190,40 @@ func TestMeans(t *testing.T) {
 	m.Add(20)
 	if !approx(m.Value(), 15) || m.Count() != 2 {
 		t.Fatalf("mean %v/%d", m.Value(), m.Count())
+	}
+}
+
+// TestRecycledTrackerMatchesFresh: a recycled tracker must be
+// indistinguishable from a fresh one fed the same samples — the same
+// bucket length (MergeLatency and the wire form read it) and no count
+// left over from before — and refilling it to its old size must not
+// allocate.
+func TestRecycledTrackerMatchesFresh(t *testing.T) {
+	big := []int{3, 40, 700, 1500, 20_000, 70_000}
+	small := []int{3, 40, 900}
+	feed := func(l *LatencyTracker, samples []int) {
+		for _, ns := range samples {
+			l.Add(sim.NS(float64(ns)))
+		}
+	}
+	l := NewLatencyTracker()
+	feed(l, big)
+	grown := cap(l.buckets)
+	l.Recycle()
+	if len(l.buckets) != 0 || cap(l.buckets) != grown {
+		t.Fatalf("after Recycle: %d buckets of capacity %d, want 0 of %d", len(l.buckets), cap(l.buckets), grown)
+	}
+	feed(l, small)
+	fresh := NewLatencyTracker()
+	feed(fresh, small)
+	if !reflect.DeepEqual(l, fresh) {
+		t.Fatalf("recycled tracker has %d buckets, count %d at 700 ns; fresh has %d buckets",
+			len(l.buckets), l.buckets[700], len(fresh.buckets))
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		l.Recycle()
+		feed(l, big)
+	}); n > 0 {
+		t.Fatalf("refilling a recycled tracker to its old size allocated %.1f/run, want 0", n)
 	}
 }

@@ -1,7 +1,9 @@
 package system
 
 import (
+	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"pcmap/internal/config"
@@ -52,6 +54,49 @@ func TestDeterminism(t *testing.T) {
 				t.Errorf("results diverged:\nfirst  %+v\nsecond %+v", a, b)
 			}
 		})
+	}
+}
+
+// TestPooledSystemMatchesFresh: a system built from the tables and
+// metrics blocks a larger, released system left in the pools must
+// report exactly what one built from empty pools does. Between two
+// MP4/Baseline runs, a canneal/RWoW-RDE run grows bigger line tables,
+// directory, memos and latency trackers and releases them; the second
+// MP4 run must match the first in Results and in encoded bytes.
+func TestPooledSystemMatchesFresh(t *testing.T) {
+	runtime.GC() // a pooled value survives one collection, not two
+	runtime.GC()
+	run := func(variant config.Variant, mix string, warmup, measure uint64) (*Results, []byte, int) {
+		t.Helper()
+		s, err := New(WithConfig(config.Default().WithVariant(variant)), WithWorkload(mix))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := s.Run(warmup, measure)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := 0
+		for _, c := range s.Mem.Ctrls {
+			lines += c.Rank().Store.Lines()
+		}
+		s.Release()
+		data, err := EncodeResults(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r, data, lines
+	}
+	fresh, freshData, mp4Lines := run(config.Baseline, "MP4", 4_000, 40_000)
+	if _, _, lines := run(config.RWoWRDE, "canneal", 4_000, 60_000); lines <= mp4Lines {
+		t.Fatalf("canneal wrote %d PCM lines, MP4 %d: the released tables are not the larger ones", lines, mp4Lines)
+	}
+	pooled, pooledData, _ := run(config.Baseline, "MP4", 4_000, 40_000)
+	if !reflect.DeepEqual(fresh, pooled) {
+		t.Errorf("pooled system's Results differ:\nfresh  %+v\npooled %+v", fresh, pooled)
+	}
+	if !bytes.Equal(freshData, pooledData) {
+		t.Error("pooled system's encoded Results differ from the fresh system's")
 	}
 }
 

@@ -120,14 +120,20 @@ type Results struct {
 }
 
 // Release returns the system's pooled resources — the cache levels'
-// slab-backed state arrays and the op feeds' batches — for reuse by the
-// next System. Call it once after the final Run; the system must not be
-// used afterwards. Sweeps that build many systems sequentially (the
-// figure experiments, benchmarks) recycle tens of MB per run this way.
+// slab-backed state arrays, the directory's table, the op feeds'
+// batches and memos, and each memory channel's line table and metrics
+// block — for reuse by the next System. Call it once after the final
+// Run; the system must not be used afterwards. Sweeps that build many
+// systems sequentially (the figure experiments, benchmarks) recycle
+// tens of MB per run this way.
 func (s *System) Release() {
 	if s.Hier != nil {
 		s.Hier.Release()
 		s.Hier = nil
+	}
+	if s.Mem != nil {
+		s.Mem.Release()
+		s.Mem = nil
 	}
 	for _, f := range s.feeds {
 		f.Release()

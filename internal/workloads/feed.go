@@ -117,7 +117,6 @@ func (f *Feed) Release() {
 		panic("workloads: Release of a feed with a producer attached")
 	}
 	if m := f.gen.patterns; m != nil {
-		m.Clear()
 		memoPool.Put(m)
 		f.gen.patterns = nil
 	}

@@ -77,10 +77,8 @@ const (
 
 // memoPool recycles write-pattern memos across systems, as batchPool
 // recycles batches: a sweep builds one system after another, and each
-// generator's memo grows to memoLines lines. Feed.Release returns a
-// memo cleared, so a memo from the pool is always empty. A memo's slot
-// count cannot reach any output, since a flat.Table has no iteration.
-var memoPool = sync.Pool{New: func() any { return new(flat.Table[uint8]) }}
+// generator's memo grows to memoLines lines.
+var memoPool flat.Pool[uint8]
 
 // gapTables holds one GapTable per mean gap for the whole process, so
 // a profile's buckets are filled once, not once per simulation. It
@@ -118,7 +116,7 @@ func NewGenerator(p Profile, core int, rng *sim.RNG, shared *SharedRegion) *Gene
 		rng:      rng,
 		core:     core,
 		base:     uint64(core+1) << 29, // 512 MB apart, private
-		patterns: memoPool.Get().(*flat.Table[uint8]),
+		patterns: memoPool.Get(),
 		shared:   shared,
 	}
 	g.poolBase = g.base + (p.FootprintLines+uint64(core)*poolSkewLines)*64
