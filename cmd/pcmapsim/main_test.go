@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -85,5 +86,38 @@ func TestUnknownWorkloadFails(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "NOPE") {
 		t.Fatalf("stderr %q does not name the bad workload", stderr.String())
+	}
+}
+
+// TestTraceWithResumeSimulates: a cached result carries no timeline, so
+// a traced run with -resume must simulate again. The cold and the
+// resumed traced runs print the same report and write the same number
+// of timeline records.
+func TestTraceWithResumeSimulates(t *testing.T) {
+	dir := t.TempDir()
+	run := func(trace string, extra ...string) (stdout, records string) {
+		t.Helper()
+		args := append([]string{"-exp", "adhoc", "-workload", "MP4", "-variant", "Baseline",
+			"-warmup", "200", "-measure", "2000", "-cache", filepath.Join(dir, "cache"),
+			"-trace", filepath.Join(dir, trace)}, extra...)
+		var out, stderr strings.Builder
+		cmd := exec.Command(binPath, args...)
+		cmd.Stdout, cmd.Stderr = &out, &stderr
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("%v: %v\n%s", args, err, stderr.String())
+		}
+		m := regexp.MustCompile(`\((\d+) timeline records\)`).FindStringSubmatch(stderr.String())
+		if m == nil {
+			t.Fatalf("stderr %q reports no timeline record count", stderr.String())
+		}
+		return out.String(), m[1]
+	}
+	coldOut, coldRecords := run("cold.json")
+	resumedOut, resumedRecords := run("resumed.json", "-resume")
+	if resumedOut != coldOut {
+		t.Errorf("resumed traced report differs:\n--- cold ---\n%s\n--- resumed ---\n%s", coldOut, resumedOut)
+	}
+	if resumedRecords != coldRecords || coldRecords == "0" {
+		t.Errorf("timeline records: cold %s, resumed %s; want the same nonzero count", coldRecords, resumedRecords)
 	}
 }

@@ -44,8 +44,8 @@ type serveFlags struct {
 func defineServeFlags(fs *flag.FlagSet) *serveFlags {
 	return &serveFlags{
 		addr:       fs.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)"),
-		workers:    fs.Int("workers", 0, "simulation worker-pool size (0 = NumCPU)"),
-		queue:      fs.Int("queue", 0, "admission queue depth; a full queue answers 429 (0 = 2x workers)"),
+		workers:    fs.Int("workers", 0, "jobs simulating at once (0 = NumCPU)"),
+		queue:      fs.Int("queue", 0, "accepted jobs that may wait for a running slot; past it a job answers 429 (0 = 2x workers)"),
 		warmup:     fs.Uint64("warmup", 0, "default warmup instructions per core for jobs that set none (0 = 40k)"),
 		measure:    fs.Uint64("measure", 0, "default measured instructions per core for jobs that set none (0 = 400k)"),
 		maxBudget:  fs.Uint64("maxbudget", 0, "reject jobs asking for more warmup or measure instructions than this (0 = 5M)"),

@@ -143,7 +143,7 @@ func TestResumeByteIdentical(t *testing.T) {
 	var executed int32
 	resumed.simulate = func(ctx context.Context, cfg *config.Config, workload string, warmup, measure uint64) (*system.Results, error) {
 		atomic.AddInt32(&executed, 1)
-		return runSimulation(ctx, cfg, workload, warmup, measure)
+		return resumed.defaultSimulate(ctx, cfg, workload, warmup, measure)
 	}
 	got := runReliabilityMarkdown(t, resumed)
 

@@ -80,9 +80,10 @@ type Runner struct {
 	// Resume loads previously cached results instead of re-simulating.
 	Resume bool
 	// Tracer, when non-nil, is attached to every simulation this
-	// runner executes (system.WithTracer). The tracer is single-
-	// threaded, so set it only for single-run invocations (adhoc);
-	// a parallel sweep sharing one tracer would race.
+	// runner executes (system.WithTracer), and Resume is ignored: a
+	// cached result has no timeline. The tracer is single-threaded,
+	// so set it only for single-run invocations (adhoc); a parallel
+	// sweep sharing one tracer would race.
 	Tracer *obs.Tracer
 
 	mu sync.Mutex
@@ -176,11 +177,6 @@ func resolve(s Spec, edit ...func(*config.Config)) (run, error) {
 func (s Spec) Validate() error {
 	_, err := resolve(s)
 	return err
-}
-
-// runSimulation is the untraced default simulate implementation.
-func runSimulation(ctx context.Context, cfg *config.Config, workload string, warmup, measure uint64) (*system.Results, error) {
-	return (&Runner{}).defaultSimulate(ctx, cfg, workload, warmup, measure)
 }
 
 // defaultSimulate builds the system — attaching the runner's tracer
@@ -285,8 +281,8 @@ func (r *Runner) runCtx(ctx context.Context, k run) (*system.Results, error) {
 	return c.res, c.err
 }
 
-// execute runs one run for real: disk-cache lookup (when resuming),
-// then one simulation, then a cache store.
+// execute runs one run for real: disk-cache lookup (when resuming
+// untraced), then one simulation, then a cache store.
 func (r *Runner) execute(ctx context.Context, k run) (*system.Results, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -294,7 +290,9 @@ func (r *Runner) execute(ctx context.Context, k run) (*system.Results, error) {
 	var key string
 	if r.Cache != nil {
 		key = CacheKey(k.Workload, &k.Config, r.Warmup, r.Measure)
-		if r.Resume {
+		// A cached answer carries no timeline, so a traced run always
+		// simulates; it still stores its result.
+		if r.Resume && r.Tracer == nil {
 			if res, ok := r.Cache.Load(key); ok {
 				r.mu.Lock()
 				r.hits++
@@ -373,7 +371,7 @@ func (r *Runner) CacheHits() uint64 {
 
 // SetSimulate substitutes the simulation implementation — a test seam
 // so orchestration layers (panic isolation, deadlines, the
-// serve worker pool) can be exercised without building real systems.
+// serve handlers) can be exercised without building real systems.
 // Passing nil restores the default. Call before the runner serves
 // traffic; the hook is read without synchronization on the execute
 // path.

@@ -52,10 +52,8 @@ type record struct {
 }
 
 type trackInfo struct {
-	process string
-	name    string
-	pid     int32
-	tid     int32
+	name     string
+	pid, tid int32
 }
 
 // Tracer collects timeline records into a ring buffer. It is not safe
@@ -137,7 +135,7 @@ func (t *Tracer) Track(process, name string) TrackID {
 		}
 	}
 	id := TrackID(len(t.tracks))
-	t.tracks = append(t.tracks, trackInfo{process: process, name: name, pid: pid, tid: tid})
+	t.tracks = append(t.tracks, trackInfo{name: name, pid: pid, tid: tid})
 	return id
 }
 

@@ -42,7 +42,6 @@ type Chip struct {
 	WordWrites uint64 // word-granularity programming operations
 	BitsSet    uint64 // cells programmed 0->1
 	BitsReset  uint64 // cells programmed 1->0
-	BusySum    sim.Time
 
 	// Timeline instrumentation (nil when tracing is off). Every
 	// reservation becomes one occupancy span on the chip-bank's track,
@@ -129,7 +128,6 @@ func (c *Chip) book(bank, part int, earliest, act, prog sim.Time, name obs.NameI
 	if prog > 0 {
 		c.ProgBusyUntil = end
 	}
-	c.BusySum += end - start
 	c.trace.Span(c.trackFor(bank), name, start, end-start)
 	return start, end
 }

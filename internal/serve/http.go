@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
@@ -65,12 +66,19 @@ func writeError(w http.ResponseWriter, status int, body errorBody) {
 	}{body})
 }
 
-// parseJob validates one request into an executable task. Validation
-// errors come back as an errorBody (always kind "invalid", status 400)
-// rather than an error: the taxonomy is part of the wire contract.
-func (s *Server) parseJob(req JobRequest) (*task, *errorBody) {
+// decodeJob reads one job body, at most maxJobBytes of strict JSON
+// (unknown fields rejected), and validates it into an executable task.
+// Every failure comes back as an errorBody of kind "invalid" (status
+// 400) rather than an error: the taxonomy is part of the wire contract.
+func (s *Server) decodeJob(w http.ResponseWriter, body io.ReadCloser) (*task, *errorBody) {
 	invalid := func(format string, a ...any) (*task, *errorBody) {
 		return nil, &errorBody{Kind: "invalid", Message: fmt.Sprintf(format, a...)}
+	}
+	var req JobRequest
+	dec := json.NewDecoder(http.MaxBytesReader(w, body, maxJobBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return invalid("bad job JSON: %v", err)
 	}
 	if req.Workload == "" {
 		return invalid("missing workload")
@@ -112,86 +120,50 @@ func (s *Server) parseJob(req JobRequest) (*task, *errorBody) {
 			warmup, measure, s.cfg.MaxBudget)
 	}
 
+	// Clamp in milliseconds: converting first overflows time.Duration
+	// for large requests and yields a deadline already past.
 	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
+	switch {
+	case req.TimeoutMS > s.cfg.MaxTimeout.Milliseconds():
+		timeout = s.cfg.MaxTimeout
+	case req.TimeoutMS > 0:
 		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
-		}
 	}
-
-	t := &task{
-		spec:    spec,
-		warmup:  warmup,
-		measure: measure,
-		done:    make(chan struct{}),
-	}
-	// The deadline covers queue wait plus execution: a job that sat
-	// queued past its deadline answers timeout without ever simulating.
-	t.ctx, t.cancel = context.WithTimeout(s.baseCtx, timeout)
-	return t, nil
+	return &task{spec: spec, warmup: warmup, measure: measure, timeout: timeout}, nil
 }
 
-// handleJob is POST /v1/jobs: parse, admit, wait, answer.
+// handleJob is POST /v1/jobs: decode, admit, run, answer.
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	var req JobRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.met.rejectedInvalid.Add(1)
-		writeError(w, http.StatusBadRequest, errorBody{
-			Kind: "invalid", Message: fmt.Sprintf("bad job JSON: %v", err)})
-		return
-	}
-	t, berr := s.parseJob(req)
+	t, berr := s.decodeJob(w, r.Body)
 	if berr != nil {
 		s.met.rejectedInvalid.Add(1)
 		writeError(w, http.StatusBadRequest, *berr)
 		return
 	}
 
-	switch status := s.admit(t); status {
+	switch status := s.admit(); status {
 	case 0: // admitted
 	case http.StatusTooManyRequests:
-		t.cancel()
 		// Retry-After is a hint, not a promise: one default job-time.
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", retryAfterSeconds(s.cfg.DefaultTimeout)))
 		writeError(w, status, errorBody{Kind: "overloaded",
 			Message: "admission queue full; retry later", Retryable: true})
 		return
 	default: // draining
-		t.cancel()
 		writeError(w, status, errorBody{Kind: "draining",
 			Message: "server is draining; submit to another instance", Retryable: true})
 		return
 	}
-
-	// The worker owns t.done; the job context deadline (which also
-	// covers queue wait, and which Close cancels at forced shutdown)
-	// bounds how long this handler can block.
-	select {
-	case <-t.done:
-	case <-t.ctx.Done():
-	}
-	s.answer(w, t)
+	defer s.release()
+	res, err := s.run(t)
+	s.answer(w, res, err)
 }
 
-// answer classifies one finished (or abandoned) task into the HTTP
-// response and the service counters.
-func (s *Server) answer(w http.ResponseWriter, t *task) {
-	var err error
-	select {
-	case <-t.done:
-		err = t.err // t.res/t.err writes happen-before close(t.done)
-	default:
-		// The job context ended before a worker finished the task (it
-		// may never have been picked up): the deadline is the answer,
-		// and t.res/t.err must not be touched — the worker may still be
-		// writing them.
-		err = t.ctx.Err()
-	}
+// answer classifies one job's outcome into the HTTP response and the
+// service counters.
+func (s *Server) answer(w http.ResponseWriter, res *system.Results, err error) {
 	if err == nil {
-		data, encErr := system.EncodeResults(t.res)
+		data, encErr := system.EncodeResults(res)
 		if encErr != nil {
 			s.met.failed.Add(1)
 			writeError(w, http.StatusInternalServerError, errorBody{

@@ -9,9 +9,8 @@ import (
 )
 
 // svcCounters are the service-level counters. They are atomics, unlike
-// the simulation's stats.Counter fields, because HTTP handlers and
-// workers touch them concurrently (stats counters are single-goroutine
-// by design).
+// the simulation's stats.Counter fields, because concurrent HTTP
+// handlers touch them (stats counters are single-goroutine by design).
 type svcCounters struct {
 	accepted         atomic.Uint64
 	rejectedQueue    atomic.Uint64
@@ -21,7 +20,6 @@ type svcCounters struct {
 	failed           atomic.Uint64
 	panicked         atomic.Uint64
 	timedOut         atomic.Uint64
-	busy             atomic.Int64
 }
 
 // handleMetrics is GET /metrics: a flat text exposition (Prometheus
@@ -38,6 +36,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	agg := append([]mem.NamedCounter(nil), s.agg...)
 	s.mu.Unlock()
+	// Waiting jobs hold an admission token but no running one; the two
+	// lengths are read apart, so clamp the difference at 0.
+	running := len(s.running)
+	waiting := max(len(s.admitted)-running, 0)
 
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	rows := []struct {
@@ -52,10 +54,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		{"serve_jobs_failed", int64(s.met.failed.Load())},
 		{"serve_jobs_panicked", int64(s.met.panicked.Load())},
 		{"serve_jobs_timed_out", int64(s.met.timedOut.Load())},
-		{"serve_queue_depth", int64(len(s.queue))},
-		{"serve_queue_capacity", int64(cap(s.queue))},
+		{"serve_queue_depth", int64(waiting)},
+		{"serve_queue_capacity", int64(s.cfg.QueueDepth)},
 		{"serve_workers", int64(s.cfg.Workers)},
-		{"serve_workers_busy", s.met.busy.Load()},
+		{"serve_workers_busy", int64(running)},
 		{"serve_sims_executed", int64(sims)},
 		{"serve_cache_hits", int64(hits)},
 		{"serve_draining", boolMetric(s.draining.Load())},

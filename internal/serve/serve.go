@@ -1,21 +1,22 @@
 // Package serve turns the one-shot simulator into a hardened,
 // long-running simulation service: an HTTP front end (stdlib net/http
-// only) that accepts simulation jobs as JSON, executes them on a
-// bounded worker pool layered on the exp.Runner orchestrator, and
-// answers with the same Results JSON the disk cache stores
+// only) that accepts simulation jobs as JSON, runs each on its own
+// handler goroutine through the exp.Runner orchestrator, and answers
+// with the same Results JSON the disk cache stores
 // (system.EncodeResults), byte-identical to a one-shot run of the same
 // spec.
 //
 // The robustness surface is the point:
 //
-//   - admission control: a bounded queue; when it is full the job is
-//     rejected with 429 and a Retry-After hint instead of growing an
-//     unbounded backlog, and while draining new jobs get 503;
-//   - per-job deadlines: every accepted job runs under a context
-//     deadline (server default, client-settable up to a server cap)
-//     that the simulation engine honors between events;
+//   - admission control: at most Workers jobs simulate at once and at
+//     most QueueDepth more wait for a turn; past that a job is rejected
+//     with 429 and a Retry-After hint instead of growing an unbounded
+//     backlog, and while draining new jobs get 503;
+//   - per-job deadlines: every accepted job waits and runs under a
+//     context deadline (server default, client-settable up to a server
+//     cap) that the simulation engine honors between events;
 //   - panic isolation: a crashing job answers with a typed error while
-//     the pool keeps serving (exp.JobPanicError carries the stack);
+//     the server keeps serving (exp.JobPanicError carries the stack);
 //   - graceful drain: BeginDrain stops admission, Drain waits for
 //     in-flight jobs up to a deadline, and Main wires the whole
 //     lifecycle to SIGTERM/SIGINT (second signal forces exit 130).
@@ -43,10 +44,10 @@ import (
 // Config tunes the service. Zero values mean "use the documented
 // default"; New normalizes them.
 type Config struct {
-	// Workers is the simulation worker-pool size (<= 0: NumCPU).
+	// Workers bounds the jobs simulating at once (<= 0: NumCPU).
 	Workers int
-	// QueueDepth bounds the admission queue; a full queue answers 429
-	// (<= 0: 2x Workers).
+	// QueueDepth bounds the accepted jobs waiting for one of the
+	// Workers turns; past it a job answers 429 (<= 0: 2x Workers).
 	QueueDepth int
 
 	// DefaultWarmup and DefaultMeasure are the per-core instruction
@@ -54,7 +55,7 @@ type Config struct {
 	// exp.NewRunner defaults, 40k/400k).
 	DefaultWarmup, DefaultMeasure uint64
 	// MaxBudget caps a job's warmup and measure budgets; a job asking
-	// for more is rejected as invalid rather than monopolizing a worker
+	// for more is rejected as invalid rather than monopolizing a turn
 	// (<= 0: 5M instructions per core).
 	MaxBudget uint64
 
@@ -123,42 +124,39 @@ type budgets struct {
 	warmup, measure uint64
 }
 
-// task is one accepted job travelling from admission to a worker and
-// back to the waiting handler.
+// task is one validated job: what to simulate, at which budgets, and
+// how long it may wait and run.
 type task struct {
 	spec            exp.Spec
 	warmup, measure uint64
-
-	ctx    context.Context
-	cancel context.CancelFunc
-
-	res  *system.Results
-	err  error
-	done chan struct{} // closed by the worker once res/err are set
+	timeout         time.Duration
 }
 
-// Server is the simulation service. Create with New, install Handler
-// on an http.Server (or use Main for the full signal-driven
-// lifecycle), and call Start to launch the worker pool.
+// Server is the simulation service. Create with New, and install
+// Handler on an http.Server (or use Main for the full signal-driven
+// lifecycle). Each job runs on its handler's goroutine.
 type Server struct {
 	cfg Config
 	mux *http.ServeMux
 
-	//pcmaplint:chanowner never closed; workers exit via stop, queued tasks are cancelled by baseCancel
-	queue chan *task
-	stop  chan struct{}
-	once  sync.Once // guards close(stop)
+	// admitted and running are counting semaphores: a token in
+	// admitted is an accepted, unanswered job (capacity Workers +
+	// QueueDepth; none free answers 429), a token in running an
+	// executing one (capacity Workers).
+	//pcmaplint:chanowner never closed; a semaphore, every send is matched by the receive that returns the token
+	admitted chan struct{}
+	//pcmaplint:chanowner never closed; a semaphore, every send is matched by the receive that returns the token
+	running chan struct{}
 
 	// admitMu fences admission against BeginDrain: admits hold the read
-	// side across the draining check and the enqueue, so a drain either
-	// sees the task in pending or the task sees draining.
+	// side across the draining check and pending.Add, so a drain either
+	// sees the job in pending or the job sees draining.
 	admitMu  sync.RWMutex
 	draining atomic.Bool
-	pending  sync.WaitGroup // accepted tasks not yet answered
-	workers  sync.WaitGroup
+	pending  sync.WaitGroup // accepted jobs not yet answered
 
-	// baseCtx parents every job context; Close cancels it so handlers
-	// blocked on abandoned queued tasks unblock at forced shutdown.
+	// baseCtx parents every job context; Close cancels it so jobs still
+	// waiting or running unblock at forced shutdown.
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
@@ -185,8 +183,8 @@ func New(cfg Config) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:        cfg,
-		queue:      make(chan *task, cfg.QueueDepth),
-		stop:       make(chan struct{}),
+		admitted:   make(chan struct{}, cfg.Workers+cfg.QueueDepth),
+		running:    make(chan struct{}, cfg.Workers),
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		runners:    map[budgets]*exp.Runner{},
@@ -206,16 +204,8 @@ func (s *Server) Handler() http.Handler {
 	return recoverHandler(s.mux)
 }
 
-// Start launches the worker pool. Call once, before serving traffic.
-func (s *Server) Start() {
-	for i := 0; i < s.cfg.Workers; i++ {
-		s.workers.Add(1)
-		go s.worker()
-	}
-}
-
 // BeginDrain stops admission: from its return, readyz answers 503 and
-// new jobs are rejected with 503. Already-accepted jobs (queued or
+// new jobs are rejected with 503. Already-accepted jobs (waiting or
 // executing) keep running.
 func (s *Server) BeginDrain() {
 	s.admitMu.Lock()
@@ -239,13 +229,11 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// Close stops the worker pool and cancels every outstanding job
-// context so handlers blocked on abandoned tasks unblock. Safe to call
-// more than once.
+// Close cancels every outstanding job context, so jobs still waiting
+// or running answer "abandoned at shutdown". Safe to call more than
+// once.
 func (s *Server) Close() {
-	s.once.Do(func() { close(s.stop) })
 	s.baseCancel()
-	s.workers.Wait()
 }
 
 // logf emits one operational log line when logging is configured.
@@ -263,7 +251,6 @@ func (s *Server) logf(format string, a ...any) {
 // with signal.Notify for SIGTERM/SIGINT) and ln.
 func (s *Server) Main(ln net.Listener, sig <-chan os.Signal, drainTimeout time.Duration) int {
 	hs := &http.Server{Handler: s.Handler()}
-	s.Start()
 	//pcmaplint:chanowner buffered single-shot; Serve's goroutine sends once and exits, nobody closes it
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
@@ -298,7 +285,7 @@ func (s *Server) Main(ln net.Listener, sig <-chan os.Signal, drainTimeout time.D
 	case err := <-drained:
 		s.Close()
 		if err != nil {
-			s.logf("drain deadline exceeded; abandoning queued jobs")
+			s.logf("drain deadline exceeded; abandoning unfinished jobs")
 		} else {
 			s.logf("drained cleanly")
 		}
@@ -309,60 +296,55 @@ func (s *Server) Main(ln net.Listener, sig <-chan os.Signal, drainTimeout time.D
 	}
 }
 
-// admit decides one task's fate: 0 to run it, or the HTTP status to
-// reject it with (503 draining, 429 queue full). An admitted task is
-// counted in pending before it becomes visible to workers, which is
-// what makes Drain's accounting exact.
-func (s *Server) admit(t *task) int {
+// admit decides one job's fate: 0 to run it, or the HTTP status to
+// reject it with (503 draining, 429 no admission token free). An
+// admitted job holds a token and is counted in pending until release,
+// which is what makes Drain's accounting exact.
+func (s *Server) admit() int {
 	s.admitMu.RLock()
 	defer s.admitMu.RUnlock()
 	if s.draining.Load() {
 		s.met.rejectedDraining.Add(1)
 		return http.StatusServiceUnavailable
 	}
-	s.pending.Add(1)
 	select {
-	case s.queue <- t:
+	case s.admitted <- struct{}{}:
+		s.pending.Add(1)
 		s.met.accepted.Add(1)
 		return 0
 	default:
-		s.pending.Done()
 		s.met.rejectedQueue.Add(1)
 		return http.StatusTooManyRequests
 	}
 }
 
-// worker executes queued tasks until Close.
-func (s *Server) worker() {
-	defer s.workers.Done()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case t := <-s.queue:
-			s.met.busy.Add(1)
-			s.runTask(t)
-			s.met.busy.Add(-1)
-			s.pending.Done()
-		}
-	}
+// release returns an answered job's admission token.
+func (s *Server) release() {
+	<-s.admitted
+	s.pending.Done()
 }
 
-// runTask executes one job. Panics inside the simulation are already
-// converted to *exp.JobPanicError by the runner; classification into an
-// HTTP answer happens in the handler.
-// Deferred calls run last-first, so done closes before the job context
-// is cancelled: a handler woken by the cancellation then finds the
-// task finished and answers its result, not "abandoned at shutdown".
-func (s *Server) runTask(t *task) {
-	defer t.cancel()
-	defer close(t.done)
+// run executes one admitted job on the calling goroutine once a
+// running token is free. The job's deadline covers that wait as well
+// as the simulation: a job that waited past it answers timeout without
+// ever simulating. Panics inside the simulation come back from the
+// runner as *exp.JobPanicError.
+func (s *Server) run(t *task) (*system.Results, error) {
+	ctx, cancel := context.WithTimeout(s.baseCtx, t.timeout)
+	defer cancel()
+	select {
+	case s.running <- struct{}{}:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	defer func() { <-s.running }()
 	r := s.runnerFor(t.warmup, t.measure)
-	t.res, t.err = r.RunCtx(t.ctx, t.spec)
-	if t.err == nil {
-		s.aggregate(t.res)
+	res, err := r.RunCtx(ctx, t.spec)
+	if err == nil {
+		s.aggregate(res)
 	}
 	s.maybeRetire(r, budgets{t.warmup, t.measure})
+	return res, err
 }
 
 // runnerFor returns (creating on first use) the runner for one budget

@@ -20,13 +20,12 @@ import (
 	"pcmap/internal/system"
 )
 
-// newTestServer builds a started Server plus an httptest front end.
+// newTestServer builds a Server plus an httptest front end.
 // Cleanup tears both down.
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	cfg.Logf = t.Logf
 	s := New(cfg)
-	s.Start()
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -481,38 +480,5 @@ func TestServeAcceptsRegisteredVariants(t *testing.T) {
 				t.Errorf("variant %q rejected: status %d, body %s", name, status, body)
 			}
 		})
-	}
-}
-
-// TestFinishedJobAnswersAtCancel pins the order in which a worker
-// finishes a task: its job context is cancelled only after done has
-// closed. A handler woken by that cancellation must answer the job's
-// result; the reverse order answered 503 "job abandoned at shutdown"
-// for a job that had succeeded.
-func TestFinishedJobAnswersAtCancel(t *testing.T) {
-	tune := func(r *exp.Runner) {
-		r.SetSimulate(func(_ context.Context, _ *config.Config, workload string, _, _ uint64) (*system.Results, error) {
-			return stubResults(workload), nil
-		})
-	}
-	s := New(Config{Workers: 1, tune: tune})
-	defer s.Close()
-
-	tk := &task{
-		spec:    exp.Spec{Workload: "MP4", Variant: config.Baseline},
-		warmup:  1,
-		measure: 1,
-		done:    make(chan struct{}),
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	tk.ctx = ctx
-	rec := httptest.NewRecorder()
-	tk.cancel = func() {
-		cancel()
-		s.answer(rec, tk) // what a handler woken by ctx.Done() does
-	}
-	s.runTask(tk)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("finished job answered %d at cancellation; body %s", rec.Code, rec.Body)
 	}
 }
