@@ -1,9 +1,9 @@
 // Command pcmaplint runs the project's static-analysis suite: the
 // custom analyzers in internal/analysis/checks (determinism, unit
 // safety, metrics lifecycle, typed errors, float comparisons, lock
-// discipline, goroutine lifecycle, wall-clock bans, channel ownership)
-// plus `go vet`. It exits non-zero when any check reports a finding, so
-// CI and `make lint` can gate on it.
+// discipline, goroutine lifecycle, channel ownership) plus `go vet`. It
+// exits non-zero when any check reports a finding, so CI and `make lint`
+// can gate on it. Each analyzer decides its own package scope.
 //
 // Usage:
 //
@@ -38,18 +38,10 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"regexp"
 
 	"pcmap/internal/analysis"
 	"pcmap/internal/analysis/checks"
 )
-
-// floatCmpScope limits the floatcmp analyzer to the packages where a
-// float equality is essentially always a bug: statistics aggregation,
-// the energy model, and the experiment harness. Elsewhere (e.g. unit
-// tests asserting exact small constants) the comparison can be
-// deliberate.
-var floatCmpScope = regexp.MustCompile(`(^|/)(stats|energy|exp)(/|$)`)
 
 // defineFlags builds the flag surface (pinned by TestFlagSurface).
 func defineFlags(fs *flag.FlagSet) (vet *bool, dir *string, fix, jsonOut, summary *bool) {
@@ -99,7 +91,7 @@ func main() {
 	}
 	var all []analysis.Diagnostic
 	for _, pkg := range pkgs {
-		diags, err := analysis.Run(pkg, analyzersFor(pkg.PkgPath))
+		diags, err := analysis.Run(pkg, checks.All)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "pcmaplint:", err)
 			os.Exit(2)
@@ -188,17 +180,4 @@ func main() {
 	if len(all) > 0 || vetFailed {
 		os.Exit(1)
 	}
-}
-
-// analyzersFor selects the suite for one package: everything except
-// floatcmp, which applies only inside its scope.
-func analyzersFor(pkgPath string) []*analysis.Analyzer {
-	var out []*analysis.Analyzer
-	for _, a := range checks.All {
-		if a == checks.FloatCmp && !floatCmpScope.MatchString(pkgPath) {
-			continue
-		}
-		out = append(out, a)
-	}
-	return out
 }

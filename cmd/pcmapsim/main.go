@@ -21,6 +21,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -90,6 +91,42 @@ func defineFlags(fs *flag.FlagSet) *simFlags {
 	}
 }
 
+// experiments lists the -exp names other than adhoc, in -exp all's
+// order.
+var experiments = []string{"fig1", "fig2", "fig8", "fig9", "fig10", "fig11", "table2", "table3", "table4", "headline", "pausing", "palp", "ablations", "reliability"}
+
+// flagReaders maps each flag that only some experiments read to those
+// experiments. Setting one when none of them is selected is an error,
+// not a silent no-op. Flags not listed apply to every experiment.
+var flagReaders = map[string][]string{
+	"ratio": {"adhoc"}, "pausing": {"adhoc"}, "endurance": {"adhoc"}, "drift": {"adhoc"},
+	"verify": {"adhoc"}, "seed": {"adhoc"}, "trace": {"adhoc"}, "tracesample": {"adhoc"},
+	"workload": {"adhoc", "reliability"},
+	"variant":  {"adhoc", "reliability"},
+	"avgmt":    {"fig8", "fig9", "fig10", "fig11", "headline"},
+	"format":   experiments,
+	"json":     experiments,
+}
+
+// checkFlagReaders reports the first flag set on fs (in name order)
+// that none of the selected experiments reads.
+func checkFlagReaders(fs *flag.FlagSet, selected []string) error {
+	var err error
+	fs.Visit(func(fl *flag.Flag) {
+		readers, ok := flagReaders[fl.Name]
+		if !ok || err != nil {
+			return
+		}
+		for _, n := range selected {
+			if slices.Contains(readers, n) {
+				return
+			}
+		}
+		err = fmt.Errorf("invalid -%s: no selected experiment reads it (only -exp %s)", fl.Name, strings.Join(readers, ","))
+	})
+	return err
+}
+
 func main() {
 	// `pcmapsim serve` is a subcommand with its own flag surface (the
 	// long-running simulation service); everything else is the one-shot
@@ -142,8 +179,22 @@ func main() {
 	if *f.traceSmpl < 1 {
 		fatal(fmt.Errorf("invalid -tracesample %d (must be >= 1)", *f.traceSmpl))
 	}
-	if *f.tracePath != "" && *f.exp != "adhoc" {
-		fatal(fmt.Errorf("invalid -trace: timeline tracing only applies to single runs (-exp adhoc)"))
+	var names []string
+	switch *f.exp {
+	case "all":
+		names = experiments
+	case "adhoc":
+		names = []string{"adhoc"}
+	default:
+		for _, n := range strings.Split(*f.exp, ",") {
+			if !slices.Contains(experiments, n) {
+				fatal(fmt.Errorf("unknown experiment %q (want one of %s, all, adhoc)", n, strings.Join(experiments, ", ")))
+			}
+			names = append(names, n)
+		}
+	}
+	if err := checkFlagReaders(flag.CommandLine, names); err != nil {
+		fatal(err)
 	}
 
 	// First SIGINT/SIGTERM cancels the sweep: no new simulations are
@@ -215,19 +266,6 @@ func main() {
 			}
 			return exp.Reliability(ctx, r, *f.workload, v)
 		},
-	}
-	order := []string{"fig1", "fig2", "fig8", "fig9", "fig10", "fig11", "table2", "table3", "table4", "headline", "pausing", "palp", "ablations", "reliability"}
-
-	var names []string
-	if *f.exp == "all" {
-		names = order
-	} else {
-		for _, n := range strings.Split(*f.exp, ",") {
-			if _, ok := table[n]; !ok {
-				fatal(fmt.Errorf("unknown experiment %q (want one of %s, all, adhoc)", n, strings.Join(order, ", ")))
-			}
-			names = append(names, n)
-		}
 	}
 
 	var results []*exp.FigureResult

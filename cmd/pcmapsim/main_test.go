@@ -51,6 +51,23 @@ func TestInvalidFlagsExitNonZero(t *testing.T) {
 		{"unknown reliability variant", []string{"-exp", "reliability", "-variant", "NoSuch"}, `unknown variant "NoSuch"`},
 		{"unparseable flag", []string{"-measure", "lots"}, "invalid value"},
 		{"resume without cache", []string{"-exp", "adhoc", "-resume"}, "invalid -resume"},
+		// A flag that no selected experiment reads is rejected rather
+		// than ignored. Small budgets keep a regression from running
+		// full sweeps.
+		{"seed outside adhoc", small("-exp", "fig1", "-seed", "7"), "invalid -seed: no selected experiment"},
+		{"ratio outside adhoc", small("-exp", "fig1", "-ratio", "4"), "invalid -ratio: no selected experiment"},
+		{"pausing outside adhoc", small("-exp", "pausing", "-pausing"), "invalid -pausing: no selected experiment"},
+		{"endurance outside adhoc", small("-exp", "reliability", "-endurance", "4"), "invalid -endurance: no selected experiment"},
+		{"drift outside adhoc", small("-exp", "fig1", "-drift", "0.01"), "invalid -drift: no selected experiment"},
+		{"verify outside adhoc", small("-exp", "fig1", "-verify"), "invalid -verify: no selected experiment"},
+		{"trace outside adhoc", small("-exp", "fig1", "-trace", "t.json"), "invalid -trace: no selected experiment"},
+		{"tracesample outside adhoc", small("-exp", "fig1", "-tracesample", "2"), "invalid -tracesample: no selected experiment"},
+		{"workload outside adhoc and reliability", small("-exp", "fig1", "-workload", "MP4"), "invalid -workload: no selected experiment"},
+		{"variant outside adhoc and reliability", small("-exp", "fig2,table2", "-variant", "Baseline"), "invalid -variant: no selected experiment"},
+		{"avgmt outside its figures", small("-exp", "fig1", "-avgmt"), "invalid -avgmt: no selected experiment"},
+		{"avgmt with adhoc", small("-exp", "adhoc", "-avgmt"), "invalid -avgmt: no selected experiment"},
+		{"format with adhoc", small("-exp", "adhoc", "-format", "csv"), "invalid -format: no selected experiment"},
+		{"json with adhoc", small("-exp", "adhoc", "-json", "x.json"), "invalid -json: no selected experiment"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -70,6 +87,11 @@ func TestInvalidFlagsExitNonZero(t *testing.T) {
 			}
 		})
 	}
+}
+
+// small appends tiny instruction budgets to args.
+func small(args ...string) []string {
+	return append(args, "-warmup", "100", "-measure", "1000")
 }
 
 // TestUnknownWorkloadFails asserts an unknown workload mix is rejected

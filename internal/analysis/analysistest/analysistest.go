@@ -34,20 +34,24 @@ func TestData(t *testing.T) string {
 	return abs
 }
 
-// Run loads each fixture package (a directory under dir/src named by
-// its import path) and applies the analyzer, comparing diagnostics with
-// the // want comments in the fixture source.
+// Run loads the fixture packages (directories under dir/src, the root
+// of a module named fixture) through analysis.Load and applies the
+// analyzer to each, external test packages included, comparing
+// diagnostics with the // want comments in the fixture source.
 func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgPaths ...string) {
 	t.Helper()
-	for _, pkgPath := range pkgPaths {
-		pkg, err := analysis.LoadFromSource(filepath.Join(dir, "src"), pkgPath)
-		if err != nil {
-			t.Errorf("loading fixture %s: %v", pkgPath, err)
-			continue
-		}
+	patterns := make([]string, len(pkgPaths))
+	for i, p := range pkgPaths {
+		patterns[i] = "./" + p
+	}
+	pkgs, err := analysis.Load(filepath.Join(dir, "src"), patterns...)
+	if err != nil {
+		t.Fatalf("loading fixtures %v: %v", pkgPaths, err)
+	}
+	for _, pkg := range pkgs {
 		diags, err := analysis.Run(pkg, []*analysis.Analyzer{a})
 		if err != nil {
-			t.Errorf("running %s on %s: %v", a.Name, pkgPath, err)
+			t.Errorf("running %s on %s: %v", a.Name, pkg.PkgPath, err)
 			continue
 		}
 		checkExpectations(t, pkg, diags)

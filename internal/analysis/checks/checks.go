@@ -20,13 +20,12 @@ var All = []*analysis.Analyzer{
 	NoDeterminism,
 	TypedErr,
 	UnitSafe,
-	WallTime,
 }
 
 // pkgLast returns the final element of an import path ("pcmap/internal/sim"
 // -> "sim"). Analyzers match packages by this suffix so that test
-// fixtures (whose import paths are single elements) exercise the same
-// code paths as the real module packages.
+// fixtures (fixture/sim, ...) exercise the same code paths as the real
+// module packages.
 func pkgLast(path string) string {
 	if i := strings.LastIndex(path, "/"); i >= 0 {
 		return path[i+1:]

@@ -19,16 +19,6 @@ func TestGoroutineLife(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(t), checks.GoroutineLife, "goroutinelife")
 }
 
-func TestWallTime(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(t), checks.WallTime, "core")
-}
-
-// TestWallTimeScope checks the analyzer stays silent outside the
-// sim-core package set: svc reads the wall clock freely.
-func TestWallTimeScope(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(t), checks.WallTime, "svc")
-}
-
 func TestChanEndpoint(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(t), checks.ChanEndpoint, "chanendpoint")
 }
@@ -41,11 +31,11 @@ func TestMetricsAtomic(t *testing.T) {
 // a // want comment on the directive's line would itself become the
 // directive's reason, so analysistest cannot express this fixture.
 func TestChanOwnerReasonless(t *testing.T) {
-	pkg, err := analysis.LoadFromSource(filepath.Join(analysistest.TestData(t), "src"), "chanownerbad")
+	pkgs, err := analysis.Load(filepath.Join(analysistest.TestData(t), "src"), "./chanownerbad")
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := analysis.Run(pkg, []*analysis.Analyzer{checks.ChanEndpoint})
+	diags, err := analysis.Run(pkgs[0], []*analysis.Analyzer{checks.ChanEndpoint})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +54,7 @@ func TestChanOwnerReasonless(t *testing.T) {
 }
 
 // TestTypedErrFix applies typederr's suggested fixes to a scratch copy
-// of the typederrfix fixture, compares the result with the .golden
+// of the typederrfix fixture (in a fixture module of its own), compares the result with the .golden
 // files, and re-runs the analyzer on the fixed source to confirm the
 // findings are gone.
 func TestTypedErrFix(t *testing.T) {
@@ -91,11 +81,14 @@ func TestTypedErrFix(t *testing.T) {
 	}
 
 	srcRoot := filepath.Dir(scratch)
-	pkg, err := analysis.LoadFromSource(srcRoot, "typederrfix")
+	if err := os.WriteFile(filepath.Join(srcRoot, "go.mod"), []byte("module fixture\n\ngo 1.22\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := analysis.Load(srcRoot, "./typederrfix")
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := analysis.Run(pkg, []*analysis.Analyzer{checks.TypedErr})
+	diags, err := analysis.Run(pkgs[0], []*analysis.Analyzer{checks.TypedErr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +128,11 @@ func TestTypedErrFix(t *testing.T) {
 
 	// The fixed source must be clean: the point of a mechanical fix is
 	// that applying it resolves the finding.
-	fixedPkg, err := analysis.LoadFromSource(srcRoot, "typederrfix")
+	fixedPkgs, err := analysis.Load(srcRoot, "./typederrfix")
 	if err != nil {
 		t.Fatalf("fixed source does not load: %v", err)
 	}
-	fixedDiags, err := analysis.Run(fixedPkg, []*analysis.Analyzer{checks.TypedErr})
+	fixedDiags, err := analysis.Run(fixedPkgs[0], []*analysis.Analyzer{checks.TypedErr})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,20 +8,30 @@ import (
 	"pcmap/internal/analysis"
 )
 
-// FloatCmp reports == and != between floating-point values. In the
-// statistics, energy, and experiment packages a float equality is
-// almost always a latent bug: accumulated sums differ in the last ulp
-// across refactorings that are supposed to be behavior-preserving, so
-// such comparisons silently flip. Compare against an epsilon, or
-// compare the underlying integer counters instead. Comparisons where
-// both operands are compile-time constants are exact and allowed.
+// FloatCmp reports == and != between floating-point values in the
+// statistics, energy, and experiment packages (stats, energy, exp,
+// in-package tests included), where a float equality is almost always a
+// latent bug: accumulated sums differ in the last ulp across
+// refactorings that are supposed to be behavior-preserving, so such
+// comparisons silently flip. Compare against an epsilon, or compare the
+// underlying integer counters instead. Comparisons where both operands
+// are compile-time constants are exact and allowed. Elsewhere, external
+// test packages included, an exact comparison can be deliberate (a test
+// asserting a small constant) and is not reported.
 var FloatCmp = &analysis.Analyzer{
 	Name: "floatcmp",
 	Doc:  "reports ==/!= on floating-point operands (use an epsilon or compare integer counters)",
 	Run:  runFloatCmp,
 }
 
+// floatCmpPkgs are the packages floatcmp applies to, matched on the
+// last import-path element.
+var floatCmpPkgs = map[string]bool{"stats": true, "energy": true, "exp": true}
+
 func runFloatCmp(pass *analysis.Pass) error {
+	if !floatCmpPkgs[pkgLast(pass.Pkg.Path())] {
+		return nil
+	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			be, ok := n.(*ast.BinaryExpr)

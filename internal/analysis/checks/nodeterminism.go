@@ -12,7 +12,12 @@ import (
 // NoDeterminism reports constructs that make a simulation run depend on
 // anything other than its configuration and seed:
 //
-//   - time.Now / time.Since — wall-clock values leaking into results;
+//   - time.Now / time.Since / time.Until — wall-clock values leaking
+//     into results;
+//   - in the sim-core packages, also the pacing functions time.Sleep,
+//     After, Tick, NewTimer, NewTicker and AfterFunc — a component that
+//     sleeps or schedules against the host clock makes event order depend
+//     on host timing. Service and CLI layers may pace themselves;
 //   - importing math/rand or math/rand/v2 — the simulator must draw all
 //     randomness from its seeded, forkable sim.RNG so runs replay
 //     bit-for-bit (the global rand sources are unseeded and shared);
@@ -23,13 +28,27 @@ import (
 //     writes, or encodes are reported.
 var NoDeterminism = &analysis.Analyzer{
 	Name: "nodeterminism",
-	Doc:  "reports wall-clock reads, unseeded global randomness, and map-ordered output",
+	Doc:  "reports wall-clock reads, sim-core host pacing, unseeded global randomness, and map-ordered output",
 	Run:  runNoDeterminism,
 }
 
-// bannedTimeFuncs are the time package functions that read the wall
-// clock.
-var bannedTimeFuncs = map[string]bool{"Now": true, "Since": true, "Until": true}
+// clockReads are the time package functions that read the wall clock.
+var clockReads = map[string]bool{"Now": true, "Since": true, "Until": true}
+
+// pacingFuncs are the time package functions that wait on or schedule
+// against the host clock.
+var pacingFuncs = map[string]bool{
+	"Sleep": true, "After": true, "Tick": true,
+	"NewTimer": true, "NewTicker": true, "AfterFunc": true,
+}
+
+// simCorePkgs are the packages whose code runs under simulated time,
+// matched on the last import-path element (an external test package
+// belongs to the package it tests).
+var simCorePkgs = map[string]bool{
+	"sim": true, "core": true, "cpu": true, "pcm": true, "dimm": true,
+	"noc": true, "cache": true, "mem": true, "system": true,
+}
 
 // sinkMethods are method names that commit bytes to an output stream;
 // calling one inside a map-range makes the output order depend on map
@@ -41,22 +60,24 @@ var sinkMethods = map[string]bool{
 }
 
 func runNoDeterminism(pass *analysis.Pass) error {
-	// Wall-clock reads: every use of time.Now / time.Since / time.Until.
-	type posUse struct {
-		pos  ast.Node
-		name string
-	}
-	var uses []posUse
+	pkg := strings.TrimSuffix(pkgLast(pass.Pkg.Path()), "_test")
+	var uses []*ast.Ident
 	for ident, obj := range pass.TypesInfo.Uses {
 		fn, ok := obj.(*types.Func)
-		if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "time" || !bannedTimeFuncs[fn.Name()] {
+		if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "time" || fn.Type().(*types.Signature).Recv() != nil {
 			continue
 		}
-		uses = append(uses, posUse{ident, fn.Name()})
+		if clockReads[fn.Name()] || simCorePkgs[pkg] && pacingFuncs[fn.Name()] {
+			uses = append(uses, ident)
+		}
 	}
-	sort.Slice(uses, func(i, j int) bool { return uses[i].pos.Pos() < uses[j].pos.Pos() })
-	for _, u := range uses {
-		pass.Reportf(u.pos.Pos(), "time.%s reads the wall clock; simulation results must depend only on config and seed", u.name)
+	sort.Slice(uses, func(i, j int) bool { return uses[i].Pos() < uses[j].Pos() })
+	for _, id := range uses {
+		if clockReads[id.Name] {
+			pass.Reportf(id.Pos(), "time.%s reads the wall clock; simulation results must depend only on config and seed", id.Name)
+		} else {
+			pass.Reportf(id.Pos(), "time.%s paces against the host clock; %s is a deterministic sim-core package (results must be a function of config and seed)", id.Name, pkg)
+		}
 	}
 
 	for _, f := range pass.Files {

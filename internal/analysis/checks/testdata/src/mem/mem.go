@@ -2,7 +2,7 @@
 // types.
 package mem
 
-import "sim"
+import "fixture/sim"
 
 // Cycles mirrors the real mem.Cycles.
 type Cycles int

@@ -3,7 +3,7 @@
 // Reset forgets one tracker.
 package metricscomplete
 
-import "stats"
+import "fixture/stats"
 
 // Metrics has deliberate gaps; each missing-field diagnostic anchors on
 // the field declaration.

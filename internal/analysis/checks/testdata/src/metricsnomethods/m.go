@@ -2,7 +2,7 @@
 // lifecycle methods at all.
 package metricsnomethods
 
-import "stats"
+import "fixture/stats"
 
 // Metrics lacks Merge, Reset, Counters, and counters entirely.
 type Metrics struct { // want `no Merge method` `no Reset method` `no Counters method` `no counters method`

@@ -12,8 +12,8 @@ import (
 )
 
 func wallClock() {
-	start := time.Now()          // want `time\.Now reads the wall clock`
-	_ = time.Since(start)        // want `time\.Since reads the wall clock`
+	start := time.Now()   // want `time\.Now reads the wall clock`
+	_ = time.Since(start) // want `time\.Since reads the wall clock`
 	_ = time.Duration(5) * time.Millisecond
 }
 

@@ -5,8 +5,8 @@ package unitsafe
 import (
 	"fmt"
 
-	"mem"
-	"sim"
+	"fixture/mem"
+	"fixture/sim"
 )
 
 func violations(t sim.Time, c mem.Cycles, p mem.Picos) {

@@ -31,11 +31,11 @@ func TestFrameworkWantMatchingAndSuppression(t *testing.T) {
 }
 
 func TestMalformedIgnoreDirective(t *testing.T) {
-	pkg, err := analysis.LoadFromSource("testdata/src", "badreason")
+	pkgs, err := analysis.Load("testdata/src", "./badreason")
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := analysis.Run(pkg, []*analysis.Analyzer{frametest})
+	diags, err := analysis.Run(pkgs[0], []*analysis.Analyzer{frametest})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -211,126 +211,3 @@ func checkFiles(fset *token.FileSet, imp types.Importer, pkgPath, dir string, fi
 		TypesInfo: info,
 	}, nil
 }
-
-// LoadFromSource type-checks the single package rooted at pkgDir,
-// resolving imports first against sibling directories under srcRoot
-// (fixture packages), then against the standard library's export data.
-// The analysistest fixture runner uses it; the import path of each
-// fixture package is its path relative to srcRoot.
-func LoadFromSource(srcRoot, pkgPath string) (*Package, error) {
-	fset := token.NewFileSet()
-	std := map[string]string{}
-	ldr := &sourceLoader{
-		srcRoot: srcRoot,
-		fset:    fset,
-		std:     std,
-		cache:   map[string]*Package{},
-	}
-	ldr.stdImp = exportImporter(fset, std)
-	return ldr.load(pkgPath)
-}
-
-type sourceLoader struct {
-	srcRoot string
-	fset    *token.FileSet
-	std     map[string]string // std import path -> export file
-	stdImp  types.Importer
-	cache   map[string]*Package
-	loading map[string]bool
-}
-
-func (l *sourceLoader) load(pkgPath string) (*Package, error) {
-	if p, ok := l.cache[pkgPath]; ok {
-		return p, nil
-	}
-	if l.loading[pkgPath] {
-		return nil, fmt.Errorf("analysis: import cycle through %q", pkgPath)
-	}
-	if l.loading == nil {
-		l.loading = map[string]bool{}
-	}
-	l.loading[pkgPath] = true
-	defer delete(l.loading, pkgPath)
-
-	dir := filepath.Join(l.srcRoot, filepath.FromSlash(pkgPath))
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("analysis: fixture package %q: %v", pkgPath, err)
-	}
-	var files []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-			files = append(files, e.Name())
-		}
-	}
-	sort.Strings(files)
-	if len(files) == 0 {
-		return nil, fmt.Errorf("analysis: fixture package %q has no Go files", pkgPath)
-	}
-
-	// Pre-resolve imports so fixture packages load (recursively) before
-	// the type checker asks for them.
-	imports, err := scanImports(dir, files)
-	if err != nil {
-		return nil, err
-	}
-	var stdNeeded []string
-	for _, imp := range imports {
-		if fi, statErr := os.Stat(filepath.Join(l.srcRoot, filepath.FromSlash(imp))); statErr == nil && fi.IsDir() {
-			if _, err := l.load(imp); err != nil {
-				return nil, err
-			}
-		} else if l.std[imp] == "" {
-			stdNeeded = append(stdNeeded, imp)
-		}
-	}
-	if len(stdNeeded) > 0 {
-		listed, err := goList(l.srcRoot, append([]string{"-deps"}, stdNeeded...))
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range listed {
-			if p.Export != "" {
-				l.std[p.ImportPath] = p.Export
-			}
-		}
-	}
-
-	pkg, err := checkFiles(l.fset, importerFunc(func(path string) (*types.Package, error) {
-		if p, ok := l.cache[path]; ok {
-			return p.Types, nil
-		}
-		return l.stdImp.Import(path)
-	}), pkgPath, dir, files)
-	if err != nil {
-		return nil, err
-	}
-	l.cache[pkgPath] = pkg
-	return pkg, nil
-}
-
-// scanImports parses just the import clauses of files in dir.
-func scanImports(dir string, files []string) ([]string, error) {
-	seen := map[string]bool{}
-	var out []string
-	fset := token.NewFileSet()
-	for _, name := range files {
-		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ImportsOnly)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: %v", err)
-		}
-		for _, imp := range f.Imports {
-			path := strings.Trim(imp.Path.Value, `"`)
-			if !seen[path] {
-				seen[path] = true
-				out = append(out, path)
-			}
-		}
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-type importerFunc func(string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

@@ -54,6 +54,10 @@ type Controller struct {
 
 	rng     *sim.RNG
 	Metrics *mem.Metrics
+	// irlpSweep is the rank's IRLP tracker (Figure 8), swept as the
+	// engine advances. It finalizes per rank, so unlike Metrics it is
+	// never merged across channels; Memory.IRLP combines the ranks.
+	irlpSweep stats.IRLP
 
 	// sg, when non-nil, applies Start-Gap wear leveling: logical
 	// channel-local line indices remap to slowly rotating physical
@@ -559,9 +563,8 @@ func (c *Controller) programChips(mask uint16, coord mem.Coord, earliest, act, p
 // current instant. Every interval reported through it must start at or
 // after that instant.
 func (c *Controller) irlp() *stats.IRLP {
-	x := c.Metrics.IRLP
-	x.Advance(c.eng.Now(), c.cfg.DataChips)
-	return x
+	c.irlpSweep.Advance(c.eng.Now(), c.cfg.DataChips)
+	return &c.irlpSweep
 }
 
 // progTime converts a word's transition analysis into its programming

@@ -69,6 +69,7 @@ func (m *Memory) OnSpace(kind mem.Kind, addr uint64, fn func()) {
 func (m *Memory) ResetMetrics() {
 	for _, c := range m.Ctrls {
 		c.Metrics.Reset()
+		c.irlpSweep.Reset()
 	}
 }
 
@@ -82,7 +83,7 @@ func (m *Memory) Release() {
 }
 
 // Metrics returns a merged copy of all channels' metrics. IRLP is not
-// merged here (interval trackers finalize per rank); use IRLP().
+// part of them (its trackers finalize per rank); use IRLP().
 func (m *Memory) Metrics() *mem.Metrics {
 	// A fresh block, not a pooled one: the copy escapes into Results.
 	out := mem.NewMetrics()
@@ -98,7 +99,7 @@ func (m *Memory) Metrics() *mem.Metrics {
 func (m *Memory) IRLP() (avg float64, max int) {
 	var num, den float64
 	for _, c := range m.Ctrls {
-		t := c.Metrics.IRLP
+		t := &c.irlpSweep
 		t.Finalize(m.Cfg.Memory.DataChips)
 		busy := float64(t.WriteBusyTime().Ticks())
 		num += t.Average() * busy

@@ -25,8 +25,10 @@ import (
 // 5 = Config keeps only what the simulation reads: the instruction
 // cache, the levels' write-policy flag and four unapplied DDR3 timings
 // went, and the L2's MSHR and the LLC's bank counts moved out of
-// CacheLevel to Config.L2MSHRs and Config.LLCBanks.
-const cacheFormatVersion = 5
+// CacheLevel to Config.L2MSHRs and Config.LLCBanks; 6 = the metrics
+// block lost its always-empty IRLP record (IRLP is in IRLPAvg and
+// IRLPMax), which a v5 binary would reject as a missing Mem.IRLP.
+const cacheFormatVersion = 6
 
 // CacheKey derives the content address of one run: a SHA-256 over the
 // cache format version, the workload, the fully resolved configuration,

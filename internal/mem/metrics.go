@@ -21,8 +21,6 @@ type Metrics struct {
 
 	DirtyWords *stats.Histogram // Figure 2: essential words per write
 
-	IRLP *stats.IRLP // Figure 8
-
 	RoWServed     stats.Counter // reads served by reconstruction
 	RoWVerifies   stats.Counter
 	RoWFaulty     stats.Counter // verifications that found bad data
@@ -82,7 +80,6 @@ func NewMetrics() *Metrics {
 		DirtyWords:    stats.NewHistogram(9),
 		SetBits:       stats.NewHistogram(513),
 		ResetBits:     stats.NewHistogram(513),
-		IRLP:          stats.NewIRLP(),
 	}
 }
 
@@ -191,7 +188,6 @@ func (m *Metrics) Reset() {
 	m.DirtyWords.Reset()
 	m.SetBits.Reset()
 	m.ResetBits.Reset()
-	m.IRLP.Reset()
 	m.FirstArrival = 0
 	m.LastDone = 0
 	m.HaveArrival = false

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-
-	"pcmap/internal/sim"
 )
 
 // JSON codecs for the measurement types, so a *system.Results (and the
@@ -144,50 +142,5 @@ func (l *LatencyTracker) UnmarshalJSON(data []byte) error {
 		l.buckets[i] = s[1]
 	}
 	l.total, l.sumNS, l.maxNS = w.Total, w.SumNS, w.MaxNS
-	return nil
-}
-
-// irlpJSON is IRLP's wire form: the finalized summary. Only finalized
-// trackers and empty ones (an unfinalized tracker with no intervals)
-// have one; a tracker partway through its sweep is refused with
-// *UnfinalizedIRLPError. Deltas is never written; a record carrying
-// interval edges is refused on decode.
-type irlpJSON struct {
-	Finalized bool            `json:"finalized"`
-	Avg       float64         `json:"avg"`
-	MaxBusy   int             `json:"maxBusy"`
-	BusyTime  sim.Time        `json:"busyTime"`
-	Deltas    json.RawMessage `json:"deltas,omitempty"`
-}
-
-// UnfinalizedIRLPError reports an IRLP tracker, or its wire record,
-// holding intervals that were never finalized: a partial sweep has no
-// wire form.
-type UnfinalizedIRLPError struct {
-	Op string // "encode" or "decode"
-}
-
-func (e *UnfinalizedIRLPError) Error() string {
-	return "stats: cannot " + e.Op + " an unfinalized IRLP tracker holding intervals; Finalize it first"
-}
-
-// MarshalJSON encodes a finalized or empty tracker.
-func (x *IRLP) MarshalJSON() ([]byte, error) {
-	if !x.finalized && !x.empty() {
-		return nil, &UnfinalizedIRLPError{Op: "encode"}
-	}
-	return json.Marshal(irlpJSON{Finalized: x.finalized, Avg: x.avg, MaxBusy: x.maxBusy, BusyTime: x.busyTime})
-}
-
-// UnmarshalJSON decodes a tracker produced by MarshalJSON.
-func (x *IRLP) UnmarshalJSON(data []byte) error {
-	var w irlpJSON
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	if !w.Finalized && (w.MaxBusy != 0 || w.BusyTime != 0 || math.Float64bits(w.Avg) != 0 || len(w.Deltas) > 0) {
-		return &UnfinalizedIRLPError{Op: "decode"}
-	}
-	*x = IRLP{finalized: w.Finalized, avg: w.Avg, maxBusy: w.MaxBusy, busyTime: w.BusyTime}
 	return nil
 }

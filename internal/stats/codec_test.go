@@ -3,7 +3,6 @@ package stats
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -146,77 +145,5 @@ func TestLatencyTrackerRejectsOutOfRangeSample(t *testing.T) {
 	var got LatencyTracker
 	if err := json.Unmarshal([]byte(`{"bucketCount":4,"samples":[[9,1]]}`), &got); err == nil {
 		t.Fatal("out-of-range sample bucket must be rejected")
-	}
-}
-
-func TestIRLPRoundTrip(t *testing.T) {
-	// Empty: the zero state round-trips (a fresh tracker is what
-	// Results' merged metrics carry).
-	var empty IRLP
-	roundTrip(t, NewIRLP(), &empty)
-	if empty.finalized || !empty.empty() {
-		t.Fatal("empty IRLP did not round-trip")
-	}
-
-	x := NewIRLP()
-	x.AddWriteWindow(10, 50)
-	x.AddChipService(10, 30)
-	x.AddChipService(20, 50)
-
-	// Unfinalized with intervals: a partial sweep has no wire form.
-	var ue *UnfinalizedIRLPError
-	if _, err := json.Marshal(x); !errors.As(err, &ue) {
-		t.Fatalf("encoding an unfinalized tracker: err %v, want *UnfinalizedIRLPError", err)
-	}
-
-	// Finalized: the summary must survive and Finalize stay idempotent.
-	x.Finalize(8)
-	var fin IRLP
-	roundTrip(t, x, &fin)
-	fin.Finalize(8)
-	//pcmaplint:ignore floatcmp round-trip of a stored value, no arithmetic in between
-	if fin.Average() != x.Average() || fin.MaxBusy() != x.MaxBusy() || fin.WriteBusyTime() != x.WriteBusyTime() {
-		t.Fatalf("finalized summary drifted: avg %v vs %v", fin.Average(), x.Average())
-	}
-}
-
-// TestIRLPWireBytes pins the encoded form of the two tracker states
-// results carry, so cached results stay readable across changes to
-// the tracker's internals.
-func TestIRLPWireBytes(t *testing.T) {
-	x := NewIRLP()
-	for _, c := range []struct {
-		name string
-		want string
-	}{
-		{"empty", `{"finalized":false,"avg":0,"maxBusy":0,"busyTime":0}`},
-		{"finalized", `{"finalized":true,"avg":1.25,"maxBusy":2,"busyTime":40}`},
-	} {
-		if c.name == "finalized" {
-			x.AddWriteWindow(10, 50)
-			x.AddChipService(10, 30)
-			x.AddChipService(20, 50)
-			x.Finalize(8)
-		}
-		got, err := json.Marshal(x)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if string(got) != c.want {
-			t.Fatalf("%s: encoded %s, want %s", c.name, got, c.want)
-		}
-	}
-}
-
-func TestIRLPDecodeRefusesUnfinalizedIntervals(t *testing.T) {
-	for _, in := range []string{
-		`{"finalized":false,"avg":0,"maxBusy":0,"busyTime":0,"deltas":[[10,1,0],[50,-1,0]]}`,
-		`{"finalized":false,"avg":1.5,"maxBusy":2,"busyTime":40}`,
-	} {
-		var x IRLP
-		var ue *UnfinalizedIRLPError
-		if err := json.Unmarshal([]byte(in), &x); !errors.As(err, &ue) {
-			t.Fatalf("decoding %s: err %v, want *UnfinalizedIRLPError", in, err)
-		}
 	}
 }

@@ -182,12 +182,6 @@ func (x *IRLP) pop() irlpDelta {
 	return top
 }
 
-// empty reports whether the tracker holds no recorded interval: nothing
-// pending and nothing integrated.
-func (x *IRLP) empty() bool {
-	return len(x.pending) == 0 && x.busyTime == 0
-}
-
 // Average returns the time-average IRLP during write-busy windows.
 // Finalize must have been called.
 func (x *IRLP) Average() float64 { return x.avg }

@@ -53,7 +53,6 @@ func DecodeResults(data []byte) (*Results, error) {
 		{"DirtyWords", m.DirtyWords == nil},
 		{"SetBits", m.SetBits == nil},
 		{"ResetBits", m.ResetBits == nil},
-		{"IRLP", m.IRLP == nil},
 	} {
 		if f.missing {
 			return nil, &MissingFieldError{Field: "Mem." + f.name}

@@ -1,6 +1,7 @@
 package system
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
@@ -101,5 +102,29 @@ func TestDecodeResultsNamesMissingField(t *testing.T) {
 	var mf *MissingFieldError
 	if !errors.As(err, &mf) || mf.Field != "Mem.SetBits" {
 		t.Fatalf("DecodeResults error = %v, want a *MissingFieldError for Mem.SetBits", err)
+	}
+}
+
+// TestResultsCarryNoIRLPRecord checks that an encoded Results holds no
+// IRLP tracker in its metrics block: IRLP finalizes per rank and
+// reaches Results only as IRLPAvg and IRLPMax.
+func TestResultsCarryNoIRLPRecord(t *testing.T) {
+	res := runSmall(t, config.RWoWRDE, nil)
+	data, err := EncodeResults(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct{ Mem map[string]json.RawMessage }
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Mem) == 0 {
+		t.Fatal("encoded Results has no metrics block")
+	}
+	if rec, ok := doc.Mem["IRLP"]; ok {
+		t.Errorf("encoded Results carries Mem.IRLP %s beside IRLPAvg %v", rec, res.IRLPAvg)
+	}
+	if res.IRLPMax == 0 {
+		t.Error("IRLPMax is 0 on a run with writes")
 	}
 }

@@ -3,11 +3,12 @@
 #
 # Always runs:
 #   go vet        — the standard vet checks
-#   pcmaplint     — the project's custom analyzers (determinism, unit
-#                   safety, metrics lifecycle, typed errors, float
-#                   comparisons, lock discipline, goroutine lifecycle,
-#                   wall-clock bans, channel ownership); see DESIGN.md
-#                   "Simulator invariants" and "Concurrency invariants"
+#   pcmaplint     — the project's eight custom analyzers (determinism
+#                   and wall-clock bans, unit safety, metrics lifecycle,
+#                   typed errors, float comparisons, lock discipline,
+#                   goroutine lifecycle, channel ownership); see
+#                   DESIGN.md "Simulator invariants" and "Concurrency
+#                   invariants"
 #
 # Runs when installed (CI installs pinned versions; locally they are
 # optional because this repository builds offline with no dependencies
