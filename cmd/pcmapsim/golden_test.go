@@ -85,3 +85,24 @@ func compareGolden(t *testing.T, golden string, args ...string) {
 		t.Errorf("output drifted from %s\n got:\n%s\nwant:\n%s", golden, got, want)
 	}
 }
+
+// TestSeedReachesExperiments: -seed applies to every experiment, not
+// only adhoc. A held-out seed changes Figure 11, and an explicit
+// -seed 1 is the default seed, so it still matches the golden Figure 1.
+func TestSeedReachesExperiments(t *testing.T) {
+	run := func(args ...string) string {
+		t.Helper()
+		var stdout, stderr strings.Builder
+		cmd := exec.Command(binPath, append(args, "-warmup", "500", "-measure", "4000", "-format", "csv")...)
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("%v: %v\nstderr: %s", args, err, stderr.String())
+		}
+		return stdout.String()
+	}
+	if run("-exp", "fig11") == run("-exp", "fig11", "-seed", "7") {
+		t.Error("-exp fig11 -seed 7 printed the seed-1 figure")
+	}
+	compareGolden(t, filepath.Join("testdata", "golden", "fig1.csv"),
+		"-exp", "fig1", "-seed", "1", "-warmup", "200", "-measure", "2000", "-format", "csv")
+}

@@ -100,7 +100,7 @@ var experiments = []string{"fig1", "fig2", "fig8", "fig9", "fig10", "fig11", "ta
 // not a silent no-op. Flags not listed apply to every experiment.
 var flagReaders = map[string][]string{
 	"ratio": {"adhoc"}, "pausing": {"adhoc"}, "endurance": {"adhoc"}, "drift": {"adhoc"},
-	"verify": {"adhoc"}, "seed": {"adhoc"}, "trace": {"adhoc"}, "tracesample": {"adhoc"},
+	"verify": {"adhoc"}, "trace": {"adhoc"}, "tracesample": {"adhoc"},
 	"workload": {"adhoc", "reliability"},
 	"variant":  {"adhoc", "reliability"},
 	"avgmt":    {"fig8", "fig9", "fig10", "fig11", "headline"},
@@ -215,6 +215,7 @@ func main() {
 
 	r := exp.NewRunner()
 	r.Warmup, r.Measure, r.Parallelism = *f.warmup, *f.measure, *f.par
+	r.Seed = *f.seed
 	r.Resume = *f.resume
 	if *f.cacheDir != "" {
 		cache, err := exp.NewDiskCache(*f.cacheDir)
@@ -233,7 +234,7 @@ func main() {
 	if *f.exp == "adhoc" {
 		if err := runAdhoc(ctx, r, adhocOpts{
 			workload: *f.workload, variant: *f.variant, ratio: *f.ratio, pausing: *f.pausing,
-			endurance: *f.endurance, drift: *f.drift, verify: *f.verify, seed: *f.seed,
+			endurance: *f.endurance, drift: *f.drift, verify: *f.verify,
 			tracePath: *f.tracePath, traceSample: *f.traceSmpl,
 		}); err != nil {
 			if errors.Is(err, context.DeadlineExceeded) {
@@ -312,7 +313,6 @@ type adhocOpts struct {
 	endurance         uint64
 	drift             float64
 	verify            bool
-	seed              uint64
 	tracePath         string
 	traceSample       int
 }
@@ -327,8 +327,7 @@ func runAdhoc(ctx context.Context, r *exp.Runner, o adhocOpts) error {
 	}
 	res, err := r.RunCtx(ctx, exp.Spec{Workload: o.workload, Variant: variant,
 		WriteToReadRatio: o.ratio, WritePausing: o.pausing,
-		EnduranceBudget: o.endurance, DriftProb: o.drift, VerifyWrites: o.verify,
-		Seed: o.seed})
+		EnduranceBudget: o.endurance, DriftProb: o.drift, VerifyWrites: o.verify})
 	if err != nil {
 		return err
 	}

@@ -54,7 +54,6 @@ func TestInvalidFlagsExitNonZero(t *testing.T) {
 		// A flag that no selected experiment reads is rejected rather
 		// than ignored. Small budgets keep a regression from running
 		// full sweeps.
-		{"seed outside adhoc", small("-exp", "fig1", "-seed", "7"), "invalid -seed: no selected experiment"},
 		{"ratio outside adhoc", small("-exp", "fig1", "-ratio", "4"), "invalid -ratio: no selected experiment"},
 		{"pausing outside adhoc", small("-exp", "pausing", "-pausing"), "invalid -pausing: no selected experiment"},
 		{"endurance outside adhoc", small("-exp", "reliability", "-endurance", "4"), "invalid -endurance: no selected experiment"},

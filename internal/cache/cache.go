@@ -23,11 +23,15 @@ type Victim struct {
 }
 
 // Cache is a set-associative, true-LRU cache. State is struct-of-arrays
-// over set×way slots: four flat byte-scale arrays instead of a slice of
-// per-set entry slices. The LLC's 4.2M slots cost ~30 MB this way
-// (versus ~76 MB of pointer-chased entry slices before), the arrays
-// come from a geometry-keyed slab pool (Release returns them), and the
-// hot Insert/Lookup paths never allocate.
+// over set×way slots instead of a slice of per-set entry slices. A slot
+// costs 4 bytes: a 16-bit tag word (the tag's low 14 bits plus the
+// valid and dirty bits), the essential-word mask and the slot's
+// recency position; each set adds a fill count. Tag bits 14 and up get
+// a per-slot array only once the cache stores a tag that needs them:
+// the default machine's L2 and LLC never do, so the LLC's 4.2M slots
+// cost 17.3 MB. The arrays come from a geometry-keyed slab pool
+// (Release returns them), and the hot Insert/Lookup paths never
+// allocate.
 //
 // LRU is kept as an explicit per-set recency list instead of per-entry
 // clock stamps: order[set*ways+i] holds the way id at recency position
@@ -40,8 +44,8 @@ type Victim struct {
 // entry kept competing for eviction with its stale stamp.
 type Cache struct {
 	name      string
-	tags      []uint32 // per slot: line >> (lineShift+setBits)
-	meta      []uint8  // per slot: metaValid | metaDirty
+	lo        []uint16 // per slot: tag bits 0-13 | loValid | loDirty
+	hi        []uint32 // per slot: tag bits 14 and up; nil until a tag needs them
 	ess       []uint8  // per slot: essential-word mask
 	order     []uint8  // per set: way ids in recency order, LRU first
 	fill      []uint8  // per set: slots filled so far (append order)
@@ -56,15 +60,21 @@ type Cache struct {
 }
 
 const (
-	metaValid = 1 << 0
-	metaDirty = 1 << 1
+	loTagBits = 14
+	loTagMask = 1<<loTagBits - 1
+	loValid   = 1 << loTagBits
+	loDirty   = loValid << 1
+
+	// maxTagBits is the widest tag a slot stores: 14 bits in lo and 32
+	// in hi.
+	maxTagBits = loTagBits + 32
 )
 
 // slab is one cache's worth of state arrays, recyclable across
 // simulations of the same geometry.
 type slab struct {
-	tags  []uint32
-	meta  []uint8
+	lo    []uint16
+	hi    []uint32
 	ess   []uint8
 	order []uint8
 	fill  []uint8
@@ -86,9 +96,10 @@ const slabPoolCap = 16
 
 // acquireSlab returns zeroed-for-reuse state arrays for the geometry,
 // recycling a released slab when one is available. Only fill must be
-// cleared: every other array is written before first read (meta, ess,
-// tags, and order are all set when a slot is filled, and scans are
-// bounded by fill), so reuse is deterministic.
+// cleared: every other array is written before first read (lo, ess,
+// order, and hi when present are all set when a slot is filled, and
+// scans are bounded by fill), so reuse is deterministic. A recycled
+// slab keeps the hi array its last owner grew.
 func acquireSlab(sets, ways int) *slab {
 	key := slabKey{sets, ways}
 	slabMu.Lock()
@@ -102,8 +113,7 @@ func acquireSlab(sets, ways int) *slab {
 	slabMu.Unlock()
 	slots := sets * ways
 	return &slab{
-		tags:  make([]uint32, slots),
-		meta:  make([]uint8, slots),
+		lo:    make([]uint16, slots),
 		ess:   make([]uint8, slots),
 		order: make([]uint8, slots),
 		fill:  make([]uint8, sets),
@@ -128,8 +138,8 @@ func New(name string, lvl config.CacheLevel) *Cache {
 	s := acquireSlab(numSets, lvl.Ways)
 	return &Cache{
 		name:      name,
-		tags:      s.tags,
-		meta:      s.meta,
+		lo:        s.lo,
+		hi:        s.hi,
 		ess:       s.ess,
 		order:     s.order,
 		fill:      s.fill,
@@ -145,12 +155,12 @@ func New(name string, lvl config.CacheLevel) *Cache {
 // Release returns the cache's state arrays to the slab pool. The cache
 // must not be used afterwards.
 func (c *Cache) Release() {
-	if c.tags == nil {
+	if c.lo == nil {
 		return
 	}
-	releaseSlab(&slab{tags: c.tags, meta: c.meta, ess: c.ess, order: c.order, fill: c.fill},
+	releaseSlab(&slab{lo: c.lo, hi: c.hi, ess: c.ess, order: c.order, fill: c.fill},
 		c.numSets, c.ways)
-	c.tags, c.meta, c.ess, c.order, c.fill = nil, nil, nil, nil, nil
+	c.lo, c.hi, c.ess, c.order, c.fill = nil, nil, nil, nil, nil
 }
 
 // LineBytes returns the cache's line size.
@@ -160,28 +170,56 @@ func (c *Cache) LineBytes() int { return c.lineBytes }
 func (c *Cache) Align(addr uint64) uint64 { return addr &^ uint64(c.lineBytes-1) }
 
 // locate splits addr into the set's slot base and the stored tag.
-func (c *Cache) locate(addr uint64) (base int, tag uint32, idx uint64) {
+func (c *Cache) locate(addr uint64) (base int, tag, idx uint64) {
 	line := addr >> c.lineShift
 	idx = line & c.setMask
-	t := line >> c.setShift
-	if t > 0xffffffff {
-		panic(fmt.Sprintf("cache: %s: address %#x tag overflows 32 bits", c.name, addr))
+	tag = line >> c.setShift
+	if tag>>maxTagBits != 0 {
+		panic(fmt.Sprintf("cache: %s: address %#x tag overflows %d bits", c.name, addr, maxTagBits))
 	}
-	return int(idx) * c.ways, uint32(t), idx
+	return int(idx) * c.ways, tag, idx
 }
 
 // find scans addr's set for a valid matching slot, returning the way
 // index or -1. Scan order is fill (append) order, like the previous
-// entry-slice scan.
-func (c *Cache) find(addr uint64) (base, way int, tag uint32, idx uint64) {
+// entry-slice scan. Until the cache has stored a tag with high bits,
+// no slot holds one, so such a tag misses without a scan.
+func (c *Cache) find(addr uint64) (base, way int, tag, idx uint64) {
 	base, tag, idx = c.locate(addr)
-	n := int(c.fill[idx])
-	for w := 0; w < n; w++ {
-		if c.meta[base+w]&metaValid != 0 && c.tags[base+w] == tag {
+	if c.hi == nil && tag > loTagMask {
+		return base, -1, tag, idx
+	}
+	want := uint16(tag&loTagMask) | loValid
+	hi := uint32(tag >> loTagBits)
+	lo := c.lo[base : base+int(c.fill[idx])]
+	for w, x := range lo {
+		if x&^loDirty == want && (c.hi == nil || c.hi[base+w] == hi) {
 			return base, w, tag, idx
 		}
 	}
 	return base, -1, tag, idx
+}
+
+// setTag fills slot with a valid, clean tag, growing the hi array the
+// first time a tag needs it. A fresh hi array is zero, which is every
+// already-filled slot's high tag bits.
+func (c *Cache) setTag(slot int, tag uint64) {
+	c.lo[slot] = uint16(tag&loTagMask) | loValid
+	if c.hi == nil && tag > loTagMask {
+		c.hi = make([]uint32, len(c.lo))
+	}
+	if c.hi != nil {
+		c.hi[slot] = uint32(tag >> loTagBits)
+	}
+}
+
+// tagOf returns the tag stored in slot.
+func (c *Cache) tagOf(slot int) uint64 {
+	tag := uint64(c.lo[slot] & loTagMask)
+	if c.hi != nil {
+		tag |= uint64(c.hi[slot]) << loTagBits
+	}
+	return tag
 }
 
 // touch moves way to the most-recently-used end of its set's recency
@@ -248,8 +286,7 @@ func (c *Cache) insert(addr uint64) (slot int, v Victim, had bool) {
 		// Free slot: fill in append order (invalid slots are not
 		// reclaimed early — they age out through LRU, as before).
 		w := int(n)
-		c.tags[base+w] = tag
-		c.meta[base+w] = metaValid
+		c.setTag(base+w, tag)
 		c.ess[base+w] = 0
 		c.order[base+w] = n
 		c.fill[idx] = n + 1
@@ -258,12 +295,11 @@ func (c *Cache) insert(addr uint64) (slot int, v Victim, had bool) {
 	// Evict the true-LRU way: the front of the recency list.
 	vi := int(c.order[base])
 	v = Victim{
-		Addr:    c.addrOf(uint64(c.tags[base+vi]), idx),
-		Dirty:   c.meta[base+vi]&metaDirty != 0,
+		Addr:    c.addrOf(c.tagOf(base+vi), idx),
+		Dirty:   c.lo[base+vi]&loDirty != 0,
 		EssMask: c.ess[base+vi],
 	}
-	c.tags[base+vi] = tag
-	c.meta[base+vi] = metaValid
+	c.setTag(base+vi, tag)
 	c.ess[base+vi] = 0
 	c.touch(idx, base, vi)
 	return base + vi, v, true
@@ -289,7 +325,7 @@ func (c *Cache) MarkDirty(addr uint64, essMask uint8) bool {
 // dirty marks the line in slot dirty and adds essMask to its
 // essential words.
 func (c *Cache) dirty(slot int, essMask uint8) {
-	c.meta[slot] |= metaDirty
+	c.lo[slot] |= loDirty
 	c.ess[slot] |= essMask
 }
 
@@ -299,7 +335,7 @@ func (c *Cache) DirtyInfo(addr uint64) (present, dirty bool, essMask uint8) {
 	if way < 0 {
 		return false, false, 0
 	}
-	return true, c.meta[base+way]&metaDirty != 0, c.ess[base+way]
+	return true, c.lo[base+way]&loDirty != 0, c.ess[base+way]
 }
 
 // Invalidate drops addr's line, returning its dirty state for the
@@ -313,9 +349,9 @@ func (c *Cache) Invalidate(addr uint64) (wasPresent, wasDirty bool, essMask uint
 		return
 	}
 	wasPresent = true
-	wasDirty = c.meta[base+way]&metaDirty != 0
+	wasDirty = c.lo[base+way]&loDirty != 0
 	essMask = c.ess[base+way]
-	c.meta[base+way] &^= metaValid
+	c.lo[base+way] &^= loValid
 	return
 }
 

@@ -151,16 +151,17 @@ func TestMissRatio(t *testing.T) {
 
 func TestLargeCacheFootprintBounded(t *testing.T) {
 	// The 256MB LLC's SoA state must cost a small fixed fraction of
-	// the cached capacity: 7 bytes per way slot plus 1 per set
-	// (tags 4 + meta 1 + ess 1 + order 1, fill 1/set) — ~30 MB for
-	// 4.2M slots, versus the 256 MB it indexes.
+	// the cached capacity: 4 bytes per way slot plus 1 per set
+	// (tag word 2 + ess 1 + order 1, fill 1/set) — 17.3 MB for 4.2M
+	// slots, versus the 256 MB it indexes. Its tags fit the tag word,
+	// so it has no hi array.
 	lvl := config.Default().DRAMLLC
 	sets := int(lvl.SizeBytes / int64(lvl.Ways*lvl.LineBytes))
 	slots := sets * lvl.Ways
 	c := New("llc", lvl)
 	defer c.Release()
-	got := len(c.tags)*4 + len(c.meta) + len(c.ess) + len(c.order) + len(c.fill)
-	want := slots*7 + sets
+	got := len(c.lo)*2 + len(c.hi)*4 + len(c.ess) + len(c.order) + len(c.fill)
+	want := slots*4 + sets
 	if got != want {
 		t.Fatalf("SoA footprint %d bytes, want exactly %d", got, want)
 	}
@@ -174,14 +175,14 @@ func TestReleaseRecyclesSlabs(t *testing.T) {
 	a := New("a", lvl)
 	a.Insert(0x40)
 	a.MarkDirty(0x40, 0xff)
-	tags := &a.tags[0]
+	lo := &a.lo[0]
 	a.Release()
-	if a.tags != nil {
+	if a.lo != nil {
 		t.Fatal("Release must detach the arrays")
 	}
 	b := New("b", lvl)
 	defer b.Release()
-	if &b.tags[0] != tags {
+	if &b.lo[0] != lo {
 		t.Fatal("same-geometry New after Release must reuse the slab")
 	}
 	// The recycled cache must be indistinguishable from a fresh one.
@@ -268,4 +269,28 @@ func TestTouchCountsOnlyHits(t *testing.T) {
 	if v, _ := c.Insert(d); v.Addr != b {
 		t.Fatalf("Touch did not refresh LRU: evicted %#x", v.Addr)
 	}
+}
+
+// TestTagWidthBound: a slot stores tags of up to 46 bits (14 in the tag
+// word, 32 in hi), so every address with a narrower tag round-trips
+// through the cache, victims included, and a wider one panics instead
+// of aliasing onto another line.
+func TestTagWidthBound(t *testing.T) {
+	c := tiny() // 4 sets of 64 B lines: tag = addr >> 8
+	widest := uint64(1)<<46 - 1
+	a, b, d := widest<<8, (widest-1)<<8, (widest-2)<<8 // one set
+	c.Insert(a)
+	c.Insert(b)
+	if v, had := c.Insert(d); !had || v.Addr != a {
+		t.Fatalf("victim %+v (had=%v), want %#x", v, had, a)
+	}
+	if !c.Present(b) || !c.Present(d) || c.Present(a) {
+		t.Fatal("wrong residency for 46-bit tags")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a 47-bit tag did not panic")
+		}
+	}()
+	c.Present(uint64(1) << 54)
 }

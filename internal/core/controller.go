@@ -368,14 +368,16 @@ func (c *Controller) wearTick() {
 	c.kickTimer.At(end)
 }
 
-// Release returns the channel's line store and metrics block to their
-// pools for the next system's controllers. The controller must not be
-// used afterwards: its rank's store and its Metrics are nil, so any
-// later use panics instead of touching state another system now owns.
+// Release returns the channel's line store, metrics block and IRLP
+// heap to their pools for the next system's controllers. The controller
+// must not be used afterwards: its rank's store and its Metrics are
+// nil, so any later use panics instead of touching state another
+// system now owns.
 func (c *Controller) Release() {
 	c.rank.Release()
 	c.Metrics.Release()
 	c.Metrics = nil
+	c.irlpSweep.Release()
 }
 
 // Rank exposes the controller's rank (for tests and wear reporting).

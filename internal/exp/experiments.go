@@ -57,7 +57,7 @@ func (r *Runner) render(ctx context.Context, draw func(get getFunc) (*FigureResu
 		err  error // the first failed lookup
 	)
 	draw(func(s Spec, edit ...func(*config.Config)) *system.Results {
-		k, kerr := resolve(s, edit...)
+		k, kerr := r.resolve(s, edit...)
 		if kerr != nil {
 			err = cmp.Or(err, kerr)
 		} else if !seen[k] {
@@ -73,7 +73,7 @@ func (r *Runner) render(ctx context.Context, draw func(get getFunc) (*FigureResu
 		return nil, err
 	}
 	f, drawErr := draw(func(s Spec, edit ...func(*config.Config)) *system.Results {
-		k, kerr := resolve(s, edit...)
+		k, kerr := r.resolve(s, edit...)
 		var res *system.Results
 		if kerr == nil {
 			res, kerr = r.runCtx(ctx, k)

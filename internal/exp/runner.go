@@ -66,6 +66,9 @@ type Runner struct {
 	// runs 200M + 1B; our synthetic generators are stationary so far
 	// smaller budgets converge (see DESIGN.md).
 	Warmup, Measure uint64
+	// Seed is the simulation seed of every run whose Spec leaves Seed
+	// 0; 0 keeps the configuration's default.
+	Seed uint64
 	// Parallelism bounds concurrent simulations (0 = NumCPU).
 	Parallelism int
 	// Progress, when non-nil, receives one line per completed run.
@@ -171,6 +174,15 @@ func resolve(s Spec, edit ...func(*config.Config)) (run, error) {
 	return run{Workload: s.Workload, Config: *cfg}, nil
 }
 
+// resolve is the package-level resolve with the runner's seed applied
+// to a spec that leaves Seed 0.
+func (r *Runner) resolve(s Spec, edit ...func(*config.Config)) (run, error) {
+	if s.Seed == 0 {
+		s.Seed = r.Seed
+	}
+	return resolve(s, edit...)
+}
+
 // Validate reports whether s names a machine that can run: the error
 // resolve would fail a Run of s with, or nil. It checks the knobs, not
 // the workload name.
@@ -232,7 +244,7 @@ func (r *Runner) Run(s Spec) (*system.Results, error) {
 // also stops an execution in progress between engine events (see
 // system.RunCtx), in which case nothing is memoized or cached.
 func (r *Runner) RunCtx(ctx context.Context, s Spec) (*system.Results, error) {
-	k, err := resolve(s)
+	k, err := r.resolve(s)
 	if err != nil {
 		return nil, err
 	}
@@ -402,7 +414,7 @@ func (r *Runner) MemoLen() int {
 func (r *Runner) RunAll(ctx context.Context, specs []Spec) error {
 	runs := make([]run, len(specs))
 	for i, s := range specs {
-		k, err := resolve(s)
+		k, err := r.resolve(s)
 		if err != nil {
 			return err
 		}

@@ -295,3 +295,31 @@ func TestRunnerCountsInstructions(t *testing.T) {
 		t.Fatalf("Instructions() = %d, want %d", got, want)
 	}
 }
+
+// TestRunnerSeedFillsUnseededSpecs: the runner's seed reaches every run
+// whose Spec leaves Seed 0, through Run and through an experiment's
+// render alike, and a Spec's own seed wins over it.
+func TestRunnerSeedFillsUnseededSpecs(t *testing.T) {
+	r := testRunner()
+	r.Seed = 7
+	var mu sync.Mutex
+	seeds := map[uint64]int{}
+	r.simulate = func(_ context.Context, cfg *config.Config, workload string, warmup, measure uint64) (*system.Results, error) {
+		mu.Lock()
+		seeds[cfg.Seed]++
+		mu.Unlock()
+		return fakeResults(Spec{Workload: workload}), nil
+	}
+	if _, err := r.Run(Spec{Workload: "MP4", Variant: config.Baseline}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Run(Spec{Workload: "MP4", Variant: config.Baseline, Seed: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Fig1(context.Background(), r); err != nil {
+		t.Fatal(err)
+	}
+	if seeds[3] != 1 || seeds[7] < 2 || len(seeds) != 2 {
+		t.Fatalf("runs by seed %v; want one at the spec's seed 3 and every other at the runner's 7", seeds)
+	}
+}

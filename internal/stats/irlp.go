@@ -2,6 +2,7 @@ package stats
 
 import (
 	"fmt"
+	"sync"
 
 	"pcmap/internal/sim"
 )
@@ -54,6 +55,21 @@ func NewIRLP() *IRLP { return &IRLP{} }
 // reallocate it.
 func (x *IRLP) Reset() {
 	*x = IRLP{pending: x.pending[:0]}
+}
+
+// irlpHeaps holds the heap arrays of released trackers, so a tracker
+// that starts from empty takes the capacity an earlier system's tracker
+// grew instead of growing its own.
+var irlpHeaps sync.Pool // of *[]irlpDelta
+
+// Release hands the tracker's heap array to the next tracker that
+// starts from empty. The tracker must not be used afterwards.
+func (x *IRLP) Release() {
+	if cap(x.pending) > 0 {
+		h := x.pending[:0]
+		irlpHeaps.Put(&h)
+	}
+	x.pending = nil
 }
 
 // AddWriteWindow records that a write request is in service on the rank
@@ -140,6 +156,11 @@ func (x *IRLP) sweep(d irlpDelta) {
 }
 
 func (x *IRLP) push(d irlpDelta) {
+	if x.pending == nil {
+		if h, ok := irlpHeaps.Get().(*[]irlpDelta); ok {
+			x.pending = *h
+		}
+	}
 	h := append(x.pending, d)
 	i := len(h) - 1
 	for i > 0 {

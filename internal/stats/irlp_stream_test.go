@@ -124,3 +124,31 @@ func TestIRLPSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("steady-state add+advance allocates %v per call, want 0", n)
 	}
 }
+
+// TestIRLPReleaseRecyclesHeap: a released tracker's heap array backs
+// the next tracker that starts from empty, so each system's trackers
+// do not grow their heaps again.
+func TestIRLPReleaseRecyclesHeap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops values at random")
+	}
+	a := NewIRLP()
+	for i := 1; i <= 100; i++ {
+		a.AddWriteWindow(sim.Time(i), sim.Time(i+1000))
+	}
+	heap := &a.pending[:1][0]
+	a.Release()
+	if a.pending != nil {
+		t.Fatal("Release must detach the heap")
+	}
+	b := NewIRLP()
+	b.AddWriteWindow(5, 10)
+	if &b.pending[:1][0] != heap || cap(b.pending) < 200 {
+		t.Fatalf("a tracker starting from empty did not take the released heap (cap %d)", cap(b.pending))
+	}
+	b.Advance(10, 8)
+	b.Finalize(8)
+	if b.WriteBusyTime() != 5 {
+		t.Fatalf("recycled heap changed the sweep: write-busy time %d, want 5", b.WriteBusyTime().Ticks())
+	}
+}
