@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"reflect"
+	"strings"
 	"testing"
 
 	"pcmap/internal/cli"
@@ -36,5 +37,19 @@ func TestServeFlagSurface(t *testing.T) {
 	}
 	if got := cli.Surface(fs); !reflect.DeepEqual(got, want) {
 		t.Errorf("serve flag surface changed:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestExpUsageNamesEveryExperiment: the -exp help text names every
+// experiment the flag accepts.
+func TestExpUsageNamesEveryExperiment(t *testing.T) {
+	fs := flag.NewFlagSet("pcmapsim", flag.ContinueOnError)
+	defineFlags(fs)
+	usage := fs.Lookup("exp").Usage
+	names := strings.FieldsFunc(strings.TrimPrefix(usage, "experiment: "), func(r rune) bool { return r == ',' })
+	want := []string{"fig1", "fig2", "fig8", "fig9", "fig10", "fig11", "table2", "table3", "table4",
+		"headline", "pausing", "palp", "ablations", "reliability", "all", "adhoc"}
+	if !reflect.DeepEqual(names, want) {
+		t.Errorf("-exp usage %q names %v, want %v", usage, names, want)
 	}
 }

@@ -64,7 +64,7 @@ type simFlags struct {
 
 func defineFlags(fs *flag.FlagSet) *simFlags {
 	return &simFlags{
-		exp:       fs.String("exp", "headline", "experiment: fig1,fig2,fig8,fig9,fig10,fig11,table2,table3,table4,headline,reliability,all,adhoc"),
+		exp:       fs.String("exp", "headline", "experiment: "+strings.Join(experimentNames(), ",")+",all,adhoc"),
 		warmup:    fs.Uint64("warmup", 40_000, "warmup instructions per core"),
 		measure:   fs.Uint64("measure", 400_000, "measured instructions per core"),
 		avgmt:     fs.Bool("avgmt", false, "include the full 13-program PARSEC Average(MT) sweep"),
@@ -91,22 +91,76 @@ func defineFlags(fs *flag.FlagSet) *simFlags {
 	}
 }
 
-// experiments lists the -exp names other than adhoc, in -exp all's
-// order.
-var experiments = []string{"fig1", "fig2", "fig8", "fig9", "fig10", "fig11", "table2", "table3", "table4", "headline", "pausing", "palp", "ablations", "reliability"}
+// experiment is one -exp other than adhoc: its name, whether it reads
+// -avgmt and -workload/-variant, and how it runs.
+type experiment struct {
+	name            string
+	avgmt, workload bool
+	run             func(ctx context.Context, r *exp.Runner, f *simFlags) (*exp.FigureResult, error)
+}
+
+// plain and withAvgMT make the entries of experiments that read no flag
+// and that read -avgmt.
+func plain(name string, fn func(context.Context, *exp.Runner) (*exp.FigureResult, error)) experiment {
+	return experiment{name: name, run: func(ctx context.Context, r *exp.Runner, _ *simFlags) (*exp.FigureResult, error) {
+		return fn(ctx, r)
+	}}
+}
+
+func withAvgMT(name string, fn func(context.Context, *exp.Runner, bool) (*exp.FigureResult, error)) experiment {
+	return experiment{name: name, avgmt: true, run: func(ctx context.Context, r *exp.Runner, f *simFlags) (*exp.FigureResult, error) {
+		return fn(ctx, r, *f.avgmt)
+	}}
+}
+
+// experiments is every -exp other than adhoc, in -exp all's order.
+var experiments = []experiment{
+	plain("fig1", exp.Fig1), plain("fig2", exp.Fig2),
+	withAvgMT("fig8", exp.Fig8), withAvgMT("fig9", exp.Fig9), withAvgMT("fig10", exp.Fig10), withAvgMT("fig11", exp.Fig11),
+	plain("table2", exp.Table2), plain("table3", exp.Table3), plain("table4", exp.Table4),
+	withAvgMT("headline", exp.Headline),
+	plain("pausing", exp.Pausing), plain("palp", exp.Palp), plain("ablations", exp.Ablations),
+	{name: "reliability", workload: true, run: func(ctx context.Context, r *exp.Runner, f *simFlags) (*exp.FigureResult, error) {
+		v, err := config.ParseVariant(*f.variant)
+		if err != nil {
+			return nil, err
+		}
+		return exp.Reliability(ctx, r, *f.workload, v)
+	}},
+}
+
+// experimentNames lists the names of experiments, in order.
+func experimentNames() []string {
+	var names []string
+	for _, e := range experiments {
+		names = append(names, e.name)
+	}
+	return names
+}
 
 // flagReaders maps each flag that only some experiments read to those
 // experiments. Setting one when none of them is selected is an error,
 // not a silent no-op. Flags not listed apply to every experiment.
-var flagReaders = map[string][]string{
-	"ratio": {"adhoc"}, "pausing": {"adhoc"}, "endurance": {"adhoc"}, "drift": {"adhoc"},
-	"verify": {"adhoc"}, "trace": {"adhoc"}, "tracesample": {"adhoc"},
-	"workload": {"adhoc", "reliability"},
-	"variant":  {"adhoc", "reliability"},
-	"avgmt":    {"fig8", "fig9", "fig10", "fig11", "headline"},
-	"format":   experiments,
-	"json":     experiments,
-}
+var flagReaders = func() map[string][]string {
+	m := map[string][]string{
+		"ratio": {"adhoc"}, "pausing": {"adhoc"}, "endurance": {"adhoc"}, "drift": {"adhoc"},
+		"verify": {"adhoc"}, "trace": {"adhoc"}, "tracesample": {"adhoc"},
+		"workload": {"adhoc"}, "variant": {"adhoc"},
+	}
+	for _, e := range experiments {
+		reads := []string{"format", "json"}
+		if e.avgmt {
+			reads = append(reads, "avgmt")
+		}
+		if e.workload {
+			reads = append(reads, "workload", "variant")
+		}
+		for _, name := range reads {
+			m[name] = append(m[name], e.name)
+		}
+	}
+	return m
+}()
 
 // checkFlagReaders reports the first flag set on fs (in name order)
 // that none of the selected experiments reads.
@@ -179,18 +233,19 @@ func main() {
 	if *f.traceSmpl < 1 {
 		fatal(fmt.Errorf("invalid -tracesample %d (must be >= 1)", *f.traceSmpl))
 	}
-	var names []string
+	names := strings.Split(*f.exp, ",")
+	var selected []experiment
 	switch *f.exp {
 	case "all":
-		names = experiments
+		names, selected = experimentNames(), experiments
 	case "adhoc":
-		names = []string{"adhoc"}
 	default:
-		for _, n := range strings.Split(*f.exp, ",") {
-			if !slices.Contains(experiments, n) {
-				fatal(fmt.Errorf("unknown experiment %q (want one of %s, all, adhoc)", n, strings.Join(experiments, ", ")))
+		for _, n := range names {
+			i := slices.IndexFunc(experiments, func(e experiment) bool { return e.name == n })
+			if i < 0 {
+				fatal(fmt.Errorf("unknown experiment %q (want one of %s, all, adhoc)", n, strings.Join(experimentNames(), ", ")))
 			}
-			names = append(names, n)
+			selected = append(selected, experiments[i])
 		}
 	}
 	if err := checkFlagReaders(flag.CommandLine, names); err != nil {
@@ -232,11 +287,7 @@ func main() {
 	defer printAggregate(r)
 
 	if *f.exp == "adhoc" {
-		if err := runAdhoc(ctx, r, adhocOpts{
-			workload: *f.workload, variant: *f.variant, ratio: *f.ratio, pausing: *f.pausing,
-			endurance: *f.endurance, drift: *f.drift, verify: *f.verify,
-			tracePath: *f.tracePath, traceSample: *f.traceSmpl,
-		}); err != nil {
+		if err := runAdhoc(ctx, r, f); err != nil {
 			if errors.Is(err, context.DeadlineExceeded) {
 				timedOut(r, *f.timeout, *f.cacheDir)
 			}
@@ -245,33 +296,9 @@ func main() {
 		return
 	}
 
-	type expFn func() (*exp.FigureResult, error)
-	table := map[string]expFn{
-		"fig1":      func() (*exp.FigureResult, error) { return exp.Fig1(ctx, r) },
-		"fig2":      func() (*exp.FigureResult, error) { return exp.Fig2(ctx, r) },
-		"fig8":      func() (*exp.FigureResult, error) { return exp.Fig8(ctx, r, *f.avgmt) },
-		"fig9":      func() (*exp.FigureResult, error) { return exp.Fig9(ctx, r, *f.avgmt) },
-		"fig10":     func() (*exp.FigureResult, error) { return exp.Fig10(ctx, r, *f.avgmt) },
-		"fig11":     func() (*exp.FigureResult, error) { return exp.Fig11(ctx, r, *f.avgmt) },
-		"table2":    func() (*exp.FigureResult, error) { return exp.Table2(ctx, r) },
-		"table3":    func() (*exp.FigureResult, error) { return exp.Table3(ctx, r) },
-		"table4":    func() (*exp.FigureResult, error) { return exp.Table4(ctx, r) },
-		"headline":  func() (*exp.FigureResult, error) { return exp.Headline(ctx, r, *f.avgmt) },
-		"pausing":   func() (*exp.FigureResult, error) { return exp.Pausing(ctx, r) },
-		"palp":      func() (*exp.FigureResult, error) { return exp.Palp(ctx, r) },
-		"ablations": func() (*exp.FigureResult, error) { return exp.Ablations(ctx, r) },
-		"reliability": func() (*exp.FigureResult, error) {
-			v, err := config.ParseVariant(*f.variant)
-			if err != nil {
-				return nil, err
-			}
-			return exp.Reliability(ctx, r, *f.workload, v)
-		},
-	}
-
 	var results []*exp.FigureResult
-	for _, n := range names {
-		fig, err := table[n]()
+	for _, e := range selected {
+		fig, err := e.run(ctx, r, f)
 		if err != nil {
 			if errors.Is(err, context.Canceled) {
 				interrupted(r, *f.cacheDir)
@@ -305,34 +332,24 @@ func main() {
 	}
 }
 
-// adhocOpts bundles the adhoc run's flag values.
-type adhocOpts struct {
-	workload, variant string
-	ratio             float64
-	pausing           bool
-	endurance         uint64
-	drift             float64
-	verify            bool
-	tracePath         string
-	traceSample       int
-}
-
-func runAdhoc(ctx context.Context, r *exp.Runner, o adhocOpts) error {
-	variant, err := config.ParseVariant(o.variant)
+// runAdhoc runs the one simulation the adhoc flags name and prints its
+// report.
+func runAdhoc(ctx context.Context, r *exp.Runner, f *simFlags) error {
+	variant, err := config.ParseVariant(*f.variant)
 	if err != nil {
 		return err
 	}
-	if o.tracePath != "" {
-		r.Tracer = obs.New(obs.DefaultCapacity, o.traceSample)
+	if *f.tracePath != "" {
+		r.Tracer = obs.New(obs.DefaultCapacity, *f.traceSmpl)
 	}
-	res, err := r.RunCtx(ctx, exp.Spec{Workload: o.workload, Variant: variant,
-		WriteToReadRatio: o.ratio, WritePausing: o.pausing,
-		EnduranceBudget: o.endurance, DriftProb: o.drift, VerifyWrites: o.verify})
+	res, err := r.RunCtx(ctx, exp.Spec{Workload: *f.workload, Variant: variant,
+		WriteToReadRatio: *f.ratio, WritePausing: *f.pausing,
+		EnduranceBudget: *f.endurance, DriftProb: *f.drift, VerifyWrites: *f.verify})
 	if err != nil {
 		return err
 	}
 	if r.Tracer != nil {
-		if err := writeTrace(r.Tracer, o.tracePath); err != nil {
+		if err := writeTrace(r.Tracer, *f.tracePath); err != nil {
 			return err
 		}
 	}
@@ -361,7 +378,7 @@ func runAdhoc(ctx context.Context, r *exp.Runner, o adhocOpts) error {
 		fmt.Printf("bits per write    %.1f SET, %.1f RESET (mean)\n",
 			res.Mem.SetBits.MeanValue(), res.Mem.ResetBits.MeanValue())
 	}
-	if o.endurance > 0 || o.drift > 0 || o.verify {
+	if *f.endurance > 0 || *f.drift > 0 || *f.verify {
 		fmt.Printf("injected faults   %d stuck-at, %d drift flips\n", res.InjectedStuck, res.InjectedDrift)
 		fmt.Printf("read corrections  SECDED %d (check-only %d), PCC rebuilt %d, uncorrectable %d\n",
 			res.Mem.SECDEDCorrected.Value(), res.Mem.SECDEDCheckFixed.Value(),

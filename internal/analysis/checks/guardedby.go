@@ -15,7 +15,7 @@ import (
 //	type Server struct {
 //		mu sync.Mutex
 //		//pcmaplint:guardedby mu
-//		runners map[budgets]*exp.Runner
+//		runner *exp.Runner
 //	}
 //
 // An annotated field may only be read or written while the named mutex

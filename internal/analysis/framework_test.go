@@ -2,6 +2,7 @@ package analysis_test
 
 import (
 	"go/ast"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -91,5 +92,26 @@ func TestLoadModulePackages(t *testing.T) {
 	}
 	if byPath["pcmap/internal/energy_test"] == nil {
 		t.Error("external test package energy_test not loaded")
+	}
+}
+
+// TestLoadExternalTestSeesExportTest loads a package whose external
+// test calls a helper from the package's export_test.go and passes the
+// package's type through a dependency that imports it. Both type-check,
+// as go test builds them.
+func TestLoadExternalTestSeesExportTest(t *testing.T) {
+	pkgs, err := analysis.Load("testdata/src", "./exporttest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var paths []string
+	for _, p := range pkgs {
+		paths = append(paths, p.PkgPath)
+	}
+	if want := []string{"fixture/exporttest", "fixture/exporttest_test"}; !reflect.DeepEqual(paths, want) {
+		t.Fatalf("loaded %v, want %v", paths, want)
+	}
+	if pkgs[0].Types.Scope().Lookup("CountOf") == nil {
+		t.Error("export_test.go's CountOf is not in the package under test")
 	}
 }

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"go/ast"
@@ -34,19 +35,17 @@ type Package struct {
 // listedPackage is the subset of `go list -json` output the loader
 // consumes.
 type listedPackage struct {
-	ImportPath   string
-	Name         string
-	Dir          string
-	Export       string
-	DepOnly      bool
-	Standard     bool
-	GoFiles      []string
-	CgoFiles     []string
-	TestGoFiles  []string
-	XTestGoFiles []string
-	TestImports  []string
-	XTestImports []string
-	Error        *struct{ Err string }
+	ImportPath  string
+	Dir         string
+	Export      string
+	DepOnly     bool
+	Standard    bool
+	ForTest     string
+	GoFiles     []string
+	CgoFiles    []string
+	TestGoFiles []string
+	ImportMap   map[string]string
+	Error       *struct{ Err string }
 }
 
 // Load enumerates the packages matching patterns (go list syntax, e.g.
@@ -54,11 +53,14 @@ type listedPackage struct {
 // with its in-package test files merged, and returns them sorted by
 // import path. External test packages follow the package they test.
 //
-// Dependencies are imported from compiler export data discovered via
-// `go list -export`, so the module must build; Load reports the
-// compiler's errors otherwise.
+// Each package is checked as its test binary builds it (`go list
+// -test`): a package with in-package tests as that test variant, and an
+// external test package against the variant, through its ImportMap, so
+// it sees what an export_test.go file exports. Imports are read from
+// compiler export data (`go list -export`), so the module must build;
+// Load reports the compiler's errors otherwise.
 func Load(dir string, patterns ...string) ([]*Package, error) {
-	listed, err := goList(dir, append([]string{"-deps"}, patterns...))
+	listed, err := goList(dir, append([]string{"-deps", "-test"}, patterns...))
 	if err != nil {
 		return nil, err
 	}
@@ -71,59 +73,45 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
-		if !p.DepOnly && !p.Standard {
-			targets = append(targets, p)
+		// Skip dependencies, generated test mains (pkg.test), and a
+		// package whose test variant (pkg [pkg.test]) stands in for it.
+		if p.DepOnly || p.Standard || strings.HasSuffix(p.ImportPath, ".test") ||
+			p.ForTest == "" && len(p.TestGoFiles) > 0 {
+			continue
 		}
+		targets = append(targets, p)
 	}
-
-	// Test files may import packages outside the non-test dependency
-	// graph (testing, os/exec, ...); fetch their export data too.
-	extra := map[string]bool{}
-	for _, p := range targets {
-		for _, imp := range append(append([]string{}, p.TestImports...), p.XTestImports...) {
-			if imp != "C" && exports[imp] == "" {
-				extra[imp] = true
-			}
-		}
+	// pkgPath drops a variant's " [pkg.test]" suffix.
+	pkgPath := func(p *listedPackage) string {
+		path, _, _ := strings.Cut(p.ImportPath, " ")
+		return path
 	}
-	if len(extra) > 0 {
-		paths := make([]string, 0, len(extra))
-		for p := range extra {
-			paths = append(paths, p)
+	sort.Slice(targets, func(i, j int) bool {
+		a, b := targets[i], targets[j]
+		if ka, kb := cmp.Or(a.ForTest, pkgPath(a)), cmp.Or(b.ForTest, pkgPath(b)); ka != kb {
+			return ka < kb
 		}
-		sort.Strings(paths)
-		more, err := goList(dir, append([]string{"-deps"}, paths...))
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range more {
-			if p.Export != "" {
-				exports[p.ImportPath] = p.Export
-			}
-		}
-	}
+		return pkgPath(a) < pkgPath(b)
+	})
 
 	fset := token.NewFileSet()
-	imp := exportImporter(fset, exports)
-	sort.Slice(targets, func(i, j int) bool { return targets[i].ImportPath < targets[j].ImportPath })
-
+	shared := exportImporter(fset, exports, nil)
 	var pkgs []*Package
 	for _, t := range targets {
 		if len(t.CgoFiles) > 0 {
 			return nil, fmt.Errorf("analysis: %s uses cgo, which this loader does not support", t.ImportPath)
 		}
-		inPkg, err := checkFiles(fset, imp, t.ImportPath, t.Dir, append(append([]string{}, t.GoFiles...), t.TestGoFiles...))
+		// An import map sends imports to test variants, whose export
+		// data must not mix with the plain packages' in one importer.
+		imp := shared
+		if len(t.ImportMap) > 0 {
+			imp = exportImporter(fset, exports, t.ImportMap)
+		}
+		pkg, err := checkFiles(fset, imp, pkgPath(t), t.Dir, t.GoFiles)
 		if err != nil {
 			return nil, err
 		}
-		pkgs = append(pkgs, inPkg)
-		if len(t.XTestGoFiles) > 0 {
-			xt, err := checkFiles(fset, imp, t.ImportPath+"_test", t.Dir, t.XTestGoFiles)
-			if err != nil {
-				return nil, err
-			}
-			pkgs = append(pkgs, xt)
-		}
+		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
 }
@@ -153,10 +141,11 @@ func goList(dir string, args []string) ([]*listedPackage, error) {
 	return pkgs, nil
 }
 
-// exportImporter resolves imports from compiler export data files.
-func exportImporter(fset *token.FileSet, exports map[string]string) types.Importer {
+// exportImporter resolves imports from compiler export data files,
+// through importMap when the importing package has one.
+func exportImporter(fset *token.FileSet, exports, importMap map[string]string) types.Importer {
 	lookup := func(path string) (io.ReadCloser, error) {
-		f := exports[path]
+		f := exports[cmp.Or(importMap[path], path)]
 		if f == "" {
 			return nil, fmt.Errorf("analysis: no export data for %q", path)
 		}

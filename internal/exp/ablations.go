@@ -18,9 +18,8 @@ import (
 // runner's budgets, reporting IPC and the knob's own figure of merit.
 func Ablations(ctx context.Context, r *Runner) (*FigureResult, error) {
 	return r.render(ctx, func(get getFunc) (*FigureResult, error) {
-		f := newFigure("ablations", "Ablations: PCMap design-choice sensitivity (MP6)")
-		f.Table = &stats.Table{Title: f.Title,
-			Headers: []string{"knob", "setting", "IPC (sum)", "figure of merit"}}
+		f := newFigure("ablations", "Ablations: PCMap design-choice sensitivity (MP6)", "knob",
+			column{header: "setting"}, column{header: "IPC (sum)"}, column{header: "figure of merit"})
 		// row reads one ablation run: variant on MP6 with one knob
 		// changed from Table I. Settings equal to the default name the
 		// variant's plain run, which the runner shares with every other

@@ -92,7 +92,7 @@ func TestRunAllSurvivesPanickingSpec(t *testing.T) {
 // memoized reports whether the run s names has a completed memo entry
 // (test helper).
 func (r *Runner) memoized(s Spec) (*system.Results, bool) {
-	k, err := resolve(s)
+	k, err := r.resolve(s)
 	if err != nil {
 		return nil, false
 	}

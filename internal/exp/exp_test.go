@@ -2,6 +2,7 @@ package exp
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"pcmap/internal/config"
@@ -144,11 +145,30 @@ func TestFig1Shape(t *testing.T) {
 	}
 }
 
-func TestFigureResultSeries(t *testing.T) {
-	f := newFigure("x", "t")
-	f.set("row", "col", 1.5)
-	//pcmaplint:ignore floatcmp round-trip of a stored value, no arithmetic between set and get
-	if f.Series["row"]["col"] != 1.5 {
-		t.Fatal("series not recorded")
+// TestFigureRow: a row writes each value once, into the series under
+// its column's key and into the table in its column's format, and a row
+// whose value count differs from the columns' panics.
+func TestFigureRow(t *testing.T) {
+	f := newFigure("x", "t", "label", pctCol("share", "shareKey"), numCol("ratio", "ratioKey"), countCol("n", "nKey"))
+	f.row("r", 0.125, 1.5, 42)
+	if want := []string{"label", "share", "ratio", "n"}; !reflect.DeepEqual(f.Table.Headers, want) {
+		t.Fatalf("headers %q, want %q", f.Table.Headers, want)
+	}
+	if want := [][]string{{"r", "12.5%", "1.50", "42"}}; !reflect.DeepEqual(f.Table.Rows, want) {
+		t.Fatalf("rows %q, want %q", f.Table.Rows, want)
+	}
+	want := map[string]map[string]float64{"r": {"shareKey": 0.125, "ratioKey": 1.5, "nKey": 42}}
+	if !reflect.DeepEqual(f.Series, want) {
+		t.Fatalf("series %v, want %v", f.Series, want)
+	}
+	for _, values := range [][]float64{{1, 2}, {1, 2, 3, 4}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("a row of %d values for 3 columns did not panic", len(values))
+				}
+			}()
+			f.row("bad", values...)
+		}()
 	}
 }

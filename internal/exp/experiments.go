@@ -22,12 +22,55 @@ type FigureResult struct {
 	Series map[string]map[string]float64 // row -> column -> value
 	Table  *stats.Table                  `json:"-"`
 	Notes  []string
+
+	cols []column
 }
 
-func newFigure(id, title string) *FigureResult {
-	return &FigureResult{ID: id, Title: title, Series: map[string]map[string]float64{}}
+// column is one value column of a figure: its table header, the series
+// key its values are stored under, and how a value renders in a cell.
+type column struct {
+	header, key string
+	cell        func(float64) string
 }
 
+// pctCol, numCol and countCol are the cell formats: a percentage, a
+// two-decimal number and an integer count.
+func pctCol(header, key string) column { return column{header, key, stats.Pct} }
+func numCol(header, key string) column { return column{header, key, stats.F} }
+func countCol(header, key string) column {
+	return column{header, key, func(x float64) string { return stats.N(uint64(x)) }}
+}
+
+// newFigure starts a figure whose table has a label column headed label
+// followed by cols.
+func newFigure(id, title, label string, cols ...column) *FigureResult {
+	headers := []string{label}
+	for _, c := range cols {
+		headers = append(headers, c.header)
+	}
+	return &FigureResult{ID: id, Title: title, Series: map[string]map[string]float64{},
+		Table: &stats.Table{Title: title, Headers: headers}, cols: cols}
+}
+
+// row adds one row: label, then one value per column, each stored in
+// the series under its column's key and rendered in the table with its
+// column's format.
+func (f *FigureResult) row(label string, values ...float64) {
+	if len(values) != len(f.cols) {
+		panic(fmt.Sprintf("exp: %s row %q has %d values for %d columns", f.ID, label, len(values), len(f.cols)))
+	}
+	cells := []string{label}
+	for i, c := range f.cols {
+		f.set(label, c.key, values[i])
+		cells = append(cells, c.cell(values[i]))
+	}
+	f.Table.AddRow(cells...)
+}
+
+// set stores one series value. Besides row, only Headline and Ablations
+// call it, each beside its own AddRow calls, because their series and
+// tables differ in shape: the headline's table adds the paper's values,
+// and the ablations' prints each knob's figure of merit as text.
 func (f *FigureResult) set(row, col string, v float64) {
 	m, ok := f.Series[row]
 	if !ok {
@@ -101,9 +144,9 @@ var overlapVariants = []config.Variant{
 // effective read latency normalized to a symmetric-latency PCM.
 func Fig1(ctx context.Context, r *Runner) (*FigureResult, error) {
 	return r.render(ctx, func(get getFunc) (*FigureResult, error) {
-		f := newFigure("fig1", "Figure 1: reads delayed by writes; read latency vs symmetric PCM (baseline)")
-		f.Table = &stats.Table{Title: f.Title,
-			Headers: []string{"program", "reads delayed by write", "norm. read latency (vs symmetric)"}}
+		f := newFigure("fig1", "Figure 1: reads delayed by writes; read latency vs symmetric PCM (baseline)", "program",
+			pctCol("reads delayed by write", "delayedPct"),
+			numCol("norm. read latency (vs symmetric)", "normReadLatency"))
 		for _, a := range workloads.SPECNames() {
 			asym := get(Spec{Workload: a, Variant: config.Baseline})
 			symm := get(Spec{Workload: a, Variant: config.Baseline, Symmetric: true})
@@ -115,9 +158,7 @@ func Fig1(ctx context.Context, r *Runner) (*FigureResult, error) {
 			if s := symm.Mem.ReadLatency.MeanNS(); s > 0 {
 				norm = asym.Mem.ReadLatency.MeanNS() / s
 			}
-			f.set(a, "delayedPct", delayed)
-			f.set(a, "normReadLatency", norm)
-			f.Table.AddRow(a, stats.Pct(delayed), stats.F(norm))
+			f.row(a, delayed, norm)
 		}
 		f.Notes = append(f.Notes,
 			"Paper: 11.5%-38.1% of reads delayed; effective latency 1.2x-1.8x over symmetric.")
@@ -129,25 +170,19 @@ func Fig1(ctx context.Context, r *Runner) (*FigureResult, error) {
 // per 64B write-back, measured at the PCM controller.
 func Fig2(ctx context.Context, r *Runner) (*FigureResult, error) {
 	return r.render(ctx, func(get getFunc) (*FigureResult, error) {
-		f := newFigure("fig2", "Figure 2: dirty-word distribution of write-backs (measured at PCM)")
-		headers := []string{"program"}
+		var cols []column
 		for k := 0; k <= 8; k++ {
-			headers = append(headers, fmt.Sprintf("%dw", k))
+			cols = append(cols, pctCol(fmt.Sprintf("%dw", k), fmt.Sprintf("w%d", k)))
 		}
-		headers = append(headers, "mean")
-		f.Table = &stats.Table{Title: f.Title, Headers: headers}
+		cols = append(cols, numCol("mean", "mean"))
+		f := newFigure("fig2", "Figure 2: dirty-word distribution of write-backs (measured at PCM)", "program", cols...)
 		for _, a := range workloads.SPECNames() {
 			res := get(Spec{Workload: a, Variant: config.Baseline})
-			row := []string{a}
+			var values []float64
 			for k := 0; k <= 8; k++ {
-				frac := res.Mem.DirtyWords.Fraction(k)
-				f.set(a, fmt.Sprintf("w%d", k), frac)
-				row = append(row, stats.Pct(frac))
+				values = append(values, res.Mem.DirtyWords.Fraction(k))
 			}
-			mean := res.Mem.DirtyWords.MeanValue()
-			f.set(a, "mean", mean)
-			row = append(row, stats.F(mean))
-			f.Table.AddRow(row...)
+			f.row(a, append(values, res.Mem.DirtyWords.MeanValue())...)
 		}
 		f.Notes = append(f.Notes,
 			"Paper anchors: 14% (omnetpp) to 52% (cactusADM) of write-backs dirty exactly 1 word;",
@@ -172,13 +207,12 @@ func evalRows() []string {
 func evalFigure(ctx context.Context, r *Runner, id, title string, includeAvgMT bool, variants []config.Variant,
 	metric func(res, base *system.Results) float64, notes ...string) (*FigureResult, error) {
 	return r.render(ctx, func(get getFunc) (*FigureResult, error) {
-		f := newFigure(id, title)
-		f.Notes = notes
-		headers := []string{"workload"}
+		var cols []column
 		for _, v := range variants {
-			headers = append(headers, v.String())
+			cols = append(cols, numCol(v.String(), v.String()))
 		}
-		f.Table = &stats.Table{Title: title, Headers: headers}
+		f := newFigure(id, title, "workload", cols...)
+		f.Notes = notes
 
 		value := func(workload string, v config.Variant) float64 {
 			return metric(get(Spec{Workload: workload, Variant: v}),
@@ -197,21 +231,18 @@ func evalFigure(ctx context.Context, r *Runner, id, title string, includeAvgMT b
 			mtNames = workloads.PARSECNames()
 		}
 		for _, row := range evalRows() {
-			cells := []string{row}
+			var values []float64
 			for _, v := range variants {
-				var x float64
 				switch row {
 				case "Average(MT)":
-					x = avgOver(mtNames, v)
+					values = append(values, avgOver(mtNames, v))
 				case "Average(MP)":
-					x = avgOver(workloads.TableIIMP(), v)
+					values = append(values, avgOver(workloads.TableIIMP(), v))
 				default:
-					x = value(row, v)
+					values = append(values, value(row, v))
 				}
-				f.set(row, v.String(), x)
-				cells = append(cells, stats.F(x))
 			}
-			f.Table.AddRow(cells...)
+			f.row(row, values...)
 		}
 		return f, nil
 	})
@@ -271,18 +302,14 @@ func Fig11(ctx context.Context, r *Runner, includeAvgMT bool) (*FigureResult, er
 // the Table II targets.
 func Table2(ctx context.Context, r *Runner) (*FigureResult, error) {
 	return r.render(ctx, func(get getFunc) (*FigureResult, error) {
-		f := newFigure("table2", "Table II: workload intensity (measured vs paper)")
-		f.Table = &stats.Table{Title: f.Title,
-			Headers: []string{"workload", "RPKI (paper)", "RPKI (measured)", "WPKI (paper)", "WPKI (measured)"}}
+		f := newFigure("table2", "Table II: workload intensity (measured vs paper)", "workload",
+			numCol("RPKI (paper)", "rpkiPaper"), numCol("RPKI (measured)", "rpkiMeasured"),
+			numCol("WPKI (paper)", "wpkiPaper"), numCol("WPKI (measured)", "wpkiMeasured"))
 		for _, n := range workloads.EvaluationSet() {
 			res := get(Spec{Workload: n, Variant: config.Baseline})
 			mix := workloads.MustMix(n)
 			rp, wp := mix.AggregateRPKIWPKI()
-			f.set(n, "rpkiPaper", rp)
-			f.set(n, "rpkiMeasured", res.RPKI)
-			f.set(n, "wpkiPaper", wp)
-			f.set(n, "wpkiMeasured", res.WPKI)
-			f.Table.AddRow(n, stats.F(rp), stats.F(res.RPKI), stats.F(wp), stats.F(res.WPKI))
+			f.row(n, rp, res.RPKI, wp, res.WPKI)
 		}
 		f.Notes = append(f.Notes,
 			"MP-mix paper targets are per-program solo intensities averaged; the paper's Table II",
@@ -298,10 +325,13 @@ func Table3(ctx context.Context, r *Runner) (*FigureResult, error) {
 	names := workloads.EvaluationSet()
 	variants := []config.Variant{config.RWoWRDE, config.RWoWNR}
 	return r.render(ctx, func(get getFunc) (*FigureResult, error) {
-		f := newFigure("table3", "Table III: IPC improvement vs write-to-read latency ratio")
-		f.Table = &stats.Table{Title: f.Title, Headers: []string{"system", "2x", "4x", "6x", "8x"}}
+		var cols []column
+		for _, ratio := range ratios {
+			cols = append(cols, pctCol(fmt.Sprintf("%gx", ratio), fmt.Sprintf("%gx", ratio)))
+		}
+		f := newFigure("table3", "Table III: IPC improvement vs write-to-read latency ratio", "system", cols...)
 		for _, v := range variants {
-			cells := []string{v.String()}
+			var values []float64
 			for _, ratio := range ratios {
 				var imps []float64
 				for _, n := range names {
@@ -311,11 +341,9 @@ func Table3(ctx context.Context, r *Runner) (*FigureResult, error) {
 						imps = append(imps, res.IPCSum/base.IPCSum-1)
 					}
 				}
-				imp := stats.ArithMean(imps)
-				f.set(v.String(), fmt.Sprintf("%gx", ratio), imp)
-				cells = append(cells, stats.Pct(imp))
+				values = append(values, stats.ArithMean(imps))
 			}
-			f.Table.AddRow(cells...)
+			f.row(v.String(), values...)
 		}
 		f.Notes = append(f.Notes,
 			"Paper: RWoW-RDE 16.6% -> 24.3% as the ratio grows 2x -> 8x; RWoW-NR 11.3% -> 24.7%",
@@ -329,9 +357,9 @@ func Table3(ctx context.Context, r *Runner) (*FigureResult, error) {
 // system against a never-faulty one.
 func Table4(ctx context.Context, r *Runner) (*FigureResult, error) {
 	return r.render(ctx, func(get getFunc) (*FigureResult, error) {
-		f := newFigure("table4", "Table IV: IPC of RoW under rollback (faulty vs non-faulty)")
-		f.Table = &stats.Table{Title: f.Title,
-			Headers: []string{"workload", "max rollbacks", "IPC imp. (faulty)", "IPC imp. (non-faulty)", "rollback cost"}}
+		f := newFigure("table4", "Table IV: IPC of RoW under rollback (faulty vs non-faulty)", "workload",
+			pctCol("max rollbacks", "maxRollbackPct"), pctCol("IPC imp. (faulty)", "ipcImpFaulty"),
+			pctCol("IPC imp. (non-faulty)", "ipcImpNonFaulty"), pctCol("rollback cost", "rollbackCost"))
 		for _, n := range []string{"canneal", "facesim", "MP6", "ferret"} {
 			base := get(Spec{Workload: n, Variant: config.Baseline})
 			faulty := get(Spec{Workload: n, Variant: config.RWoWRDE, FaultMode: "always"})
@@ -341,11 +369,7 @@ func Table4(ctx context.Context, r *Runner) (*FigureResult, error) {
 				impF = faulty.IPCSum/base.IPCSum - 1
 				impC = clean.IPCSum/base.IPCSum - 1
 			}
-			f.set(n, "maxRollbackPct", faulty.MaxRollbackPct)
-			f.set(n, "ipcImpFaulty", impF)
-			f.set(n, "ipcImpNonFaulty", impC)
-			f.set(n, "rollbackCost", impC-impF)
-			f.Table.AddRow(n, stats.Pct(faulty.MaxRollbackPct), stats.Pct(impF), stats.Pct(impC), stats.Pct(impC-impF))
+			f.row(n, faulty.MaxRollbackPct, impF, impC, impC-impF)
 		}
 		f.Notes = append(f.Notes,
 			"Paper: rollbacks up to 5.8% (canneal); RoW never loses to baseline even always-faulty;",
@@ -360,7 +384,8 @@ func Table4(ctx context.Context, r *Runner) (*FigureResult, error) {
 // matching the paper's Average(MT) definition (Section V).
 func Headline(ctx context.Context, r *Runner, includeAvgMT bool) (*FigureResult, error) {
 	return r.render(ctx, func(get getFunc) (*FigureResult, error) {
-		f := newFigure("headline", "Headline: IRLP and IPC of full PCMap (RWoW-RDE) vs baseline")
+		f := newFigure("headline", "Headline: IRLP and IPC of full PCMap (RWoW-RDE) vs baseline", "metric",
+			column{header: "measured"}, column{header: "paper"})
 		mtSet := workloads.TableIIMT()
 		if includeAvgMT {
 			mtSet = workloads.PARSECNames()
@@ -387,7 +412,6 @@ func Headline(ctx context.Context, r *Runner, includeAvgMT bool) (*FigureResult,
 		f.set("IRLP", "pcmapMax", maxIRLP)
 		f.set("IPC improvement", "MT", stats.ArithMean(impMT))
 		f.set("IPC improvement", "MP", stats.ArithMean(impMP))
-		f.Table = &stats.Table{Title: f.Title, Headers: []string{"metric", "measured", "paper"}}
 		f.Table.AddRow("IRLP baseline", stats.F(stats.ArithMean(irlpBase)), "2.37")
 		f.Table.AddRow("IRLP PCMap (avg)", stats.F(stats.ArithMean(irlpFull)), "4.5")
 		f.Table.AddRow("IRLP PCMap (max workload)", stats.F(maxIRLP), "7.4")
@@ -403,9 +427,9 @@ func Headline(ctx context.Context, r *Runner, includeAvgMT bool) (*FigureResult,
 // outright. This is an extension beyond the paper's own evaluation.
 func Pausing(ctx context.Context, r *Runner) (*FigureResult, error) {
 	return r.render(ctx, func(get getFunc) (*FigureResult, error) {
-		f := newFigure("pausing", "Extension: write pausing (HPCA'10) vs PCMap")
-		f.Table = &stats.Table{Title: f.Title,
-			Headers: []string{"workload", "pausing read-lat (norm)", "PCMap read-lat (norm)", "pausing IPC imp", "PCMap IPC imp"}}
+		f := newFigure("pausing", "Extension: write pausing (HPCA'10) vs PCMap", "workload",
+			numCol("pausing read-lat (norm)", "pausingReadLat"), numCol("PCMap read-lat (norm)", "pcmapReadLat"),
+			pctCol("pausing IPC imp", "pausingIPC"), pctCol("PCMap IPC imp", "pcmapIPC"))
 		for _, n := range workloads.EvaluationSet() {
 			base := get(Spec{Workload: n, Variant: config.Baseline})
 			pause := get(Spec{Workload: n, Variant: config.Baseline, WritePausing: true})
@@ -414,15 +438,8 @@ func Pausing(ctx context.Context, r *Runner) (*FigureResult, error) {
 			if bl <= 0 || base.IPCSum <= 0 {
 				continue
 			}
-			f.set(n, "pausingReadLat", pause.Mem.ReadLatency.MeanNS()/bl)
-			f.set(n, "pcmapReadLat", pcmap.Mem.ReadLatency.MeanNS()/bl)
-			f.set(n, "pausingIPC", pause.IPCSum/base.IPCSum-1)
-			f.set(n, "pcmapIPC", pcmap.IPCSum/base.IPCSum-1)
-			f.Table.AddRow(n,
-				stats.F(pause.Mem.ReadLatency.MeanNS()/bl),
-				stats.F(pcmap.Mem.ReadLatency.MeanNS()/bl),
-				stats.Pct(pause.IPCSum/base.IPCSum-1),
-				stats.Pct(pcmap.IPCSum/base.IPCSum-1))
+			f.row(n, pause.Mem.ReadLatency.MeanNS()/bl, pcmap.Mem.ReadLatency.MeanNS()/bl,
+				pause.IPCSum/base.IPCSum-1, pcmap.IPCSum/base.IPCSum-1)
 		}
 		f.Notes = append(f.Notes,
 			"Write pausing only interrupts the one serialized write; PCMap overlaps reads AND",
@@ -439,10 +456,11 @@ func Pausing(ctx context.Context, r *Runner) (*FigureResult, error) {
 // bank — zero by construction for every non-partitioned variant.
 func Palp(ctx context.Context, r *Runner) (*FigureResult, error) {
 	return r.render(ctx, func(get getFunc) (*FigureResult, error) {
-		f := newFigure("palp", "Extension: PALP + content-aware writes vs RWoW-RDE")
-		f.Table = &stats.Table{Title: f.Title,
-			Headers: []string{"workload", "PALP IPC imp", "DCA IPC imp", "PALP read-lat (norm)",
-				"DCA write-tput (norm)", "overlap reads RDE", "overlap reads PALP", "part overlaps"}}
+		f := newFigure("palp", "Extension: PALP + content-aware writes vs RWoW-RDE", "workload",
+			pctCol("PALP IPC imp", "palpIPC"), pctCol("DCA IPC imp", "dcaIPC"),
+			numCol("PALP read-lat (norm)", "palpReadLat"), numCol("DCA write-tput (norm)", "dcaWriteTput"),
+			countCol("overlap reads RDE", "overlapReadsRDE"), countCol("overlap reads PALP", "overlapReadsPALP"),
+			countCol("part overlaps", "partOverlaps"))
 		for _, n := range workloads.EvaluationSet() {
 			rde := get(Spec{Workload: n, Variant: config.RWoWRDE})
 			palp := get(Spec{Workload: n, Variant: config.PALP})
@@ -453,21 +471,10 @@ func Palp(ctx context.Context, r *Runner) (*FigureResult, error) {
 				continue
 			}
 			partOverlaps := palp.Mem.PartOverlapReads.Value() + palp.Mem.PartOverlapWrites.Value()
-			f.set(n, "palpIPC", palp.IPCSum/rde.IPCSum-1)
-			f.set(n, "dcaIPC", dca.IPCSum/rde.IPCSum-1)
-			f.set(n, "palpReadLat", palp.Mem.ReadLatency.MeanNS()/rl)
-			f.set(n, "dcaWriteTput", dca.Mem.WriteThroughput()/wt)
-			f.set(n, "overlapReadsRDE", float64(rde.Mem.OverlapReads.Value()))
-			f.set(n, "overlapReadsPALP", float64(palp.Mem.OverlapReads.Value()))
-			f.set(n, "partOverlaps", float64(partOverlaps))
-			f.Table.AddRow(n,
-				stats.Pct(palp.IPCSum/rde.IPCSum-1),
-				stats.Pct(dca.IPCSum/rde.IPCSum-1),
-				stats.F(palp.Mem.ReadLatency.MeanNS()/rl),
-				stats.F(dca.Mem.WriteThroughput()/wt),
-				fmt.Sprintf("%d", rde.Mem.OverlapReads.Value()),
-				fmt.Sprintf("%d", palp.Mem.OverlapReads.Value()),
-				fmt.Sprintf("%d", partOverlaps))
+			f.row(n, palp.IPCSum/rde.IPCSum-1, dca.IPCSum/rde.IPCSum-1,
+				palp.Mem.ReadLatency.MeanNS()/rl, dca.Mem.WriteThroughput()/wt,
+				float64(rde.Mem.OverlapReads.Value()), float64(palp.Mem.OverlapReads.Value()),
+				float64(partOverlaps))
 		}
 		f.Notes = append(f.Notes,
 			"PALP splits each bank into partitions and serves a read while a write occupies a",

@@ -8,6 +8,7 @@
 package exp
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -46,15 +47,19 @@ type Spec struct {
 	// VerifyWrites turns on the program-and-verify retry/remap path.
 	VerifyWrites bool
 	Seed         uint64
+	// Warmup and Measure are the run's per-core instruction budgets;
+	// 0 takes the runner's.
+	Warmup, Measure uint64
 }
 
-// run is one resolved simulation: the workload and the complete machine
-// configuration. A simulation's output is a function of its run and the
-// runner's budgets alone, so runs, not the Specs that name them, key the
-// memo, the single-flight map and the disk cache.
+// run is one resolved simulation: the workload, the complete machine
+// configuration and the instruction budgets. A simulation's output is a
+// function of its run alone, so runs, not the Specs that name them, key
+// the memo, the single-flight map and the disk cache.
 type run struct {
-	Workload string
-	Config   config.Config
+	Workload        string
+	Config          config.Config
+	Warmup, Measure uint64
 }
 
 // Runner executes, memoizes, and optionally disk-caches simulation
@@ -62,9 +67,10 @@ type run struct {
 // execution (single-flight); completed results are memoized in memory
 // and, when Cache is set, persisted so an interrupted sweep can resume.
 type Runner struct {
-	// Warmup and Measure are per-core instruction budgets. The paper
-	// runs 200M + 1B; our synthetic generators are stationary so far
-	// smaller budgets converge (see DESIGN.md).
+	// Warmup and Measure are the per-core instruction budgets of every
+	// run whose Spec leaves its own 0. The paper runs 200M + 1B; our
+	// synthetic generators are stationary so far smaller budgets
+	// converge (see DESIGN.md).
 	Warmup, Measure uint64
 	// Seed is the simulation seed of every run whose Spec leaves Seed
 	// 0; 0 keeps the configuration's default.
@@ -171,15 +177,15 @@ func resolve(s Spec, edit ...func(*config.Config)) (run, error) {
 	if err != nil {
 		return run{}, fmt.Errorf("exp: %s/%s: %w", s.Workload, s.Variant, err)
 	}
-	return run{Workload: s.Workload, Config: *cfg}, nil
+	return run{Workload: s.Workload, Config: *cfg, Warmup: s.Warmup, Measure: s.Measure}, nil
 }
 
-// resolve is the package-level resolve with the runner's seed applied
-// to a spec that leaves Seed 0.
+// resolve is the package-level resolve with the runner's seed and
+// budgets filling those a spec leaves 0.
 func (r *Runner) resolve(s Spec, edit ...func(*config.Config)) (run, error) {
-	if s.Seed == 0 {
-		s.Seed = r.Seed
-	}
+	s.Seed = cmp.Or(s.Seed, r.Seed)
+	s.Warmup = cmp.Or(s.Warmup, r.Warmup)
+	s.Measure = cmp.Or(s.Measure, r.Measure)
 	return resolve(s, edit...)
 }
 
@@ -228,7 +234,7 @@ func (r *Runner) callSimulate(ctx context.Context, k run) (res *system.Results, 
 	if sim == nil {
 		sim = r.defaultSimulate
 	}
-	return sim(ctx, &k.Config, k.Workload, r.Warmup, r.Measure)
+	return sim(ctx, &k.Config, k.Workload, k.Warmup, k.Measure)
 }
 
 // Run executes (or returns the memoized result of) one spec. It is
@@ -301,7 +307,7 @@ func (r *Runner) execute(ctx context.Context, k run) (*system.Results, error) {
 	}
 	var key string
 	if r.Cache != nil {
-		key = CacheKey(k.Workload, &k.Config, r.Warmup, r.Measure)
+		key = CacheKey(k.Workload, &k.Config, k.Warmup, k.Measure)
 		// A cached answer carries no timeline, so a traced run always
 		// simulates; it still stores its result.
 		if r.Resume && r.Tracer == nil {
@@ -330,7 +336,7 @@ func (r *Runner) execute(ctx context.Context, k run) (*system.Results, error) {
 	r.mu.Lock()
 	r.sims++
 	r.events += res.Events
-	r.instructions += uint64(len(res.IPCPerCore))*r.Warmup + res.Instructions
+	r.instructions += uint64(len(res.IPCPerCore))*k.Warmup + res.Instructions
 	r.simsWall += elapsed
 	r.mu.Unlock()
 	if r.Progress != nil {

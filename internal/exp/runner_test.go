@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -234,7 +235,7 @@ func TestRenderPlansThenRuns(t *testing.T) {
 		if a.IPCSum > 0 {
 			b = get(Spec{Workload: "b"})
 		}
-		return newFigure("t", "t"), nil
+		return newFigure("t", "t", ""), nil
 	}
 	if _, err := r.render(context.Background(), draw); err != nil {
 		t.Fatal(err)
@@ -321,5 +322,56 @@ func TestRunnerSeedFillsUnseededSpecs(t *testing.T) {
 	}
 	if seeds[3] != 1 || seeds[7] < 2 || len(seeds) != 2 {
 		t.Fatalf("runs by seed %v; want one at the spec's seed 3 and every other at the runner's 7", seeds)
+	}
+}
+
+// TestRunnerKeysByBudgets: one Spec at two budgets is two runs on one
+// runner. Each simulates once, a repeat is memoized, and each result
+// equals what a runner with those budgets as its own computes.
+func TestRunnerKeysByBudgets(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real simulations")
+	}
+	shared := testRunner()
+	var executions int32
+	shared.simulate = func(ctx context.Context, cfg *config.Config, workload string, warmup, measure uint64) (*system.Results, error) {
+		atomic.AddInt32(&executions, 1)
+		return shared.defaultSimulate(ctx, cfg, workload, warmup, measure)
+	}
+	s := Spec{Workload: "MP4", Variant: config.RWoWRDE}
+	budgets := [][2]uint64{{500, 4_000}, {500, 8_000}}
+	got := make([]*system.Results, len(budgets))
+	for round := 0; round < 2; round++ {
+		for i, b := range budgets {
+			s.Warmup, s.Measure = b[0], b[1]
+			res, err := shared.Run(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if round == 1 && res != got[i] {
+				t.Fatalf("budgets %v: repeat not served from the memo", b)
+			}
+			got[i] = res
+		}
+	}
+	if n := atomic.LoadInt32(&executions); n != 2 {
+		t.Fatalf("%d simulations for one spec at two budgets, want 2", n)
+	}
+	if shared.MemoLen() != 2 {
+		t.Fatalf("memo holds %d runs, want 2", shared.MemoLen())
+	}
+	for i, b := range budgets {
+		single := NewRunner()
+		single.Warmup, single.Measure = b[0], b[1]
+		want, err := single.Run(Spec{Workload: s.Workload, Variant: s.Variant})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("budgets %v: shared runner's result differs from a single-budget runner's", b)
+		}
+	}
+	if reflect.DeepEqual(got[0], got[1]) {
+		t.Error("the two budgets produced equal results")
 	}
 }

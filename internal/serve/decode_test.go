@@ -77,8 +77,8 @@ func FuzzDecodeJob(f *testing.F) {
 		if err := tk.spec.Validate(); err != nil {
 			t.Errorf("accepted spec fails Validate: %v", err)
 		}
-		if tk.warmup == 0 || tk.warmup > s.cfg.MaxBudget || tk.measure == 0 || tk.measure > s.cfg.MaxBudget {
-			t.Errorf("budgets %d/%d outside (0, %d]", tk.warmup, tk.measure, s.cfg.MaxBudget)
+		if w, m := tk.spec.Warmup, tk.spec.Measure; w == 0 || w > s.cfg.MaxBudget || m == 0 || m > s.cfg.MaxBudget {
+			t.Errorf("budgets %d/%d outside (0, %d]", w, m, s.cfg.MaxBudget)
 		}
 		if tk.timeout <= 0 || tk.timeout > s.cfg.MaxTimeout {
 			t.Errorf("deadline %s outside (0, %s]", tk.timeout, s.cfg.MaxTimeout)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -101,6 +102,8 @@ func (s *Server) decodeJob(w http.ResponseWriter, body io.ReadCloser) (*task, *e
 		DriftProb:        req.DriftProb,
 		VerifyWrites:     req.VerifyWrites,
 		Seed:             req.Seed,
+		Warmup:           cmp.Or(req.Warmup, s.cfg.DefaultWarmup),
+		Measure:          cmp.Or(req.Measure, s.cfg.DefaultMeasure),
 	}
 	if err := spec.Validate(); err != nil {
 		return invalid("%v", err)
@@ -108,16 +111,9 @@ func (s *Server) decodeJob(w http.ResponseWriter, body io.ReadCloser) (*task, *e
 	if req.TimeoutMS < 0 {
 		return invalid("timeout_ms %d must be >= 0", req.TimeoutMS)
 	}
-	warmup, measure := req.Warmup, req.Measure
-	if warmup == 0 {
-		warmup = s.cfg.DefaultWarmup
-	}
-	if measure == 0 {
-		measure = s.cfg.DefaultMeasure
-	}
-	if warmup > s.cfg.MaxBudget || measure > s.cfg.MaxBudget {
+	if spec.Warmup > s.cfg.MaxBudget || spec.Measure > s.cfg.MaxBudget {
 		return invalid("budgets %d/%d exceed the server cap of %d instructions per core",
-			warmup, measure, s.cfg.MaxBudget)
+			spec.Warmup, spec.Measure, s.cfg.MaxBudget)
 	}
 
 	// Clamp in milliseconds: converting first overflows time.Duration
@@ -129,7 +125,7 @@ func (s *Server) decodeJob(w http.ResponseWriter, body io.ReadCloser) (*task, *e
 	case req.TimeoutMS > 0:
 		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
 	}
-	return &task{spec: spec, warmup: warmup, measure: measure, timeout: timeout}, nil
+	return &task{spec: spec, timeout: timeout}, nil
 }
 
 // handleJob is POST /v1/jobs: decode, admit, run, answer.

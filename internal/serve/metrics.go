@@ -28,12 +28,9 @@ type svcCounters struct {
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	// Snapshot the aggregate and runner totals under mu; render after.
 	s.mu.Lock()
-	sims, hits := s.retiredSims, s.retiredHits
-	for _, r := range s.runners {
-		n, _, _ := r.Totals()
-		sims += n
-		hits += r.CacheHits()
-	}
+	sims, _, _ := s.runner.Totals()
+	sims += s.retiredSims
+	hits := s.retiredHits + s.runner.CacheHits()
 	agg := append([]mem.NamedCounter(nil), s.agg...)
 	s.mu.Unlock()
 	// Waiting jobs hold an admission token but no running one; the two

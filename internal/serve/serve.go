@@ -64,9 +64,9 @@ type Config struct {
 	// deadlines (<= 0: 5m); requests beyond the cap are clamped.
 	DefaultTimeout, MaxTimeout time.Duration
 
-	// MemoLimit bounds the per-runner in-memory memo; past it the
-	// runner is retired and replaced, so a long-running service does
-	// not accumulate every Result it ever computed (<= 0: 1024 specs).
+	// MemoLimit bounds the runner's in-memory memo; past it the runner
+	// is retired and replaced, so a long-running service does not
+	// accumulate every Result it ever computed (<= 0: 1024 runs).
 	MemoLimit int
 
 	// Cache, when non-nil, persists and serves completed runs
@@ -78,8 +78,8 @@ type Config struct {
 	Logf func(format string, a ...any)
 
 	// tune, when non-nil, is applied to every runner the server
-	// creates — a test seam for substituting the simulation (see
-	// exp.Runner.SetSimulate).
+	// creates, the first and each replacement: a test seam for
+	// substituting the simulation (see exp.Runner.SetSimulate).
 	tune func(*exp.Runner)
 }
 
@@ -116,20 +116,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// budgets keys one runner: the memo and single-flight maps inside
-// exp.Runner assume runner-wide instruction budgets, so jobs with
-// different budgets must not share a runner (their runs would collide
-// in the memo while describing different computations).
-type budgets struct {
-	warmup, measure uint64
-}
-
-// task is one validated job: what to simulate, at which budgets, and
+// task is one validated job: what to simulate, budgets included, and
 // how long it may wait and run.
 type task struct {
-	spec            exp.Spec
-	warmup, measure uint64
-	timeout         time.Duration
+	spec    exp.Spec
+	timeout time.Duration
 }
 
 // Server is the simulation service. Create with New, and install
@@ -162,10 +153,12 @@ type Server struct {
 
 	met svcCounters
 
-	// mu guards the runner table and the simulation-counter aggregate.
+	// mu guards the runner and the simulation-counter aggregate.
 	mu sync.Mutex
+	// runner executes every job: each job's Spec carries its budgets,
+	// so jobs at any budgets share one memo and single-flight map.
 	//pcmaplint:guardedby mu
-	runners map[budgets]*exp.Runner
+	runner *exp.Runner
 	// retiredSims/retiredHits are totals folded in from retired runners.
 	//pcmaplint:guardedby mu
 	retiredSims uint64
@@ -187,7 +180,7 @@ func New(cfg Config) *Server {
 		running:    make(chan struct{}, cfg.Workers),
 		baseCtx:    ctx,
 		baseCancel: cancel,
-		runners:    map[budgets]*exp.Runner{},
+		runner:     newRunner(cfg),
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/jobs", s.handleJob)
@@ -338,57 +331,48 @@ func (s *Server) run(t *task) (*system.Results, error) {
 		return nil, ctx.Err()
 	}
 	defer func() { <-s.running }()
-	r := s.runnerFor(t.warmup, t.measure)
+	s.mu.Lock()
+	r := s.runner
+	s.mu.Unlock()
 	res, err := r.RunCtx(ctx, t.spec)
 	if err == nil {
 		s.aggregate(res)
 	}
-	s.maybeRetire(r, budgets{t.warmup, t.measure})
+	s.maybeRetire(r)
 	return res, err
 }
 
-// runnerFor returns (creating on first use) the runner for one budget
-// pair. Budget-distinct runners keep the memo sound; they share the
-// disk cache, whose keys already encode the budgets.
-func (s *Server) runnerFor(warmup, measure uint64) *exp.Runner {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	key := budgets{warmup, measure}
-	if r, ok := s.runners[key]; ok {
-		return r
-	}
+// newRunner returns a runner for the service: it shares the disk cache
+// and, unlike a sweep, always reads it, so repeated traffic gets cached
+// answers instead of re-simulations.
+func newRunner(cfg Config) *exp.Runner {
 	r := exp.NewRunner()
-	r.Warmup, r.Measure = warmup, measure
-	r.Cache = s.cfg.Cache
-	// Unlike a sweep, a service always reads the cache: repeated
-	// traffic must get cached answers, not re-simulations.
-	r.Resume = s.cfg.Cache != nil
-	if s.cfg.tune != nil {
-		s.cfg.tune(r)
+	r.Cache = cfg.Cache
+	r.Resume = cfg.Cache != nil
+	if cfg.tune != nil {
+		cfg.tune(r)
 	}
-	s.runners[key] = r
 	return r
 }
 
-// maybeRetire drops a runner whose memo outgrew the budget, folding
-// its throughput totals into the service counters first. In-flight
-// calls on the retired runner finish normally; later identical jobs
-// fall back to the disk cache.
-func (s *Server) maybeRetire(r *exp.Runner, key budgets) {
+// maybeRetire swaps in a fresh runner once r's memo outgrows the
+// budget, folding r's throughput totals into the service counters
+// first. In-flight calls on the retired runner finish normally; later
+// identical jobs fall back to the disk cache.
+func (s *Server) maybeRetire(r *exp.Runner) {
 	if r.MemoLen() <= s.cfg.MemoLimit {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.runners[key] != r {
+	if s.runner != r {
 		return // already replaced
 	}
 	sims, _, _ := r.Totals()
 	s.retiredSims += sims
 	s.retiredHits += r.CacheHits()
-	delete(s.runners, key)
-	s.logf("retired runner for budgets %d/%d (memo exceeded %d specs)",
-		key.warmup, key.measure, s.cfg.MemoLimit)
+	s.runner = newRunner(s.cfg)
+	s.logf("retired runner (memo exceeded %d runs)", s.cfg.MemoLimit)
 }
 
 // aggregate folds one completed job's simulation counters into the

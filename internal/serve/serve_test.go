@@ -427,6 +427,81 @@ func TestServeMetricsExposition(t *testing.T) {
 	}
 }
 
+// TestServeRetiresRunnerPastMemoLimit: with MemoLimit 2, the third
+// distinct job retires the runner and a fresh one takes over. The
+// executed-sims counter keeps the retired runner's count, and a repeat
+// of the first job re-simulates on the fresh runner, or is answered
+// from the disk cache when one is configured.
+func TestServeRetiresRunnerPastMemoLimit(t *testing.T) {
+	for _, withCache := range []bool{false, true} {
+		t.Run(fmt.Sprintf("cache=%v", withCache), func(t *testing.T) {
+			var mu sync.Mutex
+			runners, executions := 0, 0
+			tune := func(r *exp.Runner) {
+				mu.Lock()
+				runners++
+				mu.Unlock()
+				r.SetSimulate(func(_ context.Context, _ *config.Config, workload string, _, _ uint64) (*system.Results, error) {
+					mu.Lock()
+					executions++
+					mu.Unlock()
+					return stubResults(workload), nil
+				})
+			}
+			cfg := Config{Workers: 1, MemoLimit: 2, tune: tune}
+			if withCache {
+				cache, err := exp.NewDiskCache(t.TempDir())
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Cache = cache
+			}
+			_, ts := newTestServer(t, cfg)
+			counts := func() (int, int) {
+				mu.Lock()
+				defer mu.Unlock()
+				return runners, executions
+			}
+
+			jobs := []JobRequest{
+				{Workload: "MP4", Variant: "Baseline"},
+				{Workload: "MP4", Variant: "RWoW-RDE"},
+				{Workload: "MP4", Variant: "Baseline", Measure: 8000},
+			}
+			for i, job := range jobs {
+				if status, body := postJob(t, ts.URL, job); status != http.StatusOK {
+					t.Fatalf("job %d: status %d, body %s", i, status, body)
+				}
+				if n, _ := counts(); i < 2 && n != 1 {
+					t.Fatalf("after %d distinct jobs: %d runners, want 1 (the memo is within its limit)", i+1, n)
+				}
+			}
+			if n, e := counts(); n != 2 || e != 3 {
+				t.Fatalf("after 3 distinct jobs: %d runners and %d simulations, want 2 and 3", n, e)
+			}
+			if m := scrapeMetrics(t, ts.URL); m["serve_sims_executed"] != 3 {
+				t.Fatalf("serve_sims_executed %d after retirement, want 3", m["serve_sims_executed"])
+			}
+
+			if status, body := postJob(t, ts.URL, jobs[0]); status != http.StatusOK {
+				t.Fatalf("repeat job: status %d, body %s", status, body)
+			}
+			m := scrapeMetrics(t, ts.URL)
+			wantSims, wantHits := int64(4), int64(0)
+			if withCache {
+				wantSims, wantHits = 3, 1
+			}
+			if m["serve_sims_executed"] != wantSims || m["serve_cache_hits"] != wantHits {
+				t.Errorf("after the repeat: serve_sims_executed %d, serve_cache_hits %d; want %d and %d",
+					m["serve_sims_executed"], m["serve_cache_hits"], wantSims, wantHits)
+			}
+			if _, e := counts(); e != int(wantSims) {
+				t.Errorf("%d simulations, want %d", e, wantSims)
+			}
+		})
+	}
+}
+
 // scrapeMetrics fetches and parses /metrics into a name -> value map.
 func scrapeMetrics(t *testing.T, url string) map[string]int64 {
 	t.Helper()

@@ -1,9 +1,12 @@
 #!/bin/sh
 # Serve smoke test: start `pcmapsim serve` on an ephemeral port, post
 # the same job twice (the second answer must be byte-identical — the
-# single-flight/cache path), reject an unknown workload and an
-# out-of-range knob with structured 400s, scrape the service counters and the aggregated simulation
-# counters, then SIGTERM the server and require a clean drain (exit 0).
+# single-flight/cache path), then twice more at a second measure budget
+# (byte-identical to each other, different from the first pair, one
+# more simulation on the same runner), reject an unknown workload and
+# an out-of-range knob with structured 400s, scrape the service counters
+# and the aggregated simulation counters, then SIGTERM the server and
+# require a clean drain (exit 0).
 # Exercises the service end to end through the real binary, real
 # sockets, and a real signal.
 set -eu
@@ -49,18 +52,27 @@ done
 
 # The same job twice: both 200, byte-identical Results JSON (the second
 # is served from the memo/disk cache, never re-simulated differently).
+# Then the same job twice at a second budget (measure 8000): again
+# byte-identical, and different from the default-budget answers.
 job='{"workload":"MP4","variant":"RWoW-RDE","seed":7}'
-for n in 1 2; do
+job8k='{"workload":"MP4","variant":"RWoW-RDE","seed":7,"measure":8000}'
+for n in 1 2 3 4; do
+    body=$job
+    [ "$n" -gt 2 ] && body=$job8k
     code=$($CURL -s -o "$tmp/res$n.json" -w '%{http_code}' --max-time 120 \
-        -X POST -H 'Content-Type: application/json' -d "$job" "$base/v1/jobs")
+        -X POST -H 'Content-Type: application/json' -d "$body" "$base/v1/jobs")
     if [ "$code" != "200" ]; then
         echo "serve-smoke: job $n answered $code, want 200" >&2
         cat "$tmp/res$n.json" >&2
         exit 1
     fi
 done
-if ! cmp -s "$tmp/res1.json" "$tmp/res2.json"; then
+if ! cmp -s "$tmp/res1.json" "$tmp/res2.json" || ! cmp -s "$tmp/res3.json" "$tmp/res4.json"; then
     echo "serve-smoke: repeated job answers differ (cache/coalesce broken)" >&2
+    exit 1
+fi
+if cmp -s "$tmp/res1.json" "$tmp/res3.json"; then
+    echo "serve-smoke: the measure 8000 job answered the default-budget result" >&2
     exit 1
 fi
 grep -q '"IPCSum"' "$tmp/res1.json" || {
@@ -89,14 +101,15 @@ done
 
 # The counters account for what just happened.
 $CURL -s --max-time 10 "$base/metrics" > "$tmp/metrics.txt"
-for want in 'serve_jobs_accepted 2' 'serve_jobs_completed 2' 'serve_jobs_rejected_invalid 2'; do
+for want in 'serve_jobs_accepted 4' 'serve_jobs_completed 4' 'serve_jobs_rejected_invalid 2' \
+    'serve_sims_executed 2'; do
     grep -q "^$want\$" "$tmp/metrics.txt" || {
         echo "serve-smoke: /metrics missing \"$want\"" >&2
         cat "$tmp/metrics.txt" >&2
         exit 1
     }
 done
-# The simulation counters of the two real jobs are summed into sim_ rows.
+# The simulation counters of the real jobs are summed into sim_ rows.
 awk '$1 == "sim_reads" && $2 > 0 { ok = 1 } END { exit !ok }' "$tmp/metrics.txt" || {
     echo "serve-smoke: /metrics lacks a positive sim_reads row" >&2
     cat "$tmp/metrics.txt" >&2
@@ -112,4 +125,4 @@ if [ "$status" != "0" ]; then
     cat "$tmp/serve.log" >&2
     exit 1
 fi
-echo "serve-smoke: OK (repeat answers byte-identical, invalid jobs 400, clean drain)"
+echo "serve-smoke: OK (repeat answers byte-identical at two budgets, invalid jobs 400, clean drain)"
