@@ -22,7 +22,7 @@ lint:
 # Apply pcmaplint's suggested fixes in place (currently the typederr
 # ==/!= -> errors.Is rewrites); run gofmt afterwards if imports moved.
 lint-fix:
-	$(GO) run ./cmd/pcmaplint -vet=false -fix ./...
+	$(GO) run ./cmd/pcmaplint -fix ./...
 
 # Regenerate the paper's headline figures (small budgets; see README
 # for full-scale runs).

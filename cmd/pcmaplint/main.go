@@ -1,13 +1,13 @@
-// Command pcmaplint runs the project's static-analysis suite: the
+// Command pcmaplint runs the project's static-analysis suite: the five
 // custom analyzers in internal/analysis/checks (determinism, unit
-// safety, metrics lifecycle, typed errors, float comparisons, lock
-// discipline, goroutine lifecycle, channel ownership) plus `go vet`. It
-// exits non-zero when any check reports a finding, so CI and `make lint`
-// can gate on it. Each analyzer decides its own package scope.
+// safety, metrics lifecycle, typed errors, float comparisons). It exits
+// non-zero when any check reports a finding, so CI and `make lint` can
+// gate on it. Each analyzer decides its own package scope. `go vet` is
+// not part of it; scripts/lint.sh runs both.
 //
 // Usage:
 //
-//	pcmaplint [-vet=false] [-dir DIR] [-fix] [-json] [-summary] [packages...]
+//	pcmaplint [-dir DIR] [-fix] [-json] [-summary] [packages...]
 //
 // Packages default to ./... . Findings print as
 //
@@ -15,11 +15,10 @@
 //
 // With -json, findings are emitted to stdout as a JSON array instead
 // (one object per finding: file, line, col, analyzer, message, and any
-// suggested fixes), for CI artifacts and tooling; vet output is routed
-// to stderr so stdout stays parseable. With -fix, suggested fixes are
-// applied to the files in place and the findings they resolve are not
-// counted as failures. With -summary, a per-analyzer finding count is
-// printed to stderr after the run.
+// suggested fixes), for CI artifacts and tooling. With -fix, suggested
+// fixes are applied to the files in place and the findings they resolve
+// are not counted as failures. With -summary, a per-analyzer finding
+// count is printed to stderr after the run.
 //
 // A finding can be suppressed with a same-line or preceding-line
 // comment
@@ -27,8 +26,9 @@
 //	//pcmaplint:ignore analyzer1,analyzer2 reason for the exception
 //
 // The reason is mandatory; reasonless directives are themselves
-// findings. See DESIGN.md ("Simulator invariants" and "Concurrency
-// invariants") for what each analyzer enforces and why.
+// findings. See DESIGN.md ("Simulator invariants") for what each
+// analyzer enforces and why; the concurrency invariants are held by
+// -race tests instead ("Concurrency invariants").
 package main
 
 import (
@@ -36,7 +36,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
 
 	"pcmap/internal/analysis"
@@ -44,9 +43,8 @@ import (
 )
 
 // defineFlags builds the flag surface (pinned by TestFlagSurface).
-func defineFlags(fs *flag.FlagSet) (vet *bool, dir *string, fix, jsonOut, summary *bool) {
-	return fs.Bool("vet", true, "also run `go vet` over the same packages"),
-		fs.String("dir", ".", "module directory to analyze"),
+func defineFlags(fs *flag.FlagSet) (dir *string, fix, jsonOut, summary *bool) {
+	return fs.String("dir", ".", "module directory to analyze"),
 		fs.Bool("fix", false, "apply suggested fixes to the files in place"),
 		fs.Bool("json", false, "emit findings as a JSON array on stdout"),
 		fs.Bool("summary", false, "print per-analyzer finding counts to stderr")
@@ -63,25 +61,11 @@ type jsonFinding struct {
 }
 
 func main() {
-	vet, dir, fix, jsonOut, summary := defineFlags(flag.CommandLine)
+	dir, fix, jsonOut, summary := defineFlags(flag.CommandLine)
 	flag.Parse()
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
-	}
-
-	vetFailed := false
-	if *vet {
-		cmd := exec.Command("go", append([]string{"vet"}, patterns...)...)
-		cmd.Dir = *dir
-		cmd.Stdout = os.Stdout
-		if *jsonOut {
-			cmd.Stdout = os.Stderr // keep stdout pure JSON
-		}
-		cmd.Stderr = os.Stderr
-		if err := cmd.Run(); err != nil {
-			vetFailed = true
-		}
 	}
 
 	pkgs, err := analysis.Load(*dir, patterns...)
@@ -167,17 +151,10 @@ func main() {
 			line += fmt.Sprintf(" %s=%d", a.Name, counts[a.Name])
 		}
 		line += fmt.Sprintf(" findings=%d (%d packages)", len(all), len(pkgs))
-		if *vet {
-			if vetFailed {
-				line += "; go vet failed"
-			} else {
-				line += "; go vet ok"
-			}
-		}
 		fmt.Fprintln(os.Stderr, line)
 	}
 
-	if len(all) > 0 || vetFailed {
+	if len(all) > 0 {
 		os.Exit(1)
 	}
 }

@@ -252,10 +252,11 @@ func main() {
 		fatal(err)
 	}
 
-	// First SIGINT/SIGTERM cancels the sweep: no new simulations are
-	// dispatched, in-flight ones finish and land in the cache, and the
-	// process exits 130 — re-running with -cache DIR -resume continues
-	// where it stopped. A second signal kills the process immediately.
+	// SIGINT/SIGTERM cancels the run or sweep: no new simulations are
+	// dispatched, in-flight ones halt between engine events and are not
+	// cached, and the process exits 130 (runFailed). Completed runs are
+	// already in the cache, so re-running with -cache DIR -resume
+	// continues where it stopped.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -288,10 +289,7 @@ func main() {
 
 	if *f.exp == "adhoc" {
 		if err := runAdhoc(ctx, r, f); err != nil {
-			if errors.Is(err, context.DeadlineExceeded) {
-				timedOut(r, *f.timeout, *f.cacheDir)
-			}
-			fatal(err)
+			runFailed(r, f, err)
 		}
 		return
 	}
@@ -300,13 +298,7 @@ func main() {
 	for _, e := range selected {
 		fig, err := e.run(ctx, r, f)
 		if err != nil {
-			if errors.Is(err, context.Canceled) {
-				interrupted(r, *f.cacheDir)
-			}
-			if errors.Is(err, context.DeadlineExceeded) {
-				timedOut(r, *f.timeout, *f.cacheDir)
-			}
-			fatal(err)
+			runFailed(r, f, err)
 		}
 		results = append(results, fig)
 		if *f.format == "csv" {
@@ -432,6 +424,18 @@ func printAggregate(r *exp.Runner) {
 	}
 	fmt.Fprintf(os.Stderr, "pcmapsim: %d sims, %d events, %d instructions, %.1fM events/sec per sim thread\n",
 		sims, events, r.Instructions(), rate/1e6)
+}
+
+// runFailed maps a failed run or sweep to its exit: a signal exits 130
+// and -timeout 1, each with a resume hint, and any other error 1.
+func runFailed(r *exp.Runner, f *simFlags, err error) {
+	switch {
+	case errors.Is(err, context.Canceled):
+		interrupted(r, *f.cacheDir)
+	case errors.Is(err, context.DeadlineExceeded):
+		timedOut(r, *f.timeout, *f.cacheDir)
+	}
+	fatal(err)
 }
 
 // timedOut reports a sweep stopped by -timeout and exits 1. Like a

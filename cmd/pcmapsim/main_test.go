@@ -8,6 +8,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 )
 
 var binPath string
@@ -140,5 +141,51 @@ func TestTraceWithResumeSimulates(t *testing.T) {
 	}
 	if resumedRecords != coldRecords || coldRecords == "0" {
 		t.Errorf("timeline records: cold %s, resumed %s; want the same nonzero count", coldRecords, resumedRecords)
+	}
+}
+
+// TestAdhocInterruptExits130: SIGINT during an adhoc run stops it the
+// way it stops a sweep, exiting 130 with the hint to resume from the
+// cache. The cache directory appears only after the signal handler is
+// installed, so the test waits for it before interrupting.
+func TestAdhocInterruptExits130(t *testing.T) {
+	cache := filepath.Join(t.TempDir(), "cache")
+	var stderr strings.Builder
+	cmd := exec.Command(binPath, "-exp", "adhoc", "-workload", "MP4", "-variant", "RWoW-RDE",
+		"-warmup", "1000", "-measure", "50000000", "-cache", cache)
+	cmd.Stderr = &stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- cmd.Wait() }()
+	deadline := time.After(10 * time.Second)
+	for {
+		if _, err := os.Stat(cache); err == nil {
+			break
+		}
+		select {
+		case <-deadline:
+			cmd.Process.Kill()
+			t.Fatal("the run never created its cache directory")
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
+	if err := cmd.Process.Signal(os.Interrupt); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	select {
+	case err = <-done:
+	case <-time.After(30 * time.Second):
+		cmd.Process.Kill()
+		t.Fatal("the interrupted run did not exit")
+	}
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 130 {
+		t.Fatalf("exit %v, want status 130; stderr %q", err, stderr.String())
+	}
+	if want := "-cache " + cache + " -resume"; !strings.Contains(stderr.String(), want) {
+		t.Fatalf("stderr %q lacks the resume hint %q", stderr.String(), want)
 	}
 }

@@ -1,6 +1,11 @@
-// Package checks holds the pcmaplint analyzers: the simulator's
-// determinism and correctness invariants, encoded as static checks.
-// See DESIGN.md ("Simulator invariants") for the rationale behind each.
+// Package checks holds the five pcmaplint analyzers: the simulator's
+// determinism and correctness invariants that no test can hold —
+// nodeterminism (wall clock, math/rand, map-order), unitsafe (tick
+// and cycle conversions), metricscomplete (metrics lifecycle),
+// typederr (typed error comparisons) and floatcmp (float equality).
+// See DESIGN.md ("Simulator invariants") for the rationale behind
+// each. Lock discipline, goroutine joins and channel ownership are
+// held by -race tests instead (DESIGN.md "Concurrency invariants").
 package checks
 
 import (
@@ -12,10 +17,7 @@ import (
 
 // All lists every analyzer in the suite, in reporting order.
 var All = []*analysis.Analyzer{
-	ChanEndpoint,
 	FloatCmp,
-	GoroutineLife,
-	GuardedBy,
 	MetricsComplete,
 	NoDeterminism,
 	TypedErr,

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -192,6 +193,21 @@ func TestReleaseRecyclesSlabs(t *testing.T) {
 	if _, dirty, mask := b.DirtyInfo(0x40); dirty || mask != 0 {
 		t.Fatal("recycled slab leaked dirty state")
 	}
+
+	// A sweep builds and releases systems on several workers at once,
+	// so the pool is shared: under -race, an access to it without
+	// slabMu is reported.
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				New("c", lvl).Release()
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestInsertLookupAllocFree(t *testing.T) {

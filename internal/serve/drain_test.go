@@ -200,6 +200,27 @@ func TestForcedExitOnSecondSignal(t *testing.T) {
 	s.Close() // unblock the stuck worker via baseCancel
 }
 
+// TestMainExitsOnFailedListener: when the listener fails, Main does
+// not wait for a signal that may never come; it returns 1.
+func TestMainExitsOnFailedListener(t *testing.T) {
+	s := New(Config{Workers: 1, Logf: t.Logf})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln.Close()
+	exit := make(chan int, 1)
+	go func() { exit <- s.Main(ln, make(chan os.Signal), time.Second) }()
+	select {
+	case code := <-exit:
+		if code != 1 {
+			t.Fatalf("Main returned %d on a failed listener, want 1", code)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Main did not return after its listener failed")
+	}
+}
+
 // waitServing polls /healthz until the listener answers.
 func waitServing(t *testing.T, base string) {
 	t.Helper()

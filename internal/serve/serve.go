@@ -133,11 +133,10 @@ type Server struct {
 	// admitted and running are counting semaphores: a token in
 	// admitted is an accepted, unanswered job (capacity Workers +
 	// QueueDepth; none free answers 429), a token in running an
-	// executing one (capacity Workers).
-	//pcmaplint:chanowner never closed; a semaphore, every send is matched by the receive that returns the token
+	// executing one (capacity Workers). Neither is ever closed: every
+	// send is matched by the receive that returns the token.
 	admitted chan struct{}
-	//pcmaplint:chanowner never closed; a semaphore, every send is matched by the receive that returns the token
-	running chan struct{}
+	running  chan struct{}
 
 	// admitMu fences admission against BeginDrain: admits hold the read
 	// side across the draining check and pending.Add, so a drain either
@@ -153,20 +152,21 @@ type Server struct {
 
 	met svcCounters
 
-	// mu guards the runner and the simulation-counter aggregate.
+	// mu guards the runner, the jobs count and the simulation-counter
+	// aggregate.
 	mu sync.Mutex
 	// runner executes every job: each job's Spec carries its budgets,
 	// so jobs at any budgets share one memo and single-flight map.
-	//pcmaplint:guardedby mu
 	runner *exp.Runner
-	// retiredSims/retiredHits are totals folded in from retired runners.
-	//pcmaplint:guardedby mu
+	// jobs counts the jobs running on each runner, the current one and
+	// any retired one that still has a job in flight.
+	jobs map[*exp.Runner]int
+	// retiredSims/retiredHits are totals folded in from retired runners
+	// whose last job has finished.
 	retiredSims uint64
-	//pcmaplint:guardedby mu
 	retiredHits uint64
 	// agg sums every completed job's mem.Metrics counters, in the
 	// report's fixed order; nil until the first job completes.
-	//pcmaplint:guardedby mu
 	agg []mem.NamedCounter
 }
 
@@ -181,6 +181,7 @@ func New(cfg Config) *Server {
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		runner:     newRunner(cfg),
+		jobs:       map[*exp.Runner]int{},
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/jobs", s.handleJob)
@@ -244,7 +245,8 @@ func (s *Server) logf(format string, a ...any) {
 // with signal.Notify for SIGTERM/SIGINT) and ln.
 func (s *Server) Main(ln net.Listener, sig <-chan os.Signal, drainTimeout time.Duration) int {
 	hs := &http.Server{Handler: s.Handler()}
-	//pcmaplint:chanowner buffered single-shot; Serve's goroutine sends once and exits, nobody closes it
+	// Buffered single-shot: Serve's goroutine sends once and exits,
+	// nobody closes it.
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 	s.logf("serving on %s", ln.Addr())
@@ -260,7 +262,8 @@ func (s *Server) Main(ln net.Listener, sig <-chan os.Signal, drainTimeout time.D
 
 	s.logf("signal received: draining in-flight jobs (deadline %s; second signal forces exit)", drainTimeout)
 	s.BeginDrain()
-	//pcmaplint:chanowner buffered single-shot; the drain goroutine sends once and exits, nobody closes it
+	// Buffered single-shot: the drain goroutine sends once and exits,
+	// nobody closes it.
 	drained := make(chan error, 1)
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
@@ -333,6 +336,7 @@ func (s *Server) run(t *task) (*system.Results, error) {
 	defer func() { <-s.running }()
 	s.mu.Lock()
 	r := s.runner
+	s.jobs[r]++
 	s.mu.Unlock()
 	res, err := r.RunCtx(ctx, t.spec)
 	if err == nil {
@@ -355,24 +359,26 @@ func newRunner(cfg Config) *exp.Runner {
 	return r
 }
 
-// maybeRetire swaps in a fresh runner once r's memo outgrows the
-// budget, folding r's throughput totals into the service counters
-// first. In-flight calls on the retired runner finish normally; later
-// identical jobs fall back to the disk cache.
+// maybeRetire ends one job on r and swaps in a fresh runner once r's
+// memo outgrows the budget. In-flight calls on a retired runner finish
+// normally; later identical jobs fall back to the disk cache. A
+// retired runner's throughput totals fold into the service counters
+// when its last job finishes, so the sims it ran after retirement are
+// counted too.
 func (s *Server) maybeRetire(r *exp.Runner) {
-	if r.MemoLen() <= s.cfg.MemoLimit {
-		return
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.runner != r {
-		return // already replaced
+	s.jobs[r]--
+	if s.runner == r && r.MemoLen() > s.cfg.MemoLimit {
+		s.runner = newRunner(s.cfg)
+		s.logf("retired runner (memo exceeded %d runs)", s.cfg.MemoLimit)
 	}
-	sims, _, _ := r.Totals()
-	s.retiredSims += sims
-	s.retiredHits += r.CacheHits()
-	s.runner = newRunner(s.cfg)
-	s.logf("retired runner (memo exceeded %d runs)", s.cfg.MemoLimit)
+	if s.runner != r && s.jobs[r] == 0 {
+		delete(s.jobs, r)
+		sims, _, _ := r.Totals()
+		s.retiredSims += sims
+		s.retiredHits += r.CacheHits()
+	}
 }
 
 // aggregate folds one completed job's simulation counters into the

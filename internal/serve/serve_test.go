@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -34,21 +35,26 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-// postJob submits one job and returns the status code and body.
+// postJob submits one job and returns the status code and body. It
+// reports a failed exchange with t.Error and status 0, so concurrent
+// callers may use it off the test goroutine.
 func postJob(t *testing.T, url string, req JobRequest) (int, []byte) {
 	t.Helper()
 	payload, err := json.Marshal(req)
 	if err != nil {
-		t.Fatal(err)
+		t.Error(err)
+		return 0, nil
 	}
 	resp, err := http.Post(url+"/v1/jobs", "application/json", bytes.NewReader(payload))
 	if err != nil {
-		t.Fatal(err)
+		t.Error(err)
+		return 0, nil
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
-		t.Fatal(err)
+		t.Error(err)
+		return 0, nil
 	}
 	return resp.StatusCode, body
 }
@@ -150,8 +156,10 @@ func TestServeCoalescesIdenticalJobs(t *testing.T) {
 // never queued without bound.
 func TestServeOverloadReturns429(t *testing.T) {
 	release := make(chan struct{})
+	var simulating atomic.Int32
 	tune := func(r *exp.Runner) {
 		r.SetSimulate(func(ctx context.Context, _ *config.Config, workload string, _, _ uint64) (*system.Results, error) {
+			simulating.Add(1)
 			select {
 			case <-release:
 			case <-ctx.Done():
@@ -199,6 +207,10 @@ func TestServeOverloadReturns429(t *testing.T) {
 	}
 	if kind := decodeErrorKind(t, body); kind != "overloaded" {
 		t.Errorf("error kind %q, want overloaded", kind)
+	}
+	// The queued job waits for the one worker instead of simulating.
+	if n := simulating.Load(); n > 1 {
+		t.Errorf("%d jobs simulating on 1 worker", n)
 	}
 
 	close(release)
@@ -389,6 +401,13 @@ func TestServeHealthAndDrainEndpoints(t *testing.T) {
 	if kind := decodeErrorKind(t, body); kind != "draining" {
 		t.Errorf("error kind %q, want draining", kind)
 	}
+
+	// With no job pending, Drain returns at once, not at its deadline.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Errorf("idle Drain = %v, want nil before the deadline", err)
+	}
 }
 
 // TestServeMetricsExposition checks the /metrics surface: service
@@ -499,6 +518,77 @@ func TestServeRetiresRunnerPastMemoLimit(t *testing.T) {
 				t.Errorf("%d simulations, want %d", e, wantSims)
 			}
 		})
+	}
+}
+
+// TestServeRetiresRunnerUnderConcurrentJobs is the concurrent variant
+// of TestServeRetiresRunnerPastMemoLimit and the lock-discipline test
+// for the server's mu: 48 distinct jobs posted at once on 4 workers
+// with MemoLimit 1, so runners retire while other jobs read the
+// current one, then the same 48 again, answered from the disk cache,
+// all while another goroutine scrapes /metrics. Under -race, any
+// access to the runner, the retired totals or the aggregate that skips
+// mu is reported.
+func TestServeRetiresRunnerUnderConcurrentJobs(t *testing.T) {
+	tune := func(r *exp.Runner) {
+		r.SetSimulate(func(_ context.Context, _ *config.Config, workload string, _, _ uint64) (*system.Results, error) {
+			time.Sleep(time.Millisecond)
+			res := stubResults(workload)
+			res.Mem.Reads.Add(1)
+			return res, nil
+		})
+	}
+	cache, err := exp.NewDiskCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const jobs = 48
+	_, ts := newTestServer(t, Config{Workers: 4, QueueDepth: jobs, MemoLimit: 1, Cache: cache, tune: tune})
+
+	stop := make(chan struct{})
+	scraped := make(chan struct{})
+	go func() {
+		defer close(scraped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if resp, err := http.Get(ts.URL + "/metrics"); err == nil {
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+			}
+		}
+	}()
+	for pass := 0; pass < 2; pass++ {
+		var wg sync.WaitGroup
+		for i := 0; i < jobs; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				job := JobRequest{Workload: "MP4", Variant: "Baseline", Seed: uint64(i + 1)}
+				if status, body := postJob(t, ts.URL, job); status != http.StatusOK {
+					t.Errorf("pass %d job %d: status %d, body %s", pass, i, status, body)
+				}
+			}(i)
+		}
+		wg.Wait()
+	}
+	close(stop)
+	<-scraped
+
+	// Each distinct job simulates once; a repeat comes from the disk
+	// cache unless the current runner still memoizes it (at most one,
+	// the memo limit).
+	m := scrapeMetrics(t, ts.URL)
+	if m["serve_sims_executed"] != jobs || m["serve_cache_hits"] < jobs-1 || m["serve_cache_hits"] > jobs {
+		t.Errorf("serve_sims_executed %d, serve_cache_hits %d; want %d and %d or %d",
+			m["serve_sims_executed"], m["serve_cache_hits"], jobs, jobs-1, jobs)
+	}
+	if m["serve_jobs_completed"] != 2*jobs || m["sim_reads"] != 2*jobs {
+		t.Errorf("serve_jobs_completed %d, sim_reads %d; want %d each",
+			m["serve_jobs_completed"], m["sim_reads"], 2*jobs)
 	}
 }
 

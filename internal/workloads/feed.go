@@ -46,8 +46,9 @@ type Feed struct {
 	idle []*batch
 
 	// full queues filled batches, oldest first. Its capacity covers
-	// every batch the feed owns, so a producer's send never blocks.
-	//pcmaplint:chanowner never closed; a feed's batches outlive any one producer, and Release drains it
+	// every batch the feed owns, so a producer's send never blocks. It
+	// is never closed: a feed's batches outlive any one producer, and
+	// Release drains it.
 	full chan *batch
 
 	prod *Producer // attached producer; nil while the core fills inline
@@ -147,8 +148,9 @@ type Producer struct {
 	feeds []*Feed
 
 	// work queues spent batches to refill. Its capacity covers every
-	// batch of every feed, so handing one back never blocks.
-	//pcmaplint:chanowner never closed; Stop returns what is left in it to the feeds' idle lists
+	// batch of every feed, so handing one back never blocks. It is
+	// never closed: Stop returns what is left in it to the feeds' idle
+	// lists.
 	work chan job
 
 	stop    chan struct{} // closed by Stop

@@ -85,9 +85,8 @@ var memoPool flat.Pool[uint8]
 // holds at most maxGapTables tables; beyond that a generator gets a
 // table of its own.
 var gapTables = struct {
-	mu sync.Mutex
-	//pcmaplint:guardedby mu
-	m map[uint64]*sim.GapTable // keyed by the mean's bits
+	mu sync.Mutex               // guards m
+	m  map[uint64]*sim.GapTable // keyed by the mean's bits
 }{m: map[uint64]*sim.GapTable{}}
 
 const maxGapTables = 64
