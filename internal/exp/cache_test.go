@@ -3,8 +3,12 @@ package exp
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sync/atomic"
 	"testing"
 
@@ -186,6 +190,27 @@ func TestCacheCorruptionQuarantine(t *testing.T) {
 		}},
 		{"truncation", func(b []byte) []byte { return b[:len(b)/2] }},
 		{"garbage", func(b []byte) []byte { return []byte("not json at all") }},
+		{"huge bucket count", func(b []byte) []byte {
+			// A well-formed, correctly summed entry whose latency
+			// tracker claims 1<<62 buckets: the decoder, not the
+			// checksum, must refuse it, without sizing an allocation.
+			var ent cacheEntry
+			if err := json.Unmarshal(b, &ent); err != nil {
+				t.Fatal(err)
+			}
+			re := regexp.MustCompile(`"bucketCount":\d+`)
+			if !re.Match(ent.Results) {
+				t.Fatal("encoded entry has no bucketCount field")
+			}
+			ent.Results = re.ReplaceAll(ent.Results, []byte(`"bucketCount":4611686018427387904`))
+			sum := sha256.Sum256(ent.Results)
+			ent.Sum = hex.EncodeToString(sum[:])
+			c, err := json.Marshal(ent)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}},
 	}
 	for _, tc := range corruptions {
 		t.Run(tc.name, func(t *testing.T) {

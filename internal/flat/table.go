@@ -1,9 +1,10 @@
 // Package flat provides Table, the open-addressing hash table behind
-// the simulator's line-keyed hot structures: the PCM line store, the
-// coherence directory, the cache hierarchy's outstanding fetches and
-// the workload generators' write-pattern memo. Every owner keys its
-// table by line number through Key, so a key is 32 bits whatever the
-// value: a table of 1-4 byte values spends 8 bytes a slot, not 16.
+// the simulator's line-keyed hot structures: the PCM store's line
+// index, the coherence directory, the cache hierarchy's outstanding
+// fetches and the workload generators' write-pattern memo. Every owner
+// keys its table by line number through Key, so a key is 32 bits
+// whatever the value, and a slot takes its value's alignment: a table
+// of uint8 spends 5 bytes a slot, of 4-byte values 8, of pointers 16.
 // Values live in place in one slot array, so tracking a key allocates
 // nothing beyond the array's doublings, and a lookup is one probe
 // sequence over adjacent slots.
@@ -23,8 +24,9 @@ const MaxLine = 1<<32 - 2
 // truncated key can never alias two lines.
 //
 // Owners call Key at each Get, Put and Delete rather than the table
-// deriving keys itself: on the PCM store's 84-byte slots, deriving the
-// key inside Put made a warm lookup about 60% slower.
+// deriving keys itself: on 84-byte slots (the PCM store's lines, once
+// held in place), deriving the key inside Put made a warm lookup about
+// 60% slower.
 func Key(line uint64) uint32 {
 	if line > MaxLine {
 		panic(LineError(line))
@@ -39,10 +41,26 @@ func (e LineError) Error() string {
 	return fmt.Sprintf("flat: line number %#x does not fit a 32-bit key", uint64(e))
 }
 
-// slot is one entry of a table; key 0 marks it empty.
+// slot is one entry of a table. Its key is four little-endian bytes,
+// not a uint32, so the slot aligns to its value alone: a uint8 slot is
+// 5 bytes, not 8. find compares the four bytes as one array, a single
+// 32-bit compare on amd64; k decodes it only to hash it again.
+// Neither calls binary.LittleEndian: its Uint32 is not inlined into a
+// generic method's shape body, and a call per probe step made
+// mp-compute about 5% slower.
 type slot[V any] struct {
-	key uint32
+	key [4]byte // all zero marks the slot empty
 	val V
+}
+
+// keyBytes returns a key as a slot stores it.
+func keyBytes(key uint32) [4]byte {
+	return [4]byte{byte(key), byte(key >> 8), byte(key >> 16), byte(key >> 24)}
+}
+
+// k returns the slot's key, the inverse of keyBytes.
+func (s *slot[V]) k() uint32 {
+	return uint32(s.key[0]) | uint32(s.key[1])<<8 | uint32(s.key[2])<<16 | uint32(s.key[3])<<24
 }
 
 // Table maps non-zero uint32 keys (see Key) to values of type V held
@@ -77,12 +95,13 @@ func (t *Table[V]) home(key uint32) int {
 // find returns the slot holding key, or the empty slot ending its
 // probe sequence and false. The table must have slots.
 func (t *Table[V]) find(key uint32) (int, bool) {
+	want := keyBytes(key)
 	mask := len(t.slots) - 1
 	for i := t.home(key); ; i = (i + 1) & mask {
 		switch t.slots[i].key {
-		case key:
+		case want:
 			return i, true
-		case 0:
+		case [4]byte{}:
 			return i, false
 		}
 	}
@@ -115,7 +134,7 @@ func (t *Table[V]) Put(key uint32) (v *V, existed bool) {
 			t.grow()
 			i, _ = t.find(key)
 		}
-		t.slots[i].key = key
+		t.slots[i].key = keyBytes(key)
 		t.n++
 	}
 	return &t.slots[i].val, ok
@@ -128,11 +147,11 @@ func (t *Table[V]) grow() {
 	t.shift--
 	mask := len(t.slots) - 1
 	for k := range old {
-		if old[k].key == 0 {
+		if old[k].key == [4]byte{} {
 			continue
 		}
-		i := t.home(old[k].key)
-		for t.slots[i].key != 0 {
+		i := t.home(old[k].k())
+		for t.slots[i].key != [4]byte{} {
 			i = (i + 1) & mask
 		}
 		t.slots[i] = old[k]
@@ -149,10 +168,10 @@ func (t *Table[V]) Delete(key uint32) bool {
 		return false
 	}
 	mask := len(t.slots) - 1
-	for j := (i + 1) & mask; t.slots[j].key != 0; j = (j + 1) & mask {
+	for j := (i + 1) & mask; t.slots[j].key != [4]byte{}; j = (j + 1) & mask {
 		// The entry at j may fill the hole at i only if i lies on its
 		// probe path, i.e. no further from j than its home slot is.
-		if (j-t.home(t.slots[j].key))&mask >= (j-i)&mask {
+		if (j-t.home(t.slots[j].k()))&mask >= (j-i)&mask {
 			t.slots[i] = t.slots[j]
 			i = j
 		}

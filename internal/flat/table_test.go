@@ -3,6 +3,7 @@ package flat
 import (
 	"encoding/binary"
 	"testing"
+	"unsafe"
 )
 
 // check compares every key of ref, plus each key in also, against t,
@@ -227,6 +228,26 @@ func TestPoolPutClears(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		if got := p.Get(); got.Len() != 0 || got.Get(1) != nil {
 			t.Fatalf("Get %d returned a table holding %d keys", i, got.Len())
+		}
+	}
+}
+
+// TestSlotSizes pins that a slot takes its value's alignment, not its
+// key's: the generators' uint8 memo slots are 5 bytes, while 4-byte
+// values (the PCM store's index, the directory) and pointers (the
+// pending fetches) keep their 8 and 16.
+func TestSlotSizes(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"uint8", unsafe.Sizeof(slot[uint8]{}), 5},
+		{"uint32", unsafe.Sizeof(slot[uint32]{}), 8},
+		{"[4]byte", unsafe.Sizeof(slot[[4]byte]{}), 8},
+		{"pointer", unsafe.Sizeof(slot[*int]{}), 16},
+	} {
+		if c.got != c.want {
+			t.Errorf("slot[%s] is %d bytes, want %d", c.name, c.got, c.want)
 		}
 	}
 }

@@ -39,7 +39,9 @@ type FaultConfig struct {
 // Enabled reports whether any fault mechanism is active.
 func (c FaultConfig) Enabled() bool { return c.EnduranceBudget > 0 || c.DriftProb > 0 }
 
-// lineWear tracks the wear and permanent faults of one stored line.
+// lineWear tracks the wear and permanent faults of one stored line. The
+// store keeps it beside the line; the zero value is a line never
+// programmed.
 type lineWear struct {
 	writes    [NumSlots]uint64 // programming operations per stored word
 	stuckMask [NumSlots]uint64 // bit set: that cell no longer programs
@@ -50,11 +52,11 @@ type lineWear struct {
 // content: endurance-driven stuck-at cells on programming and
 // drift-induced bit flips on reads. All corruption is applied to the
 // stored Line bytes, so downstream ECC decode, PCC reconstruction and
-// program-and-verify read-back observe real bad data, not flags.
+// program-and-verify read-back observe real bad data, not flags. The
+// per-line wear lives in the Store the model is attached to.
 type FaultModel struct {
-	cfg   FaultConfig
-	rng   *sim.RNG
-	lines map[uint64]*lineWear
+	cfg FaultConfig
+	rng *sim.RNG
 
 	// InjectedStuck counts cells permanently stuck so far.
 	InjectedStuck uint64
@@ -65,28 +67,18 @@ type FaultModel struct {
 // NewFaultModel returns a model with its own private randomness stream;
 // the same seed and access sequence reproduce the same faults.
 func NewFaultModel(cfg FaultConfig, rng *sim.RNG) *FaultModel {
-	return &FaultModel{cfg: cfg, rng: rng, lines: make(map[uint64]*lineWear)}
+	return &FaultModel{cfg: cfg, rng: rng}
 }
 
 // Config returns the model's fault configuration.
 func (f *FaultModel) Config() FaultConfig { return f.cfg }
 
-func (f *FaultModel) wearOf(lineIdx uint64) *lineWear {
-	w, ok := f.lines[lineIdx]
-	if !ok {
-		w = &lineWear{}
-		f.lines[lineIdx] = w
-	}
-	return w
-}
-
-// onProgram models one word-programming operation: it advances the
-// slot's wear counter, possibly sticks a fresh cell (when the endurance
-// budget is exhausted), and returns the value the cells actually hold
-// afterwards — the intended word with every stuck cell overridden by
-// its stuck value.
-func (f *FaultModel) onProgram(lineIdx uint64, slot int, intended uint64) uint64 {
-	w := f.wearOf(lineIdx)
+// onProgram models one word-programming operation on a line whose wear
+// is w: it advances the slot's wear counter, possibly sticks a fresh
+// cell (when the endurance budget is exhausted), and returns the value
+// the cells actually hold afterwards — the intended word with every
+// stuck cell overridden by its stuck value.
+func (f *FaultModel) onProgram(w *lineWear, slot int, intended uint64) uint64 {
 	w.writes[slot]++
 	if f.cfg.EnduranceBudget > 0 && w.writes[slot] > f.cfg.EnduranceBudget &&
 		w.stuckMask[slot] != ^uint64(0) {
@@ -111,10 +103,11 @@ func (f *FaultModel) onProgram(lineIdx uint64, slot int, intended uint64) uint64
 	return intended
 }
 
-// onRead models resistance drift for one line read: with probability
-// DriftProb a single stored bit of the line (any of its ten words)
-// flips in place. It returns the slot that drifted, or -1.
-func (f *FaultModel) onRead(lineIdx uint64, l *Line) int {
+// onRead models resistance drift for one read of the stored line l:
+// with probability DriftProb a single stored bit of the line (any of
+// its ten words) flips in place. It returns the slot that drifted, or
+// -1.
+func (f *FaultModel) onRead(l *Line) int {
 	if f.cfg.DriftProb <= 0 || !f.rng.Bool(f.cfg.DriftProb) {
 		return -1
 	}

@@ -4,12 +4,17 @@
 // verification are real operations, not flags), the per-chip per-bank
 // timing state (open rows, busy-until times), differential-write
 // analysis (which bits flip, and whether the slow SET or the faster
-// RESET transition dominates), and endurance counters.
+// RESET transition dominates), and endurance counters. A Store keeps
+// only the lines written: each in a chunked arena where it never moves,
+// found through a flat.Table of arena positions, with a fault model's
+// per-line wear at the same position. The package holds no Go map and
+// allocates nothing per line.
 package pcm
 
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"pcmap/internal/ecc"
 	"pcmap/internal/flat"
@@ -41,17 +46,22 @@ func (l *Line) CheckConsistent() error {
 
 // Store is the sparse functional content of one rank's PCM arrays,
 // keyed by line index (line address within the rank). Lines never
-// written read as zero. Every written line is one value in a flat
-// table under flat.Key(lineIdx), 84 bytes a line, so a line costs its own slot whatever its
-// neighbours do: write-backs land about one line per 4 KB region,
-// which made page-granular storage pay for 64 lines per written one. Table membership is what "written" means, so
-// Lines() and the fault model's never-written skip are exact.
+// written read as zero. A written line lives in an arena of fixed-size
+// chunks and never moves once placed; an index maps flat.Key(lineIdx)
+// to the line's arena position in 8-byte slots. A line costs its own
+// 80 bytes plus its index slot whatever its neighbours do: write-backs
+// land about one line per 4 KB region, which made page-granular storage
+// pay for 64 lines per written one. Index membership is what "written"
+// means, so Lines() and the fault model's never-written skip are exact.
+// Under a fault model, each line's wear sits at the same position in a
+// second chunk list, allocated only when Faults is set.
 //
-// The table comes from a pool and Release returns it, so a sweep that
-// builds one system after another grows each channel's table once, not
-// once per system.
+// The index and the chunks come from a pool and Release returns them,
+// so a sweep that builds one system after another grows each channel's
+// arena once, not once per system.
 type Store struct {
-	lines *flat.Table[Line]
+	arena
+	box *arena // the pool's holder for this store's arena; nil once released
 
 	// Faults, when non-nil, injects endurance-driven stuck-at cells on
 	// every programming operation and drift flips on demand (see
@@ -60,30 +70,96 @@ type Store struct {
 	Faults *FaultModel
 }
 
-// linePool recycles stores' line tables across systems.
-var linePool flat.Pool[Line]
+// chunkBits sizes an arena chunk: 1<<chunkBits lines, 80 KB.
+const (
+	chunkBits  = 10
+	chunkLines = 1 << chunkBits
+	chunkMask  = chunkLines - 1
+)
+
+// arena is the part of a store that Release recycles. Positions
+// 0..index.Len()-1 hold the written lines in the order they were
+// placed; every chunk slot past them is zero, so a recycled arena
+// places lines without clearing them.
+type arena struct {
+	index flat.Table[uint32]      // flat.Key(lineIdx) -> arena position
+	lines []*[chunkLines]Line     // position p is lines[p>>chunkBits][p&chunkMask]
+	wear  []*[chunkLines]lineWear // the same positions' wear, grown under a fault model
+}
+
+// arenaPool recycles stores' arenas across systems.
+var arenaPool = sync.Pool{New: func() any { return new(arena) }}
 
 // NewStore returns an empty store.
-func NewStore() *Store { return &Store{lines: linePool.Get()} }
+func NewStore() *Store {
+	s := new(Store)
+	s.acquire()
+	return s
+}
 
-// Release returns the store's line table to the pool. The store must
-// not be used afterwards: any later call panics on the nil table.
+// acquire takes an arena from the pool.
+func (s *Store) acquire() {
+	s.box = arenaPool.Get().(*arena)
+	s.arena, *s.box = *s.box, arena{}
+}
+
+// Release returns the store's arena to the pool, emptied. The store
+// must not be used afterwards: any later read or write panics.
 func (s *Store) Release() {
-	linePool.Put(s.lines)
-	s.lines = nil
+	s.reset()
+	*s.box = s.arena
+	arenaPool.Put(s.box)
+	s.arena, s.box = arena{}, nil
+}
+
+// reset empties the store but keeps its chunks and grown index: it
+// zeroes the placed lines and their wear, so every chunk slot is zero
+// again, and clears the index.
+func (s *Store) reset() {
+	n := s.index.Len()
+	for c := 0; c*chunkLines < n; c++ {
+		used := min(n-c*chunkLines, chunkLines)
+		clear(s.lines[c][:used])
+		if c < len(s.wear) {
+			clear(s.wear[c][:used])
+		}
+	}
+	s.index.Clear()
 }
 
 // Lines returns the number of distinct lines ever written.
-func (s *Store) Lines() int { return s.lines.Len() }
+func (s *Store) Lines() int { return s.index.Len() }
 
 var zeroLine Line
+
+// at returns the line at arena position p.
+func (s *Store) at(p uint32) *Line { return &s.lines[p>>chunkBits][p&chunkMask] }
+
+// find returns the stored line, or nil if the address was never
+// written.
+func (s *Store) find(lineIdx uint64) *Line {
+	if p := s.index.Get(flat.Key(lineIdx)); p != nil {
+		return s.at(*p)
+	}
+	s.checkLive()
+	return nil
+}
+
+// checkLive panics if the store was released. Only the paths that miss
+// the index call it: a released store's index is empty, so every
+// access to it takes one of them.
+func (s *Store) checkLive() {
+	if s.box == nil {
+		panic("pcm: use of a released Store")
+	}
+}
 
 // peek returns a read-only view of the stored line, or the shared
 // all-zero line if the address was never written. Internal callers on
 // the read path use it to avoid copying; they must never mutate the
 // result (TestPeekZeroLineStaysZero enforces the invariant).
 func (s *Store) peek(lineIdx uint64) *Line {
-	if l := s.lines.Get(flat.Key(lineIdx)); l != nil {
+	if l := s.find(lineIdx); l != nil {
 		return l
 	}
 	return &zeroLine
@@ -97,11 +173,37 @@ func (s *Store) peek(lineIdx uint64) *Line {
 func (s *Store) Peek(lineIdx uint64) Line { return *s.peek(lineIdx) }
 
 // Get returns the stored line, marking it written on first touch. The
-// pointer stays valid until the store next takes in a line it does not
-// hold (through Get or WriteWords).
-func (s *Store) Get(lineIdx uint64) *Line {
-	l, _ := s.lines.Put(flat.Key(lineIdx))
-	return l
+// line never moves, so the pointer stays valid until Release.
+func (s *Store) Get(lineIdx uint64) *Line { return s.at(s.pos(lineIdx)) }
+
+// pos returns the line's arena position, placing it at the next free
+// position if the store does not hold it yet.
+func (s *Store) pos(lineIdx uint64) uint32 {
+	p, existed := s.index.Put(flat.Key(lineIdx))
+	if !existed {
+		*p = s.place()
+	}
+	return *p
+}
+
+// place returns the next free arena position, growing the chunks to
+// cover it. The index already holds the new line's key.
+func (s *Store) place() uint32 {
+	s.checkLive()
+	p := uint32(s.index.Len() - 1)
+	if c := int(p >> chunkBits); c == len(s.lines) {
+		s.lines = append(s.lines, new([chunkLines]Line))
+	}
+	return p
+}
+
+// wearAt returns the wear of the line at arena position p, growing the
+// wear chunks to cover it.
+func (s *Store) wearAt(p uint32) *lineWear {
+	for c := int(p >> chunkBits); c >= len(s.wear); {
+		s.wear = append(s.wear, new([chunkLines]lineWear))
+	}
+	return &s.wear[p>>chunkBits][p&chunkMask]
 }
 
 // ZeroLineIntact reports whether the package-shared zero line is still
@@ -172,7 +274,12 @@ func (s *Store) WriteWords(lineIdx uint64, mask uint8, newData *[ecc.LineBytes]b
 	if mask == 0 {
 		return res
 	}
-	l := s.Get(lineIdx)
+	p := s.pos(lineIdx)
+	l := s.at(p)
+	var wear *lineWear
+	if s.Faults != nil {
+		wear = s.wearAt(p)
+	}
 	oldECCWord := eccWord(l.ECC)
 	oldPCCWord := wordOf(l.PCC)
 	for w := 0; w < ecc.WordsPerLine; w++ {
@@ -190,7 +297,7 @@ func (s *Store) WriteWords(lineIdx uint64, mask uint8, newData *[ecc.LineBytes]b
 			res.WordsDirty++
 			stored := newWord
 			if s.Faults != nil {
-				stored = s.Faults.onProgram(lineIdx, w, newWord)
+				stored = s.Faults.onProgram(wear, w, newWord)
 			}
 			ecc.SetWord(&l.Data, w, stored)
 		}
@@ -206,10 +313,10 @@ func (s *Store) WriteWords(lineIdx uint64, mask uint8, newData *[ecc.LineBytes]b
 	// them and applies any stuck bits they have accumulated.
 	if s.Faults != nil {
 		if res.ECCFlips.Any() {
-			putWord64(l.ECC[:], s.Faults.onProgram(lineIdx, SlotECC, eccWord(l.ECC)))
+			putWord64(l.ECC[:], s.Faults.onProgram(wear, SlotECC, eccWord(l.ECC)))
 		}
 		if res.PCCFlips.Any() {
-			putWord64(l.PCC[:], s.Faults.onProgram(lineIdx, SlotPCC, wordOf(l.PCC)))
+			putWord64(l.PCC[:], s.Faults.onProgram(wear, SlotPCC, wordOf(l.PCC)))
 		}
 	}
 	return res
@@ -231,11 +338,11 @@ func (s *Store) InjectDrift(lineIdx uint64) bool {
 	if s.Faults == nil {
 		return false
 	}
-	l := s.lines.Get(flat.Key(lineIdx))
+	l := s.find(lineIdx)
 	if l == nil {
 		return false
 	}
-	return s.Faults.onRead(lineIdx, l) >= 0
+	return s.Faults.onRead(l) >= 0
 }
 
 func eccWord(e [ecc.WordsPerLine]byte) uint64 {

@@ -124,15 +124,28 @@ func appendFloat(b []byte, f float64) ([]byte, error) {
 	return b, nil
 }
 
-// UnmarshalJSON decodes a tracker produced by MarshalJSON.
+// UnmarshalJSON decodes a tracker produced by MarshalJSON. A bucket
+// count above the tracker's range is an error, not an allocation: the
+// count comes from a disk-cache entry, which may be corrupt.
 func (l *LatencyTracker) UnmarshalJSON(data []byte) error {
 	var w latencyJSON
 	if err := json.Unmarshal(data, &w); err != nil {
 		return err
 	}
-	l.buckets = nil
-	if w.BucketCount > 0 {
-		l.buckets = make([]uint64, w.BucketCount)
+	if w.BucketCount > latencyBucketCount {
+		return fmt.Errorf("stats: latency bucket count %d exceeds %d", w.BucketCount, latencyBucketCount)
+	}
+	switch n := w.BucketCount; {
+	case n <= 0:
+		l.buckets = nil
+	case n <= cap(l.buckets):
+		// A document that names one tracker many times decodes into it
+		// each time; reusing its array keeps each repeat from costing
+		// up to 800 KB.
+		l.buckets = l.buckets[:n]
+		clear(l.buckets)
+	default:
+		l.buckets = make([]uint64, n)
 	}
 	for _, s := range w.Samples {
 		i := s[0]

@@ -147,3 +147,47 @@ func TestLatencyTrackerRejectsOutOfRangeSample(t *testing.T) {
 		t.Fatal("out-of-range sample bucket must be rejected")
 	}
 }
+
+// TestLatencyTrackerRejectsHugeBucketCount pins that a bucket count
+// past the tracker's range fails to decode instead of sizing an
+// allocation: a count of 1<<62 would panic in make, and one just past
+// the range would decode silently.
+func TestLatencyTrackerRejectsHugeBucketCount(t *testing.T) {
+	for _, n := range []int64{latencyBucketCount + 1, 1 << 62} {
+		var got LatencyTracker
+		doc := fmt.Sprintf(`{"bucketCount":%d,"total":0,"sumNS":0,"maxNS":0}`, n)
+		if err := json.Unmarshal([]byte(doc), &got); err == nil {
+			t.Errorf("bucket count %d decoded without error", n)
+		}
+	}
+	var got LatencyTracker
+	doc := fmt.Sprintf(`{"bucketCount":%d,"samples":[[%d,1]],"total":1,"sumNS":0,"maxNS":0}`, latencyBucketCount, latencyBucketCount-1)
+	if err := json.Unmarshal([]byte(doc), &got); err != nil || len(got.buckets) != latencyBucketCount {
+		t.Fatalf("full-range tracker: error %v, %d buckets", err, len(got.buckets))
+	}
+}
+
+// TestLatencyTrackerRedecodeReusesBuckets decodes twice into one
+// tracker, as a document naming a tracker twice does: the second decode
+// must reuse the first one's array, cleared, not allocate another.
+func TestLatencyTrackerRedecodeReusesBuckets(t *testing.T) {
+	var got LatencyTracker
+	if err := json.Unmarshal([]byte(`{"bucketCount":100000,"samples":[[5,1],[99999,3]],"total":4,"sumNS":0,"maxNS":0}`), &got); err != nil {
+		t.Fatal(err)
+	}
+	first := &got.buckets[0]
+	if err := json.Unmarshal([]byte(`{"bucketCount":1024,"samples":[[7,2]],"total":2,"sumNS":0,"maxNS":0}`), &got); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]uint64, 1024)
+	want[7] = 2
+	if !slices.Equal(got.buckets, want) || got.total != 2 {
+		t.Fatalf("second decode left %d buckets, bucket 5 = %d, bucket 7 = %d, total %d", len(got.buckets), got.buckets[5], got.buckets[7], got.total)
+	}
+	if &got.buckets[0] != first {
+		t.Fatal("second decode allocated a new bucket array")
+	}
+	if err := json.Unmarshal([]byte(`{"bucketCount":0,"total":0,"sumNS":0,"maxNS":0}`), &got); err != nil || got.buckets != nil {
+		t.Fatalf("an empty decode left buckets %v (error %v), want nil", got.buckets, err)
+	}
+}

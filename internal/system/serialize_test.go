@@ -5,13 +5,15 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime/metrics"
+	"strings"
 	"testing"
 
 	"pcmap/internal/config"
 )
 
 // runSmall executes one short simulation and returns its Results.
-func runSmall(t *testing.T, variant config.Variant, mutate func(*config.Config)) *Results {
+func runSmall(t testing.TB, variant config.Variant, mutate func(*config.Config)) *Results {
 	t.Helper()
 	cfg := config.Default().WithVariant(variant)
 	if mutate != nil {
@@ -127,4 +129,55 @@ func TestResultsCarryNoIRLPRecord(t *testing.T) {
 	if res.IRLPMax == 0 {
 		t.Error("IRLPMax is 0 on a run with writes")
 	}
+}
+
+// FuzzDecodeResults feeds DecodeResults what a disk-cache entry may
+// hold after its checksum passes: any input must decode to an error or
+// to Results that re-encode and decode to a reflect.DeepEqual value,
+// and decoding may allocate at most 4 MB plus 1 KB per input byte. The
+// 4 MB covers each of the three latency trackers at its full
+// 100,000-bucket range (800 KB from about 40 bytes of JSON); a document
+// naming a tracker again decodes into the same array.
+func FuzzDecodeResults(f *testing.F) {
+	res := runSmall(f, config.RWoWRDE, func(c *config.Config) {
+		c.Memory.VerifyWrites = true
+		c.Memory.EnduranceBudget = 2
+	})
+	data, err := EncodeResults(res)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	f.Add([]byte(`{"Mem":{"ReadLatency":{"bucketCount":100001},"WriteLatency":{},"VerifyLatency":{},` +
+		`"DirtyWords":{},"SetBits":{},"ResetBits":{}}}`))
+	f.Add([]byte(`{"Mem":{` + strings.Repeat(`"ReadLatency":{"bucketCount":100000},`, 100) +
+		`"WriteLatency":{},"VerifyLatency":{},"DirtyWords":{},"SetBits":{},"ResetBits":{}}}`))
+	f.Add([]byte(`{"Mem":{"ReadLatency":{"bucketCount":4,"samples":[[3,1],[3,2]]},"WriteLatency":{"bucketCount":-1},` +
+		`"VerifyLatency":{},"DirtyWords":{"buckets":[]},"SetBits":{"buckets":null},"ResetBits":{}},"IPCPerCore":[-0]}`))
+	// The heap's cumulative allocation count, read without stopping the
+	// world as runtime.ReadMemStats would on every input.
+	allocated := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		metrics.Read(allocated)
+		before := allocated[0].Value.Uint64()
+		r, err := DecodeResults(data)
+		metrics.Read(allocated)
+		if n, limit := allocated[0].Value.Uint64()-before, uint64(4<<20+1<<10*len(data)); n > limit {
+			t.Fatalf("decoding %d bytes allocated %d B, limit %d", len(data), n, limit)
+		}
+		if err != nil {
+			return
+		}
+		again, err := EncodeResults(r)
+		if err != nil {
+			t.Fatalf("decoded Results do not re-encode: %v", err)
+		}
+		r2, err := DecodeResults(again)
+		if err != nil {
+			t.Fatalf("re-encoded Results do not decode: %v\n%s", err, again)
+		}
+		if !reflect.DeepEqual(r, r2) {
+			t.Fatalf("Results changed across a re-encode\n got: %+v\nwant: %+v", r2, r)
+		}
+	})
 }
