@@ -207,11 +207,16 @@ func main() {
 		if err := pprof.StartCPUProfile(pf); err != nil {
 			fatal(err)
 		}
-		defer pprof.StopCPUProfile()
+		stopProfiles = pprof.StopCPUProfile
 	}
-	if *f.memProf != "" {
-		defer writeHeapProfile(*f.memProf)
+	if path := *f.memProf; path != "" {
+		stopCPU := stopProfiles
+		stopProfiles = func() {
+			writeHeapProfile(path)
+			stopCPU()
+		}
 	}
+	defer func() { stopProfiles() }()
 
 	if *f.format != "md" && *f.format != "csv" {
 		fatal(fmt.Errorf("invalid -format %q (want md or csv)", *f.format))
@@ -448,7 +453,7 @@ func timedOut(r *exp.Runner, d time.Duration, cacheDir string) {
 		msg += fmt.Sprintf("; re-run with -cache %s -resume to continue", cacheDir)
 	}
 	fmt.Fprintln(os.Stderr, msg)
-	os.Exit(1)
+	exit(1)
 }
 
 // interrupted reports a signal-cancelled sweep and exits 130 (the
@@ -461,7 +466,7 @@ func interrupted(r *exp.Runner, cacheDir string) {
 		msg += fmt.Sprintf("; re-run with -cache %s -resume to continue", cacheDir)
 	}
 	fmt.Fprintln(os.Stderr, msg)
-	os.Exit(130)
+	exit(130)
 }
 
 // writeHeapProfile snapshots the heap at exit for -memprofile.
@@ -480,5 +485,16 @@ func writeHeapProfile(path string) {
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "pcmapsim:", err)
-	os.Exit(1)
+	exit(1)
+}
+
+// stopProfiles finishes -cpuprofile and -memprofile once they have
+// started. os.Exit skips deferred calls, so every exit path calls it:
+// main's return through a defer, the others through exit.
+var stopProfiles = func() {}
+
+// exit ends the process with code once the profiles are written.
+func exit(code int) {
+	stopProfiles()
+	os.Exit(code)
 }

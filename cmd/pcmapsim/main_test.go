@@ -1,7 +1,9 @@
 package main
 
 import (
+	"compress/gzip"
 	"errors"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -187,5 +189,37 @@ func TestAdhocInterruptExits130(t *testing.T) {
 	}
 	if want := "-cache " + cache + " -resume"; !strings.Contains(stderr.String(), want) {
 		t.Fatalf("stderr %q lacks the resume hint %q", stderr.String(), want)
+	}
+}
+
+// TestTimeoutWritesProfiles: a run that -timeout stops still writes its
+// -cpuprofile and -memprofile, although it exits 1 through os.Exit,
+// which skips deferred calls. Both files must be complete gzip (pprof)
+// streams.
+func TestTimeoutWritesProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, heap := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	var stderr strings.Builder
+	cmd := exec.Command(binPath, "-exp", "fig1", "-measure", "50000000", "-timeout", "500ms",
+		"-cpuprofile", cpu, "-memprofile", heap)
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 1 || !strings.Contains(stderr.String(), "-timeout 500ms elapsed") {
+		t.Fatalf("exit %v, want status 1 from -timeout; stderr %q", err, stderr.String())
+	}
+	for _, path := range []string{cpu, heap} {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		zr, err := gzip.NewReader(f)
+		if err != nil {
+			t.Fatalf("%s: %v", filepath.Base(path), err)
+		}
+		if n, err := io.Copy(io.Discard, zr); err != nil || n == 0 {
+			t.Fatalf("%s: %d bytes of profile, err %v; want a complete, non-empty profile", filepath.Base(path), n, err)
+		}
 	}
 }

@@ -53,7 +53,7 @@ func defineServeFlags(fs *flag.FlagSet) *serveFlags {
 		maxTimeout: fs.Duration("maxtimeout", 0, "cap on client-requested per-job deadlines (0 = 5m)"),
 		drain:      fs.Duration("drain", 30*time.Second, "on SIGTERM/SIGINT, wait this long for in-flight jobs before exiting"),
 		cacheDir:   fs.String("cache", "", "persist and serve completed runs from this result-cache directory"),
-		verbose:    fs.Bool("v", false, "log job admissions, drains, and runner retirements to stderr"),
+		verbose:    fs.Bool("v", false, "log signals, drains and listener failures to stderr"),
 	}
 }
 

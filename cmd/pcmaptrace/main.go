@@ -120,7 +120,9 @@ func cmdGen(args []string) error {
 	fs.Parse(args)
 	workload, instr, out, seed := o.workload, o.instr, o.out, o.seed
 
-	s, err := system.New(system.WithWorkload(*workload), system.WithSeed(*seed))
+	cfg := config.Default()
+	cfg.Seed = *seed
+	s, err := system.New(system.WithConfig(cfg), system.WithWorkload(*workload))
 	if err != nil {
 		return err
 	}

@@ -38,8 +38,8 @@ func TestRunRecoversPanic(t *testing.T) {
 	if pe.Value != "pathological config" {
 		t.Errorf("panic value = %v, want the original panic payload", pe.Value)
 	}
-	if !strings.Contains(string(pe.Stack), "callSimulate") {
-		t.Errorf("stack does not reach the recovery frame:\n%s", pe.Stack)
+	if !strings.Contains(string(pe.Stack), "TestRunRecoversPanic") {
+		t.Errorf("stack does not reach the panic site:\n%s", pe.Stack)
 	}
 	if n := atomic.LoadInt32(&attempts); n != 1 {
 		t.Errorf("%d attempts, want 1", n)

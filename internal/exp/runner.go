@@ -64,8 +64,9 @@ type run struct {
 
 // Runner executes, memoizes, and optionally disk-caches simulation
 // runs. Concurrent callers of the same run share one in-flight
-// execution (single-flight); completed results are memoized in memory
-// and, when Cache is set, persisted so an interrupted sweep can resume.
+// execution (single-flight), which runs for as long as one of them
+// waits; completed results are memoized in memory and, when Cache is
+// set, persisted so an interrupted sweep can resume.
 type Runner struct {
 	// Warmup and Measure are the per-core instruction budgets of every
 	// run whose Spec leaves its own 0. The paper runs 200M + 1B; our
@@ -94,15 +95,21 @@ type Runner struct {
 	// so set it only for single-run invocations (adhoc); a parallel
 	// sweep sharing one tracer would race.
 	Tracer *obs.Tracer
+	// MemoLimit bounds the in-memory memo (0 = unbounded): a result
+	// that would take it past the limit empties it first, so a
+	// long-lived runner does not keep every result it computed. A later
+	// repeat re-executes, or loads from Cache when resuming.
+	MemoLimit int
 
-	// mu guards memo, calls and the throughput accounting below.
+	// mu guards memo, calls, each call's waiters and the throughput
+	// accounting below.
 	mu    sync.Mutex
 	memo  map[run]*system.Results
 	calls map[run]*inflight
 
 	// simulate executes one run; tests substitute it to count or fail
-	// executions without building real systems. ctx carries the caller's
-	// deadline into the simulation (see system.RunCtx).
+	// executions without building real systems. ctx is cancelled when
+	// the last caller waiting for the run leaves (see system.RunCtx).
 	simulate func(ctx context.Context, cfg *config.Config, workload string, warmup, measure uint64) (*system.Results, error)
 
 	// Sweep throughput accounting: executed (non-memoized) sims, the
@@ -118,11 +125,13 @@ type Runner struct {
 	hits uint64
 }
 
-// inflight is one in-progress execution other callers can wait on.
+// inflight is one in-progress execution and the callers waiting on it.
 type inflight struct {
-	done chan struct{} // closed when res/err are set
-	res  *system.Results
-	err  error
+	done    chan struct{} // closed when res/err are set
+	res     *system.Results
+	err     error
+	waiters int                // callers still waiting; guarded by Runner.mu
+	cancel  context.CancelFunc // stops the simulation
 }
 
 // NewRunner returns a runner with sensible experiment budgets.
@@ -211,26 +220,6 @@ func (r *Runner) defaultSimulate(ctx context.Context, cfg *config.Config, worklo
 	return res, err
 }
 
-// callSimulate runs one simulation attempt with panic isolation: a
-// panicking simulation (or simulate hook) is recovered into a typed
-// *JobPanicError instead of unwinding the worker goroutine and killing
-// the whole process. The stack is captured here, inside the recovering
-// frame, so it points at the panic site.
-func (r *Runner) callSimulate(ctx context.Context, k run) (res *system.Results, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			res = nil
-			err = &JobPanicError{Workload: k.Workload, Variant: k.Config.Variant,
-				Value: v, Stack: debug.Stack()}
-		}
-	}()
-	sim := r.simulate
-	if sim == nil {
-		sim = r.defaultSimulate
-	}
-	return sim(ctx, &k.Config, k.Workload, k.Warmup, k.Measure)
-}
-
 // Run executes (or returns the memoized result of) one spec. It is
 // RunCtx without cancellation.
 func (r *Runner) Run(s Spec) (*system.Results, error) {
@@ -240,9 +229,11 @@ func (r *Runner) Run(s Spec) (*system.Results, error) {
 // RunCtx executes the run s names, deduplicating concurrent callers:
 // however many goroutines ask for the same run, under whichever Specs,
 // exactly one simulation executes and all callers receive its result.
-// ctx cancels waiting and prevents new executions from starting; it
-// also stops an execution in progress between engine events (see
-// system.RunCtx), in which case nothing is memoized or cached.
+// ctx ends only this caller's wait. The simulation stops between engine
+// events (see system.RunCtx) once every caller waiting for it has left,
+// and the last one returns only after it has stopped — with its result
+// or failure if it finished regardless, else with ctx's error. A run
+// stopped that way is neither memoized nor cached.
 func (r *Runner) RunCtx(ctx context.Context, s Spec) (*system.Results, error) {
 	k, err := r.resolve(s)
 	if err != nil {
@@ -251,54 +242,93 @@ func (r *Runner) RunCtx(ctx context.Context, s Spec) (*system.Results, error) {
 	return r.runCtx(ctx, k)
 }
 
-// runCtx is RunCtx on a resolved run.
+// runCtx is RunCtx on a resolved run. The first caller starts the
+// simulation on its own goroutine under a context no caller owns; every
+// caller then waits for it the same way.
 func (r *Runner) runCtx(ctx context.Context, k run) (*system.Results, error) {
 	r.mu.Lock()
 	if res, ok := r.memo[k]; ok {
 		r.mu.Unlock()
 		return res, nil
 	}
-	if c, ok := r.calls[k]; ok {
-		// Another goroutine is already executing this run: wait for it
-		// (or for cancellation) instead of running a duplicate.
+	if err := ctx.Err(); err != nil {
 		r.mu.Unlock()
-		select {
-		case <-c.done:
-			return c.res, c.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
+		return nil, err
+	}
+	c, ok := r.calls[k]
+	if !ok {
+		if r.calls == nil {
+			r.calls = make(map[run]*inflight)
 		}
+		simCtx, cancel := context.WithCancel(context.Background())
+		c = &inflight{done: make(chan struct{}), cancel: cancel}
+		r.calls[k] = c
+		go r.fly(simCtx, k, c)
 	}
-	if r.calls == nil {
-		r.calls = make(map[run]*inflight)
-	}
-	c := &inflight{done: make(chan struct{})}
-	r.calls[k] = c
+	c.waiters++
 	r.mu.Unlock()
 
-	c.res, c.err = r.execute(ctx, k)
-
+	select {
+	case <-c.done:
+		return c.res, c.err
+	case <-ctx.Done():
+	}
 	r.mu.Lock()
-	if c.err == nil {
-		if r.memo == nil {
-			r.memo = make(map[run]*system.Results)
+	c.waiters--
+	last := c.waiters == 0
+	if last {
+		// Nobody wants the run any more: stop it, and let a later
+		// caller start afresh rather than join a cancelled run.
+		c.cancel()
+		if r.calls[k] == c {
+			delete(r.calls, k)
 		}
-		r.memo[k] = c.res
 	}
-	// Failed calls leave no memo entry, so a later identical Run (e.g.
-	// after the caller clears an environmental problem) re-executes.
-	delete(r.calls, k)
 	r.mu.Unlock()
-	close(c.done)
+	if !last {
+		return nil, ctx.Err()
+	}
+	<-c.done
+	if errors.Is(c.err, context.Canceled) {
+		// Stopped by the cancel above, not by a fault of the run.
+		return nil, ctx.Err()
+	}
 	return c.res, c.err
+}
+
+// fly executes k for c and completes it: a successful result is
+// memoized, c leaves calls, and done closes. A panic anywhere on the
+// way — the simulation, the disk cache, the Progress hook — is
+// recovered into a typed *JobPanicError for every waiting caller
+// instead of killing the process; the stack is captured in the
+// recovering frame, so it points at the panic site. Failed runs leave
+// no memo entry, so a later identical Run re-executes.
+func (r *Runner) fly(ctx context.Context, k run, c *inflight) {
+	defer func() {
+		if v := recover(); v != nil {
+			c.res, c.err = nil, &JobPanicError{Workload: k.Workload, Variant: k.Config.Variant,
+				Value: v, Stack: debug.Stack()}
+		}
+		r.mu.Lock()
+		if c.err == nil {
+			if r.memo == nil || r.MemoLimit > 0 && len(r.memo) >= r.MemoLimit {
+				r.memo = make(map[run]*system.Results)
+			}
+			r.memo[k] = c.res
+		}
+		if r.calls[k] == c {
+			delete(r.calls, k)
+		}
+		r.mu.Unlock()
+		c.cancel()
+		close(c.done)
+	}()
+	c.res, c.err = r.execute(ctx, k)
 }
 
 // execute runs one run for real: disk-cache lookup (when resuming
 // untraced), then one simulation, then a cache store.
 func (r *Runner) execute(ctx context.Context, k run) (*system.Results, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	var key string
 	if r.Cache != nil {
 		key = CacheKey(k.Workload, &k.Config, k.Warmup, k.Measure)
@@ -320,7 +350,11 @@ func (r *Runner) execute(ctx context.Context, k run) (*system.Results, error) {
 
 	//pcmaplint:ignore nodeterminism wall-clock feeds only stderr throughput reporting, never simulation results
 	start := time.Now()
-	res, err := r.callSimulate(ctx, k)
+	sim := r.simulate
+	if sim == nil {
+		sim = r.defaultSimulate
+	}
+	res, err := sim(ctx, &k.Config, k.Workload, k.Warmup, k.Measure)
 	//pcmaplint:ignore nodeterminism wall-clock feeds only stderr throughput reporting, never simulation results
 	elapsed := time.Since(start)
 	if err != nil {
@@ -389,17 +423,6 @@ func (r *Runner) CacheHits() uint64 {
 // path.
 func (r *Runner) SetSimulate(fn func(ctx context.Context, cfg *config.Config, workload string, warmup, measure uint64) (*system.Results, error)) {
 	r.simulate = fn
-}
-
-// MemoLen reports how many completed runs the in-memory memo holds.
-// Long-running callers (the serve layer) use it to bound memory: when
-// the memo grows past their budget they retire the runner and start a
-// fresh one, falling back to the disk cache for previously computed
-// results.
-func (r *Runner) MemoLen() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.memo)
 }
 
 // RunAll executes the runs specs name concurrently. Dispatch genuinely

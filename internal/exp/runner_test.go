@@ -357,8 +357,8 @@ func TestRunnerKeysByBudgets(t *testing.T) {
 	if n := atomic.LoadInt32(&executions); n != 2 {
 		t.Fatalf("%d simulations for one spec at two budgets, want 2", n)
 	}
-	if shared.MemoLen() != 2 {
-		t.Fatalf("memo holds %d runs, want 2", shared.MemoLen())
+	if n := shared.memoLen(); n != 2 {
+		t.Fatalf("memo holds %d runs, want 2", n)
 	}
 	for i, b := range budgets {
 		single := NewRunner()
@@ -379,7 +379,7 @@ func TestRunnerKeysByBudgets(t *testing.T) {
 // TestRunAllAccountingUnderRace is the lock-discipline test for the
 // runner's mu: a parallel sweep with a disk cache, run cold and then
 // resumed on a fresh runner, while one goroutine per accessor polls
-// Totals, Instructions, CacheHits and MemoLen. Under -race, any access
+// Totals, Instructions, CacheHits and the memo size. Under -race, any access
 // to the memo, the single-flight map or the throughput counters that
 // skips mu is reported.
 func TestRunAllAccountingUnderRace(t *testing.T) {
@@ -407,7 +407,7 @@ func TestRunAllAccountingUnderRace(t *testing.T) {
 			func() { r.Totals() },
 			func() { r.Instructions() },
 			func() { r.CacheHits() },
-			func() { r.MemoLen() },
+			func() { r.memoLen() },
 		} {
 			polls.Add(1)
 			go func() {
@@ -433,12 +433,235 @@ func TestRunAllAccountingUnderRace(t *testing.T) {
 		if resume {
 			wantSims, wantHits = 0, uint64(len(specs))
 		}
-		if sims != wantSims || r.CacheHits() != wantHits || r.MemoLen() != len(specs) {
+		if sims != wantSims || r.CacheHits() != wantHits || r.memoLen() != len(specs) {
 			t.Errorf("pass %d: %d sims, %d cache hits, %d memoized; want %d, %d and %d",
-				pass, sims, r.CacheHits(), r.MemoLen(), wantSims, wantHits, len(specs))
+				pass, sims, r.CacheHits(), r.memoLen(), wantSims, wantHits, len(specs))
 		}
 		if got, want := r.Instructions(), wantSims*8*(r.Warmup+r.Measure); got != want {
 			t.Errorf("pass %d: Instructions() = %d, want %d", pass, got, want)
+		}
+	}
+}
+
+// memoLen reports how many completed runs the memo holds.
+func (r *Runner) memoLen() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.memo)
+}
+
+// waiters reports how many callers wait on the in-flight run s names.
+func (r *Runner) waiters(s Spec) int {
+	k, err := r.resolve(s)
+	if err != nil {
+		return 0
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if c, ok := r.calls[k]; ok {
+		return c.waiters
+	}
+	return 0
+}
+
+// awaitWaiters polls until n callers wait on the run s names.
+func awaitWaiters(t *testing.T, r *Runner, s Spec, n int) {
+	t.Helper()
+	deadline := time.After(5 * time.Second)
+	for r.waiters(s) != n {
+		select {
+		case <-deadline:
+			t.Fatalf("%d callers wait on the run, want %d", r.waiters(s), n)
+		case <-time.After(time.Millisecond):
+		}
+	}
+}
+
+// TestLeavingCallerKeepsRunForOthers: the first caller of a run leaves
+// (its context ends) while an identical caller still waits. The run
+// keeps going, uncancelled, and the caller that stayed gets its result
+// from the one execution.
+func TestLeavingCallerKeepsRunForOthers(t *testing.T) {
+	r := testRunner()
+	release := make(chan struct{})
+	var executions, cancelled atomic.Int32
+	r.simulate = func(ctx context.Context, _ *config.Config, workload string, _, _ uint64) (*system.Results, error) {
+		executions.Add(1)
+		select {
+		case <-release:
+			return fakeResults(Spec{Workload: workload}), nil
+		case <-ctx.Done():
+			cancelled.Add(1)
+			return nil, ctx.Err()
+		}
+	}
+	s := Spec{Workload: "MP4", Variant: config.Baseline}
+	first, leave := context.WithCancel(context.Background())
+	defer leave()
+	firstErr := make(chan error, 1)
+	go func() {
+		_, err := r.RunCtx(first, s)
+		firstErr <- err
+	}()
+	awaitWaiters(t, r, s, 1)
+	type outcome struct {
+		res *system.Results
+		err error
+	}
+	stayed := make(chan outcome, 1)
+	go func() {
+		res, err := r.Run(s)
+		stayed <- outcome{res, err}
+	}()
+	awaitWaiters(t, r, s, 2)
+
+	leave()
+	if err := <-firstErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("leaving caller: err = %v, want context.Canceled", err)
+	}
+	close(release)
+	got := <-stayed
+	if got.err != nil || got.res == nil || got.res.Workload != "MP4" {
+		t.Fatalf("caller that stayed: %+v, %v; want the run's result", got.res, got.err)
+	}
+	if n, c := executions.Load(), cancelled.Load(); n != 1 || c != 0 {
+		t.Fatalf("%d executions, %d cancelled; want 1 execution, never cancelled", n, c)
+	}
+}
+
+// TestLastCallerCancelsRun: while one caller still waits, the run goes
+// on after another leaves; when the last caller leaves, the simulation
+// sees the cancellation, and that caller's RunCtx returns only after the
+// simulation has returned. A later caller then starts the run afresh.
+func TestLastCallerCancelsRun(t *testing.T) {
+	r := testRunner()
+	var executions, cancelled, returned atomic.Int32
+	r.simulate = func(ctx context.Context, _ *config.Config, _ string, _, _ uint64) (*system.Results, error) {
+		executions.Add(1)
+		<-ctx.Done()
+		cancelled.Add(1)
+		time.Sleep(20 * time.Millisecond) // a simulation takes a while to halt
+		returned.Add(1)
+		return nil, ctx.Err()
+	}
+	s := Spec{Workload: "MP4", Variant: config.Baseline}
+	var ctxs [2]context.Context
+	var leave [2]context.CancelFunc
+	errs := make([]chan error, 2)
+	for i := range ctxs {
+		ctxs[i], leave[i] = context.WithCancel(context.Background())
+		defer leave[i]()
+		errs[i] = make(chan error, 1)
+		go func(i int) {
+			_, err := r.RunCtx(ctxs[i], s)
+			if returned.Load() == 0 && i == 1 {
+				err = errors.New("RunCtx returned before the simulation did")
+			}
+			errs[i] <- err
+		}(i)
+		awaitWaiters(t, r, s, i+1)
+	}
+
+	leave[0]()
+	if err := <-errs[0]; !errors.Is(err, context.Canceled) {
+		t.Fatalf("first caller: err = %v, want context.Canceled", err)
+	}
+	if c := cancelled.Load(); c != 0 {
+		t.Fatal("the simulation was cancelled while a caller still waited")
+	}
+	leave[1]()
+	if err := <-errs[1]; !errors.Is(err, context.Canceled) {
+		t.Fatalf("last caller: %v, want context.Canceled after the simulation returned", err)
+	}
+	if c, n := cancelled.Load(), returned.Load(); c != 1 || n != 1 {
+		t.Fatalf("simulation saw %d cancellations and returned %d times, want 1 and 1", c, n)
+	}
+	if r.waiters(s) != 0 || r.memoLen() != 0 {
+		t.Fatal("a cancelled run left a call or a memo entry behind")
+	}
+
+	r.simulate = func(_ context.Context, _ *config.Config, workload string, _, _ uint64) (*system.Results, error) {
+		executions.Add(1)
+		return fakeResults(Spec{Workload: workload}), nil
+	}
+	if _, err := r.Run(s); err != nil {
+		t.Fatalf("rerun after cancellation: %v", err)
+	}
+	if n := executions.Load(); n != 2 {
+		t.Fatalf("%d executions, want 2: the rerun starts afresh", n)
+	}
+}
+
+// TestMemoLimit: past MemoLimit the memo empties, so a repeat of an
+// evicted run re-executes, or loads from the disk cache when resuming,
+// and the totals count every execution exactly.
+func TestMemoLimit(t *testing.T) {
+	for _, withCache := range []bool{false, true} {
+		t.Run(fmt.Sprintf("cache=%v", withCache), func(t *testing.T) {
+			r := testRunner()
+			r.MemoLimit = 2
+			if withCache {
+				cache, err := NewDiskCache(t.TempDir())
+				if err != nil {
+					t.Fatal(err)
+				}
+				r.Cache, r.Resume = cache, true
+			}
+			var executions atomic.Int32
+			r.simulate = func(_ context.Context, _ *config.Config, workload string, _, _ uint64) (*system.Results, error) {
+				executions.Add(1)
+				return fakeResults(Spec{Workload: workload}), nil
+			}
+			specs := []Spec{{Workload: "a"}, {Workload: "b"}, {Workload: "c"}}
+			for _, s := range append(specs, specs[2]) {
+				if _, err := r.Run(s); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if n, m := executions.Load(), r.memoLen(); n != 3 || m != 1 {
+				t.Fatalf("%d executions, %d memoized; want 3 and 1 (the third result emptied the memo)", n, m)
+			}
+			if _, err := r.Run(specs[0]); err != nil {
+				t.Fatal(err)
+			}
+			wantSims, wantHits := uint64(4), uint64(0)
+			if withCache {
+				wantSims, wantHits = 3, 1
+			}
+			sims, _, _ := r.Totals()
+			if sims != wantSims || r.CacheHits() != wantHits || uint64(executions.Load()) != wantSims {
+				t.Errorf("after the repeat: %d sims, %d cache hits, %d executions; want %d, %d and %d",
+					sims, r.CacheHits(), executions.Load(), wantSims, wantHits, wantSims)
+			}
+		})
+	}
+}
+
+// TestRunnerRecoversPanicOutsideSimulation: the whole of a run's
+// goroutine is isolated, not only the simulation. A Progress hook that
+// panics reaches every waiting caller as a *JobPanicError.
+func TestRunnerRecoversPanicOutsideSimulation(t *testing.T) {
+	r := testRunner()
+	release := make(chan struct{})
+	r.simulate = func(_ context.Context, _ *config.Config, workload string, _, _ uint64) (*system.Results, error) {
+		<-release
+		return fakeResults(Spec{Workload: workload}), nil
+	}
+	r.Progress = func(string) { panic("progress hook") }
+	s := Spec{Workload: "MP4"}
+	errs := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			_, err := r.Run(s)
+			errs <- err
+		}()
+	}
+	awaitWaiters(t, r, s, 2)
+	close(release)
+	for i := 0; i < 2; i++ {
+		var pe *JobPanicError
+		if err := <-errs; !errors.As(err, &pe) || pe.Value != "progress hook" {
+			t.Errorf("caller %d: err = %v, want the hook's *JobPanicError", i, err)
 		}
 	}
 }

@@ -151,7 +151,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.release()
-	res, err := s.run(t)
+	res, err := s.run(r.Context(), t)
 	s.answer(w, res, err)
 }
 
@@ -183,7 +183,8 @@ func (s *Server) answer(w http.ResponseWriter, res *system.Results, err error) {
 		writeError(w, http.StatusGatewayTimeout, errorBody{
 			Kind: "timeout", Message: "job deadline exceeded"})
 	case errors.Is(err, context.Canceled):
-		// Only forced shutdown cancels job contexts.
+		// Forced shutdown or a departed client cancelled the job; the
+		// latter reads no answer.
 		s.met.failed.Add(1)
 		writeError(w, http.StatusServiceUnavailable, errorBody{
 			Kind: "draining", Message: "job abandoned at shutdown", Retryable: true})

@@ -26,11 +26,10 @@ type svcCounters struct {
 // style, name value per line) of the service counters followed by the
 // simulation counters aggregated over every completed job.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	// Snapshot the aggregate and runner totals under mu; render after.
-	s.mu.Lock()
 	sims, _, _ := s.runner.Totals()
-	sims += s.retiredSims
-	hits := s.retiredHits + s.runner.CacheHits()
+	hits := s.runner.CacheHits()
+	// Snapshot the aggregate under mu; render after.
+	s.mu.Lock()
 	agg := append([]mem.NamedCounter(nil), s.agg...)
 	s.mu.Unlock()
 	// Waiting jobs hold an admission token but no running one; the two

@@ -23,7 +23,9 @@
 //
 // Concurrent identical specs coalesce through the runner's
 // single-flight path, and when a disk cache is configured repeated
-// traffic is answered from it without re-simulating.
+// traffic is answered from it without re-simulating. A job whose
+// client has gone stops simulating unless an identical job still waits
+// for the same run.
 package serve
 
 import (
@@ -64,11 +66,6 @@ type Config struct {
 	// deadlines (<= 0: 5m); requests beyond the cap are clamped.
 	DefaultTimeout, MaxTimeout time.Duration
 
-	// MemoLimit bounds the runner's in-memory memo; past it the runner
-	// is retired and replaced, so a long-running service does not
-	// accumulate every Result it ever computed (<= 0: 1024 runs).
-	MemoLimit int
-
 	// Cache, when non-nil, persists and serves completed runs
 	// content-addressed on disk: repeated traffic gets cached answers.
 	Cache *exp.DiskCache
@@ -77,9 +74,8 @@ type Config struct {
 	// safe for concurrent use; log.Printf and testing.T.Logf are.
 	Logf func(format string, a ...any)
 
-	// tune, when non-nil, is applied to every runner the server
-	// creates, the first and each replacement: a test seam for
-	// substituting the simulation (see exp.Runner.SetSimulate).
+	// tune, when non-nil, is applied to the server's runner: a test
+	// seam for substituting the simulation (see exp.Runner.SetSimulate).
 	tune func(*exp.Runner)
 }
 
@@ -109,9 +105,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DefaultTimeout > c.MaxTimeout {
 		c.DefaultTimeout = c.MaxTimeout
-	}
-	if c.MemoLimit <= 0 {
-		c.MemoLimit = 1024
 	}
 	return c
 }
@@ -145,26 +138,20 @@ type Server struct {
 	draining atomic.Bool
 	pending  sync.WaitGroup // accepted jobs not yet answered
 
-	// baseCtx parents every job context; Close cancels it so jobs still
-	// waiting or running unblock at forced shutdown.
+	// Close cancels baseCtx, and with it every job context, so jobs
+	// still waiting or running unblock at forced shutdown.
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
 	met svcCounters
 
-	// mu guards the runner, the jobs count and the simulation-counter
-	// aggregate.
-	mu sync.Mutex
-	// runner executes every job: each job's Spec carries its budgets,
-	// so jobs at any budgets share one memo and single-flight map.
+	// runner executes every job for the server's life: each job's Spec
+	// carries its budgets, so jobs at any budgets share one memo and
+	// single-flight map, and the runner's MemoLimit bounds its memory.
 	runner *exp.Runner
-	// jobs counts the jobs running on each runner, the current one and
-	// any retired one that still has a job in flight.
-	jobs map[*exp.Runner]int
-	// retiredSims/retiredHits are totals folded in from retired runners
-	// whose last job has finished.
-	retiredSims uint64
-	retiredHits uint64
+
+	// mu guards agg.
+	mu sync.Mutex
 	// agg sums every completed job's mem.Metrics counters, in the
 	// report's fixed order; nil until the first job completes.
 	agg []mem.NamedCounter
@@ -181,7 +168,6 @@ func New(cfg Config) *Server {
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		runner:     newRunner(cfg),
-		jobs:       map[*exp.Runner]int{},
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/jobs", s.handleJob)
@@ -321,64 +307,42 @@ func (s *Server) release() {
 }
 
 // run executes one admitted job on the calling goroutine once a
-// running token is free. The job's deadline covers that wait as well
-// as the simulation: a job that waited past it answers timeout without
-// ever simulating. Panics inside the simulation come back from the
-// runner as *exp.JobPanicError.
-func (s *Server) run(t *task) (*system.Results, error) {
-	ctx, cancel := context.WithTimeout(s.baseCtx, t.timeout)
+// running token is free. The job's context ends at its deadline, when
+// its client goes away (reqCtx) or at forced shutdown (Close). The
+// deadline covers the wait for a token as well as the simulation: a
+// job that waited past it answers timeout without ever simulating.
+// Panics inside the simulation come back from the runner as
+// *exp.JobPanicError.
+func (s *Server) run(reqCtx context.Context, t *task) (*system.Results, error) {
+	ctx, cancel := context.WithTimeout(reqCtx, t.timeout)
 	defer cancel()
+	defer context.AfterFunc(s.baseCtx, cancel)()
 	select {
 	case s.running <- struct{}{}:
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
 	defer func() { <-s.running }()
-	s.mu.Lock()
-	r := s.runner
-	s.jobs[r]++
-	s.mu.Unlock()
-	res, err := r.RunCtx(ctx, t.spec)
+	res, err := s.runner.RunCtx(ctx, t.spec)
 	if err == nil {
 		s.aggregate(res)
 	}
-	s.maybeRetire(r)
 	return res, err
 }
 
-// newRunner returns a runner for the service: it shares the disk cache
+// newRunner returns the service's runner: it shares the disk cache
 // and, unlike a sweep, always reads it, so repeated traffic gets cached
-// answers instead of re-simulations.
+// answers instead of re-simulations, and it keeps at most 1024 results
+// in memory.
 func newRunner(cfg Config) *exp.Runner {
 	r := exp.NewRunner()
 	r.Cache = cfg.Cache
 	r.Resume = cfg.Cache != nil
+	r.MemoLimit = 1024
 	if cfg.tune != nil {
 		cfg.tune(r)
 	}
 	return r
-}
-
-// maybeRetire ends one job on r and swaps in a fresh runner once r's
-// memo outgrows the budget. In-flight calls on a retired runner finish
-// normally; later identical jobs fall back to the disk cache. A
-// retired runner's throughput totals fold into the service counters
-// when its last job finishes, so the sims it ran after retirement are
-// counted too.
-func (s *Server) maybeRetire(r *exp.Runner) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.jobs[r]--
-	if s.runner == r && r.MemoLen() > s.cfg.MemoLimit {
-		s.runner = newRunner(s.cfg)
-		s.logf("retired runner (memo exceeded %d runs)", s.cfg.MemoLimit)
-	}
-	if s.runner != r && s.jobs[r] == 0 {
-		delete(s.jobs, r)
-		sims, _, _ := r.Totals()
-		s.retiredSims += sims
-		s.retiredHits += r.CacheHits()
-	}
 }
 
 // aggregate folds one completed job's simulation counters into the

@@ -446,91 +446,17 @@ func TestServeMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestServeRetiresRunnerPastMemoLimit: with MemoLimit 2, the third
-// distinct job retires the runner and a fresh one takes over. The
-// executed-sims counter keeps the retired runner's count, and a repeat
-// of the first job re-simulates on the fresh runner, or is answered
-// from the disk cache when one is configured.
-func TestServeRetiresRunnerPastMemoLimit(t *testing.T) {
-	for _, withCache := range []bool{false, true} {
-		t.Run(fmt.Sprintf("cache=%v", withCache), func(t *testing.T) {
-			var mu sync.Mutex
-			runners, executions := 0, 0
-			tune := func(r *exp.Runner) {
-				mu.Lock()
-				runners++
-				mu.Unlock()
-				r.SetSimulate(func(_ context.Context, _ *config.Config, workload string, _, _ uint64) (*system.Results, error) {
-					mu.Lock()
-					executions++
-					mu.Unlock()
-					return stubResults(workload), nil
-				})
-			}
-			cfg := Config{Workers: 1, MemoLimit: 2, tune: tune}
-			if withCache {
-				cache, err := exp.NewDiskCache(t.TempDir())
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg.Cache = cache
-			}
-			_, ts := newTestServer(t, cfg)
-			counts := func() (int, int) {
-				mu.Lock()
-				defer mu.Unlock()
-				return runners, executions
-			}
-
-			jobs := []JobRequest{
-				{Workload: "MP4", Variant: "Baseline"},
-				{Workload: "MP4", Variant: "RWoW-RDE"},
-				{Workload: "MP4", Variant: "Baseline", Measure: 8000},
-			}
-			for i, job := range jobs {
-				if status, body := postJob(t, ts.URL, job); status != http.StatusOK {
-					t.Fatalf("job %d: status %d, body %s", i, status, body)
-				}
-				if n, _ := counts(); i < 2 && n != 1 {
-					t.Fatalf("after %d distinct jobs: %d runners, want 1 (the memo is within its limit)", i+1, n)
-				}
-			}
-			if n, e := counts(); n != 2 || e != 3 {
-				t.Fatalf("after 3 distinct jobs: %d runners and %d simulations, want 2 and 3", n, e)
-			}
-			if m := scrapeMetrics(t, ts.URL); m["serve_sims_executed"] != 3 {
-				t.Fatalf("serve_sims_executed %d after retirement, want 3", m["serve_sims_executed"])
-			}
-
-			if status, body := postJob(t, ts.URL, jobs[0]); status != http.StatusOK {
-				t.Fatalf("repeat job: status %d, body %s", status, body)
-			}
-			m := scrapeMetrics(t, ts.URL)
-			wantSims, wantHits := int64(4), int64(0)
-			if withCache {
-				wantSims, wantHits = 3, 1
-			}
-			if m["serve_sims_executed"] != wantSims || m["serve_cache_hits"] != wantHits {
-				t.Errorf("after the repeat: serve_sims_executed %d, serve_cache_hits %d; want %d and %d",
-					m["serve_sims_executed"], m["serve_cache_hits"], wantSims, wantHits)
-			}
-			if _, e := counts(); e != int(wantSims) {
-				t.Errorf("%d simulations, want %d", e, wantSims)
-			}
-		})
-	}
-}
-
-// TestServeRetiresRunnerUnderConcurrentJobs is the concurrent variant
-// of TestServeRetiresRunnerPastMemoLimit and the lock-discipline test
-// for the server's mu: 48 distinct jobs posted at once on 4 workers
-// with MemoLimit 1, so runners retire while other jobs read the
-// current one, then the same 48 again, answered from the disk cache,
-// all while another goroutine scrapes /metrics. Under -race, any
-// access to the runner, the retired totals or the aggregate that skips
-// mu is reported.
-func TestServeRetiresRunnerUnderConcurrentJobs(t *testing.T) {
+// TestServeOneRunnerUnderConcurrentJobs is the lock-discipline test for
+// the server's aggregate and its /metrics snapshot: 48 distinct jobs
+// posted at once on 4 workers, then the same 48 again, all while
+// another goroutine scrapes /metrics. The runner keeps one result in
+// memory (MemoLimit 1), and a job at another seed between the passes
+// leaves it holding a run the second pass does not ask for, so every
+// repeat loads from the disk cache. Under -race, any access to the
+// aggregate that skips mu is reported.
+func TestServeOneRunnerUnderConcurrentJobs(t *testing.T) {
 	tune := func(r *exp.Runner) {
+		r.MemoLimit = 1
 		r.SetSimulate(func(_ context.Context, _ *config.Config, workload string, _, _ uint64) (*system.Results, error) {
 			time.Sleep(time.Millisecond)
 			res := stubResults(workload)
@@ -543,7 +469,7 @@ func TestServeRetiresRunnerUnderConcurrentJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	const jobs = 48
-	_, ts := newTestServer(t, Config{Workers: 4, QueueDepth: jobs, MemoLimit: 1, Cache: cache, tune: tune})
+	_, ts := newTestServer(t, Config{Workers: 4, QueueDepth: jobs, Cache: cache, tune: tune})
 
 	stop := make(chan struct{})
 	scraped := make(chan struct{})
@@ -574,21 +500,157 @@ func TestServeRetiresRunnerUnderConcurrentJobs(t *testing.T) {
 			}(i)
 		}
 		wg.Wait()
+		if pass == 0 {
+			job := JobRequest{Workload: "MP4", Variant: "Baseline", Seed: jobs + 1}
+			if status, body := postJob(t, ts.URL, job); status != http.StatusOK {
+				t.Fatalf("job between the passes: status %d, body %s", status, body)
+			}
+		}
 	}
 	close(stop)
 	<-scraped
 
-	// Each distinct job simulates once; a repeat comes from the disk
-	// cache unless the current runner still memoizes it (at most one,
-	// the memo limit).
 	m := scrapeMetrics(t, ts.URL)
-	if m["serve_sims_executed"] != jobs || m["serve_cache_hits"] < jobs-1 || m["serve_cache_hits"] > jobs {
-		t.Errorf("serve_sims_executed %d, serve_cache_hits %d; want %d and %d or %d",
-			m["serve_sims_executed"], m["serve_cache_hits"], jobs, jobs-1, jobs)
+	if m["serve_sims_executed"] != jobs+1 || m["serve_cache_hits"] != jobs {
+		t.Errorf("serve_sims_executed %d, serve_cache_hits %d; want %d and %d",
+			m["serve_sims_executed"], m["serve_cache_hits"], jobs+1, jobs)
 	}
-	if m["serve_jobs_completed"] != 2*jobs || m["sim_reads"] != 2*jobs {
+	if m["serve_jobs_completed"] != 2*jobs+1 || m["sim_reads"] != 2*jobs+1 {
 		t.Errorf("serve_jobs_completed %d, sim_reads %d; want %d each",
-			m["serve_jobs_completed"], m["sim_reads"], 2*jobs)
+			m["serve_jobs_completed"], m["sim_reads"], 2*jobs+1)
+	}
+}
+
+// awaitMetric polls /metrics until the named row reads want.
+func awaitMetric(t *testing.T, url, name string, want int64) {
+	t.Helper()
+	deadline := time.After(5 * time.Second)
+	for {
+		m := scrapeMetrics(t, url)
+		if m[name] == want {
+			return
+		}
+		select {
+		case <-deadline:
+			t.Fatalf("%s = %d, want %d", name, m[name], want)
+		case <-time.After(time.Millisecond):
+		}
+	}
+}
+
+// TestServeCoalescedJobKeepsItsDeadline: a job with a 10 s deadline
+// that coalesces onto an identical job with a 100 ms deadline answers
+// 200 when the one simulation finishes at 300 ms; only the short job
+// times out.
+func TestServeCoalescedJobKeepsItsDeadline(t *testing.T) {
+	var executions atomic.Int32
+	entered := make(chan struct{}, 1)
+	tune := func(r *exp.Runner) {
+		r.SetSimulate(func(ctx context.Context, _ *config.Config, workload string, _, _ uint64) (*system.Results, error) {
+			executions.Add(1)
+			entered <- struct{}{}
+			select {
+			case <-time.After(300 * time.Millisecond):
+				return stubResults(workload), nil
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		})
+	}
+	_, ts := newTestServer(t, Config{Workers: 2, tune: tune})
+
+	statuses := make(chan int, 2)
+	for i, timeout := range []int64{100, 10_000} {
+		go func() {
+			status, _ := postJob(t, ts.URL, JobRequest{Workload: "MP4", Variant: "Baseline", TimeoutMS: timeout})
+			statuses <- status
+		}()
+		if i == 0 {
+			<-entered
+		}
+	}
+	awaitMetric(t, ts.URL, "serve_workers_busy", 2)
+	if short, long := <-statuses, <-statuses; short != http.StatusGatewayTimeout || long != http.StatusOK {
+		t.Fatalf("100 ms job answered %d and 10 s job %d, want 504 and 200", short, long)
+	}
+	if n := executions.Load(); n != 1 {
+		t.Errorf("%d executions, want 1", n)
+	}
+}
+
+// TestServeDepartedClientStopsItsRun: a client that closes its
+// connection while its job simulates stops the simulation, frees the
+// worker and counts as failed, not completed. With an identical job
+// still waiting, the simulation instead runs on, and the caller that
+// stayed gets its answer from the one execution.
+func TestServeDepartedClientStopsItsRun(t *testing.T) {
+	var executions, cancelled atomic.Int32
+	entered := make(chan struct{}, 2)
+	release := make(chan struct{})
+	tune := func(r *exp.Runner) {
+		r.SetSimulate(func(ctx context.Context, _ *config.Config, workload string, _, _ uint64) (*system.Results, error) {
+			executions.Add(1)
+			entered <- struct{}{}
+			select {
+			case <-release:
+				return stubResults(workload), nil
+			case <-ctx.Done():
+				cancelled.Add(1)
+				return nil, ctx.Err()
+			}
+		})
+	}
+	_, ts := newTestServer(t, Config{Workers: 2, tune: tune})
+	// post submits a job that departs when its context is cancelled.
+	post := func(ctx context.Context, seed uint64) <-chan int {
+		status := make(chan int, 1)
+		go func() {
+			body := fmt.Sprintf(`{"workload":"MP4","variant":"Baseline","seed":%d}`, seed)
+			req, _ := http.NewRequestWithContext(ctx, "POST", ts.URL+"/v1/jobs", strings.NewReader(body))
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				status <- 0
+				return
+			}
+			resp.Body.Close()
+			status <- resp.StatusCode
+		}()
+		return status
+	}
+
+	// The only client leaves: its run stops.
+	ctx, leave := context.WithCancel(context.Background())
+	gone := post(ctx, 1)
+	<-entered
+	leave()
+	<-gone
+	awaitMetric(t, ts.URL, "serve_workers_busy", 0)
+	awaitMetric(t, ts.URL, "serve_jobs_failed", 1)
+	if c := cancelled.Load(); c != 1 {
+		t.Fatalf("%d simulations cancelled after the only client left, want 1", c)
+	}
+
+	// One of two identical clients leaves: the run goes on for the other.
+	ctx, leave = context.WithCancel(context.Background())
+	defer leave()
+	gone = post(ctx, 2)
+	<-entered
+	stays := post(context.Background(), 2)
+	awaitMetric(t, ts.URL, "serve_workers_busy", 2)
+	leave()
+	<-gone
+	awaitMetric(t, ts.URL, "serve_jobs_failed", 2)
+	close(release)
+	if status := <-stays; status != http.StatusOK {
+		t.Fatalf("the client that stayed got %d, want 200", status)
+	}
+	if n, c := executions.Load(), cancelled.Load(); n != 2 || c != 1 {
+		t.Errorf("%d executions and %d cancelled, want 2 and 1", n, c)
+	}
+	m := scrapeMetrics(t, ts.URL)
+	if m["serve_jobs_completed"] != 1 || m["serve_workers_busy"] != 0 {
+		t.Errorf("serve_jobs_completed %d, serve_workers_busy %d; want 1 and 0",
+			m["serve_jobs_completed"], m["serve_workers_busy"])
 	}
 }
 

@@ -30,9 +30,6 @@ type settings struct {
 	workload string
 	tracer   *obs.Tracer
 
-	seedSet bool
-	seed    uint64
-
 	faultSet  bool
 	endurance uint64
 	drift     float64
@@ -81,15 +78,6 @@ func WithTracer(tr *obs.Tracer) Option {
 	}
 }
 
-// WithSeed overrides the configuration's base random seed.
-func WithSeed(seed uint64) Option {
-	return func(st *settings) error {
-		st.seedSet = true
-		st.seed = seed
-		return nil
-	}
-}
-
 // WithFaultModel enables PCM fault injection: each cell fails stuck-at
 // after enduranceBudget writes on average, and each read word flips a
 // drifted bit with probability driftProb. Zero values disable the
@@ -121,16 +109,11 @@ func New(opts ...Option) (*System, error) {
 		}
 	}
 	cfg := st.cfg
-	if st.seedSet || st.faultSet {
+	if st.faultSet {
 		copied := *cfg
 		cfg = &copied
-		if st.seedSet {
-			cfg.Seed = st.seed
-		}
-		if st.faultSet {
-			cfg.Memory.EnduranceBudget = st.endurance
-			cfg.Memory.DriftProb = st.drift
-		}
+		cfg.Memory.EnduranceBudget = st.endurance
+		cfg.Memory.DriftProb = st.drift
 	}
 
 	mix, ok := workloads.MixByName(st.workload)

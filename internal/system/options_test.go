@@ -61,7 +61,7 @@ func TestNewTypedErrors(t *testing.T) {
 func TestNewDoesNotMutateCallerConfig(t *testing.T) {
 	cfg := config.Default()
 	seed0, end0 := cfg.Seed, cfg.Memory.EnduranceBudget
-	if _, err := New(WithConfig(cfg), WithSeed(99), WithFaultModel(1000, 0.01)); err != nil {
+	if _, err := New(WithConfig(cfg), WithFaultModel(1000, 0.01)); err != nil {
 		t.Fatal(err)
 	}
 	if cfg.Seed != seed0 || cfg.Memory.EnduranceBudget != end0 {
@@ -70,7 +70,9 @@ func TestNewDoesNotMutateCallerConfig(t *testing.T) {
 }
 
 func TestNewAppliesOverrides(t *testing.T) {
-	s, err := New(WithSeed(7), WithFaultModel(123, 0.5))
+	cfg := config.Default()
+	cfg.Seed = 7
+	s, err := New(WithConfig(cfg), WithFaultModel(123, 0.5))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,9 @@
 # (byte-identical to each other, different from the first pair, one
 # more simulation on the same runner), reject an unknown workload and
 # an out-of-range knob with structured 400s, scrape the service counters
-# and the aggregated simulation counters, then SIGTERM the server and
+# and the aggregated simulation counters, abandon a long job after 0.5 s
+# and require its simulation to stop within 1 s (a worker freed, nothing
+# completed, the job counted failed), then SIGTERM the server and
 # require a clean drain (exit 0).
 # Exercises the service end to end through the real binary, real
 # sockets, and a real signal.
@@ -116,6 +118,31 @@ awk '$1 == "sim_reads" && $2 > 0 { ok = 1 } END { exit !ok }' "$tmp/metrics.txt"
     exit 1
 }
 
+# A client that leaves stops its job: a 2M-instruction job (seconds of
+# simulation) abandoned after 0.5 s frees its worker within 1 s, and the
+# job counts as failed, not completed.
+$CURL -s -o /dev/null --max-time 0.5 -X POST -H 'Content-Type: application/json' \
+    -d '{"workload":"MP4","variant":"RWoW-RDE","measure":2000000}' "$base/v1/jobs" || true
+i=0
+while :; do
+    $CURL -s --max-time 10 "$base/metrics" > "$tmp/metrics.txt"
+    grep -q '^serve_workers_busy 0$' "$tmp/metrics.txt" && break
+    if [ "$i" -ge 20 ]; then
+        echo "serve-smoke: the departed client's job still simulates 1 s later" >&2
+        cat "$tmp/metrics.txt" >&2
+        exit 1
+    fi
+    sleep 0.05
+    i=$((i + 1))
+done
+for want in 'serve_jobs_completed 4' 'serve_jobs_failed 1'; do
+    grep -q "^$want\$" "$tmp/metrics.txt" || {
+        echo "serve-smoke: /metrics missing \"$want\" after the departed job" >&2
+        cat "$tmp/metrics.txt" >&2
+        exit 1
+    }
+done
+
 # SIGTERM drains and exits 0.
 kill -TERM "$pid"
 status=0
@@ -125,4 +152,4 @@ if [ "$status" != "0" ]; then
     cat "$tmp/serve.log" >&2
     exit 1
 fi
-echo "serve-smoke: OK (repeat answers byte-identical at two budgets, invalid jobs 400, clean drain)"
+echo "serve-smoke: OK (repeat answers byte-identical at two budgets, invalid jobs 400, departed job stopped, clean drain)"
