@@ -150,40 +150,26 @@ func TestMissRatio(t *testing.T) {
 	}
 }
 
-func TestLargeCacheFootprintBounded(t *testing.T) {
-	// The 256MB LLC's SoA state must cost a small fixed fraction of
-	// the cached capacity: 4 bytes per way slot plus 1 per set
-	// (tag word 2 + ess 1 + order 1, fill 1/set) — 17.3 MB for 4.2M
-	// slots, versus the 256 MB it indexes. Its tags fit the tag word,
-	// so it has no hi array.
-	lvl := config.Default().DRAMLLC
-	sets := int(lvl.SizeBytes / int64(lvl.Ways*lvl.LineBytes))
-	slots := sets * lvl.Ways
-	c := New("llc", lvl)
-	defer c.Release()
-	got := len(c.lo)*2 + len(c.hi)*4 + len(c.ess) + len(c.order) + len(c.fill)
-	want := slots*4 + sets
-	if got != want {
-		t.Fatalf("SoA footprint %d bytes, want exactly %d", got, want)
-	}
-	if int64(got) > lvl.SizeBytes/8 {
-		t.Fatalf("SoA state %d bytes exceeds 1/8 of the %d bytes cached", got, lvl.SizeBytes)
-	}
-}
-
+// TestReleaseRecyclesSlabs: a released cache's state goes to the next
+// cache of its geometry, which starts indistinguishable from a fresh
+// one, and a cache on a recycled slab that replays its predecessor's
+// inserts allocates nothing: the headers, the pool its blocks came from
+// and its hi array all carry over.
 func TestReleaseRecyclesSlabs(t *testing.T) {
 	lvl := config.CacheLevel{SizeBytes: 1 << 20, Ways: 4, LineBytes: 64}
+	dropPooledSlabs(lvl)
 	a := New("a", lvl)
-	a.Insert(0x40)
-	a.MarkDirty(0x40, 0xff)
-	lo := &a.lo[0]
+	replayInserts(a)
+	if a.hi == nil || a.used == 0 {
+		t.Fatalf("replay grew no hi array (%v) or no pool blocks (%d slots)", a.hi != nil, a.used)
+	}
+	sets := &a.sets[0]
 	a.Release()
-	if a.lo != nil {
-		t.Fatal("Release must detach the arrays")
+	if a.sets != nil || a.pool != nil || a.hi != nil {
+		t.Fatal("Release must detach the state")
 	}
 	b := New("b", lvl)
-	defer b.Release()
-	if &b.lo[0] != lo {
+	if &b.sets[0] != sets {
 		t.Fatal("same-geometry New after Release must reuse the slab")
 	}
 	// The recycled cache must be indistinguishable from a fresh one.
@@ -192,6 +178,14 @@ func TestReleaseRecyclesSlabs(t *testing.T) {
 	}
 	if _, dirty, mask := b.DirtyInfo(0x40); dirty || mask != 0 {
 		t.Fatal("recycled slab leaked dirty state")
+	}
+	b.Release()
+	if n := testing.AllocsPerRun(5, func() {
+		c := New("c", lvl)
+		replayInserts(c)
+		c.Release()
+	}); n != 0 {
+		t.Fatalf("replaying on a recycled slab allocated %.1f times, want 0", n)
 	}
 
 	// A sweep builds and releases systems on several workers at once,
@@ -210,6 +204,40 @@ func TestReleaseRecyclesSlabs(t *testing.T) {
 	wg.Wait()
 }
 
+// TestFreedBlocksAreReused: a set that outgrows its block frees it for
+// the next set to grow into that class, and a full 8-way set's block
+// holds 7 slots. Sets that fill one after another therefore carve the
+// 1-, 2- and 4-slot blocks once, then one 7-slot block each.
+func TestFreedBlocksAreReused(t *testing.T) {
+	lvl := config.CacheLevel{SizeBytes: 16 * 8 * 64, Ways: 8, LineBytes: 64}
+	dropPooledSlabs(lvl)
+	c := New("seq", lvl)
+	defer c.Release()
+	for set := uint64(0); set < 16; set++ {
+		for way := uint64(0); way < 8; way++ {
+			c.Insert((way*16 + set) * 64)
+		}
+	}
+	if want := 16*7 + 1 + 2 + 4; c.used != want {
+		t.Fatalf("carved %d pool slots, want %d", c.used, want)
+	}
+}
+
+// replayInserts fills c with a fixed scatter of lines, some dirty, that
+// leaves its sets at every fill count and evicts from the full ones,
+// then stores one tag too wide for the tag word.
+func replayInserts(c *Cache) {
+	for i := uint64(1); i <= 8_000; i++ {
+		addr := i * 0x9e3779b97f4a7c15 >> 42 << 6
+		if i%3 == 0 {
+			c.insert(addr, true, uint8(i))
+		} else {
+			c.Insert(addr)
+		}
+	}
+	c.Insert(1 << 40)
+}
+
 func TestInsertLookupAllocFree(t *testing.T) {
 	c := New("a", config.CacheLevel{SizeBytes: 1 << 20, Ways: 8, LineBytes: 64})
 	defer c.Release()
@@ -225,9 +253,9 @@ func TestInsertLookupAllocFree(t *testing.T) {
 }
 
 // TestDirtyInsertMatchesInsertThenMarkDirty: the one-probe dirty insert
-// the L2 fill paths use (insert, then dirty the returned slot) leaves a cache in exactly the state, with the
+// the L2 fill paths use leaves a cache in exactly the state, with the
 // same victims and counters, as Insert followed by MarkDirty, across
-// hits, free-slot fills and evictions mixed with clean traffic.
+// hits, free-way fills and evictions mixed with clean traffic.
 func TestDirtyInsertMatchesInsertThenMarkDirty(t *testing.T) {
 	two, one := tiny(), tiny()
 	rng := uint64(0x9e3779b97f4a7c15)
@@ -243,9 +271,7 @@ func TestDirtyInsertMatchesInsertThenMarkDirty(t *testing.T) {
 		case 0:
 			v2, had2 = two.Insert(addr)
 			two.MarkDirty(addr, mask)
-			var slot int
-			slot, v1, had1 = one.insert(addr)
-			one.dirty(slot, mask)
+			v1, had1 = one.insert(addr, true, mask)
 		case 1:
 			v2, had2 = two.Insert(addr)
 			v1, had1 = one.Insert(addr)

@@ -346,10 +346,7 @@ func (h *Hierarchy) fillL1(corID int, addr uint64) {
 // write-around for write-backs, see DESIGN.md) and maintaining L1
 // inclusion.
 func (h *Hierarchy) fillL2(addr uint64, dirty bool, essMask uint8) {
-	slot, v, had := h.L2.insert(addr)
-	if dirty {
-		h.L2.dirty(slot, essMask)
-	}
+	v, had := h.L2.insert(addr, dirty, essMask)
 	if !had {
 		return
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // refCache is the reference the differential tests and FuzzCacheOps
-// hold Cache to: the previous struct-of-arrays representation, with a
+// hold Cache to: an earlier struct-of-arrays representation, with a
 // full 32-bit tag and a separate valid/dirty byte per slot, and no slab
 // pool. Every public Cache method has a refCache twin with the same
 // semantics: true-LRU order, fill (append) order, and Invalidate
@@ -150,13 +150,18 @@ func (c *refCache) Invalidate(addr uint64) (wasPresent, wasDirty bool, essMask u
 }
 
 // diffGeometries are the shapes the differential tests run: 2-way
-// 32 B, 8-way 64 B and 16-way 64 B caches over a few sets each, and a
-// single 255-way set.
+// 32 B, 8-way 64 B and 16-way 64 B caches over a few sets each, a
+// single 255-way set, and 3-way and 6-way caches. A set that fills
+// crosses every block class of its geometry: the 3-way cache's last
+// class is a whole power of two (2 slots), the 6-way cache's is capped
+// at 5 slots instead of 8.
 var diffGeometries = []config.CacheLevel{
 	{SizeBytes: 64 * 2 * 32, Ways: 2, LineBytes: 32},
 	{SizeBytes: 16 * 8 * 64, Ways: 8, LineBytes: 64},
 	{SizeBytes: 4 * 16 * 64, Ways: 16, LineBytes: 64},
 	{SizeBytes: 255 * 64, Ways: 255, LineBytes: 64},
+	{SizeBytes: 16 * 3 * 64, Ways: 3, LineBytes: 64},
+	{SizeBytes: 8 * 6 * 32, Ways: 6, LineBytes: 32},
 }
 
 // diffSpanBits are the address spans the differential tests draw from,
@@ -260,7 +265,8 @@ func dropPooledSlabs(lvl config.CacheLevel) {
 // fresh cache has no hi array until a tag needs one: it stays nil over
 // the first half of each run, and the 2^37 span grows it in the second
 // half. A last run on a recycled slab that carries a hi array must
-// match a fresh reference too.
+// match a fresh reference too. Every run fills at least one set, so
+// block growth crosses every class, the capped last one included.
 func TestCacheMatchesReference(t *testing.T) {
 	rng := sim.NewRNG(29)
 	for g, lvl := range diffGeometries {
@@ -273,14 +279,57 @@ func TestCacheMatchesReference(t *testing.T) {
 			if span == 37 && c.hi == nil {
 				t.Errorf("%s span 2^%d: tags above 2^14 stored without a hi array", c, span)
 			}
+			if !filledASet(c) {
+				t.Errorf("%s span 2^%d: no set filled, so no block reached the last class", c, span)
+			}
 			c.Release()
 		}
 		c, hiEarly := checkOps(t, diffOps(g, 0, 20_000, rng))
 		if !hiEarly {
 			t.Errorf("%s: the recycled slab lost its hi array", c)
 		}
+		if !filledASet(c) {
+			t.Errorf("%s: no set of the recycled slab filled", c)
+		}
 		c.Release()
 	}
+}
+
+// TestPoolGrowsAfterHi: a cache that grows its hi array while its
+// pool is small grows hi again with every pool doubling. The first op
+// stores a tag too wide for the tag word; 256 lines over the 8-way
+// geometry's 16 sets then fill every set, which doubles the pool
+// twice, and probes of every line and the wide tag follow.
+func TestPoolGrowsAfterHi(t *testing.T) {
+	dropPooledSlabs(diffGeometries[1])
+	c, _ := checkOps(t, poolAfterHiOps())
+	if c.hi == nil || len(c.hi) != c.numSets+len(c.pool) || len(c.pool) < 256 {
+		t.Errorf("hi %d entries for %d sets and a %d-slot pool", len(c.hi), c.numSets, len(c.pool))
+	}
+	c.Release()
+}
+
+// poolAfterHiOps encodes TestPoolGrowsAfterHi's ops for checkOps: the
+// 8-way geometry and the 2^37 span.
+func poolAfterHiOps() []byte {
+	data := []byte{1, 2, 3, 0, 255, 0}
+	for _, kind := range []byte{3, 0} {
+		for line := 0; line < 256; line++ {
+			data = append(data, kind, byte(line), 0, byte(line))
+		}
+	}
+	return append(data, 0, 0, 255, 0)
+}
+
+// filledASet reports whether some set of c holds all its ways, so its
+// block grew through every class of the geometry.
+func filledASet(c *Cache) bool {
+	for i := range c.sets {
+		if c.sets[i].n() == c.ways {
+			return true
+		}
+	}
+	return false
 }
 
 // FuzzCacheOps holds Cache to the reference on any op sequence (see
@@ -292,6 +341,7 @@ func FuzzCacheOps(f *testing.F) {
 			f.Add(diffOps(g, s, 400, rng))
 		}
 	}
+	f.Add(poolAfterHiOps())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if c, _ := checkOps(t, data); c != nil {
 			c.Release()

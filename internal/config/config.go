@@ -454,6 +454,12 @@ func (c *Config) WithVariant(v Variant) *Config {
 // directory keeps a line's sharers in a uint16, one bit per core.
 const MaxCores = 16
 
+// MaxCacheLines is the most lines a cache level may hold (the Table I
+// LLC's 256 MB of 64-byte lines): a cache set's header locates its
+// further ways with a 24-bit pool offset, and a level of at most 2^22
+// lines never carves more than 2^24 pool slots.
+const MaxCacheLines = 1 << 22
+
 // RangeError reports a configuration value beyond what the simulator's
 // line-keyed tables and masks can represent.
 type RangeError struct {
@@ -536,6 +542,11 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: PCM cell timings must be positive")
 	case c.L2.LineBytes != LineBytes || c.DRAMLLC.LineBytes != LineBytes:
 		return fmt.Errorf("config: L2 and DRAM LLC line size must be %d bytes", LineBytes)
+	case c.L1D.LineBytes != LineBytes/2:
+		// The hierarchy's store invalidation, L2-victim shootdown and
+		// L1-victim sharer test each assume two L1 lines per 64-byte
+		// coherence unit.
+		return fmt.Errorf("config: L1D.LineBytes must be %d, half a %d-byte coherence unit, got %d", LineBytes/2, LineBytes, c.L1D.LineBytes)
 	case c.NoC.Rows*c.NoC.Cols < c.Cores:
 		return fmt.Errorf("config: NoC %dx%d too small for %d cores", c.NoC.Rows, c.NoC.Cols, c.Cores)
 	case !(c.Memory.DriftProb >= 0 && c.Memory.DriftProb < 1):
@@ -560,8 +571,11 @@ func (c *Config) Validate() error {
 		if lvl.l.SizeBytes <= 0 || lvl.l.Ways <= 0 || lvl.l.LineBytes <= 0 {
 			return fmt.Errorf("config: %s has non-positive geometry", lvl.name)
 		}
+		if maxBytes := MaxCacheLines * int64(lvl.l.LineBytes); lvl.l.SizeBytes > maxBytes {
+			return &RangeError{Field: lvl.name + ".SizeBytes", Value: lvl.l.SizeBytes, Max: maxBytes}
+		}
 		if lvl.l.Ways > 255 {
-			// The cache's LRU order list stores way ids as bytes.
+			// A cache slot stores its recency rank in a byte.
 			return fmt.Errorf("config: %s has %d ways, at most 255 are supported", lvl.name, lvl.l.Ways)
 		}
 		if lb := lvl.l.LineBytes; lb&(lb-1) != 0 {

@@ -61,6 +61,9 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		{"capacity split", func(c *Config) { c.Memory.CapacityBytes = (8 << 30) + 1; c.Memory.Channels = 2 }},
 		{"too many ways", func(c *Config) { c.L2.Ways, c.L2.SizeBytes = 256, 256*64*512 }},
 		{"odd line size", func(c *Config) { c.L1D.LineBytes, c.L1D.SizeBytes = 48, 2*48*512 }},
+		// An "L1D.LineBytes" row must fail with an error naming the field.
+		{"L1D.LineBytes 16", func(c *Config) { c.L1D.LineBytes = 16 }},
+		{"L1D.LineBytes 64", func(c *Config) { c.L1D.LineBytes = 64 }},
 		{"zero partitions", func(c *Config) { c.Memory.Partitions = 0 }},
 		{"zero DCA rounds", func(c *Config) { c.Memory.DCARounds = 0 }},
 		{"NaN drift", func(c *Config) { c.Memory.DriftProb = math.NaN() }},
@@ -108,6 +111,9 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 				t.Fatalf("%s: got %v, want a NegativeError on %s", m.name, err, field)
 			}
 		}
+		if strings.HasPrefix(m.name, "L1D.LineBytes") && !strings.Contains(err.Error(), "L1D.LineBytes") {
+			t.Fatalf("%s: got %v, want an error naming L1D.LineBytes", m.name, err)
+		}
 		if strings.HasPrefix(m.name, "geometry") {
 			_, want := mem.NewAddrMap(c.Memory.Geometry())
 			if want == nil || err.Error() != want.Error() {
@@ -119,8 +125,9 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 
 // TestValidateRangeLimits pins the typed errors for values the
 // simulator's tables cannot represent: more cores than the directory's
-// sharer mask has bits, and a capacity or spare pool whose line
-// numbers overflow a flat.Key.
+// sharer mask has bits, a capacity or spare pool whose line numbers
+// overflow a flat.Key, and a cache level whose pool offsets overflow
+// its set headers.
 func TestValidateRangeLimits(t *testing.T) {
 	c := Default()
 	c.Cores, c.NoC.Rows, c.NoC.Cols = MaxCores, 4, 4
@@ -148,6 +155,13 @@ func TestValidateRangeLimits(t *testing.T) {
 	c = Default()
 	c.Memory.SpareLines = flat.MaxLine + 1
 	wantRange("spare pool past the key range", "Memory.SpareLines", c.Validate())
+
+	c = Default()
+	if lines := c.DRAMLLC.SizeBytes / int64(c.DRAMLLC.LineBytes); lines != MaxCacheLines {
+		t.Fatalf("the Table I LLC holds %d lines, want the largest accepted level (%d)", lines, MaxCacheLines)
+	}
+	c.DRAMLLC.SizeBytes *= 2
+	wantRange("512 MB LLC", "DRAMLLC.SizeBytes", c.Validate())
 }
 
 func TestWithVariantCopies(t *testing.T) {

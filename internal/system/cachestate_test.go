@@ -17,8 +17,8 @@ func hasHighTags(c *cache.Cache) bool {
 // pays off: in the default machine every address lies below 9 GB, so
 // L2 and LLC tags fit the 14-bit tag word and neither level grows a hi
 // array, while the 32-byte-line L1s need 19-bit tags and each grows
-// one. A stray allocation on the L2 or LLC would silently add back 4
-// bytes a slot (16.8 MB on the LLC).
+// one. A stray allocation on the L2 or LLC would silently add 4 bytes
+// for each set header and pool slot (2.4-2.6 MB on the prewarmed LLC).
 func TestDefaultMachineL2AndLLCStayNarrow(t *testing.T) {
 	for _, mix := range []string{"canneal", "MP4"} {
 		s, err := New(WithWorkload(mix))

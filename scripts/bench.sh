@@ -8,11 +8,11 @@
 #
 # The suite covers the perf-critical substrates (event engine, timers,
 # SECDED, PCC, RNG, PCM line store, op generation and its feed,
-# coherence directory, IRLP accounting), two end-to-end controller
-# benches (mixed traffic, and the program-and-verify write path), and
-# one reduced-budget Figure 1 run — enough to catch both micro-level
-# allocation regressions and macro-level slowdowns. Every benchmark is
-# in the ledger.
+# coherence directory, IRLP accounting), system setup and prewarm on
+# recycled slabs, two end-to-end controller benches (mixed traffic, and
+# the program-and-verify write path), and one reduced-budget Figure 1
+# run — enough to catch both micro-level allocation regressions and
+# macro-level slowdowns. Every benchmark is in the ledger.
 #
 # BENCHTIME defaults to CI's 200ms, so a recorded ledger and a checked
 # run amortize growth over comparable b.N: B/op moves with b.N (see
