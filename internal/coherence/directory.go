@@ -193,7 +193,7 @@ func (d *Directory) Store(addr uint64, core int) Action {
 // owned dirty data the eviction writes back to the L2.
 func (d *Directory) Evict(addr uint64, core int) Action {
 	a := Action{ForwardFrom: -1}
-	l := d.table.Get(key(addr))
+	slot, l := d.table.Lookup(key(addr))
 	if l == nil {
 		return a
 	}
@@ -211,7 +211,7 @@ func (d *Directory) Evict(addr uint64, core int) Action {
 		}
 	}
 	if l.sharers == 0 {
-		d.table.Delete(key(addr))
+		d.table.DeleteSlot(slot)
 	}
 	return a
 }

@@ -454,6 +454,11 @@ func (c *Config) WithVariant(v Variant) *Config {
 // directory keeps a line's sharers in a uint16, one bit per core.
 const MaxCores = 16
 
+// MaxNoCNodes is the most nodes the mesh may have, four per core at
+// MaxCores: the mesh precomputes the route of every node pair and
+// names each directed link of a route in a byte.
+const MaxNoCNodes = 64
+
 // MaxCacheLines is the most lines a cache level may hold (the Table I
 // LLC's 256 MB of 64-byte lines): a cache set's header locates its
 // further ways with a 24-bit pool offset, and a level of at most 2^22
@@ -547,6 +552,10 @@ func (c *Config) Validate() error {
 		// L1-victim sharer test each assume two L1 lines per 64-byte
 		// coherence unit.
 		return fmt.Errorf("config: L1D.LineBytes must be %d, half a %d-byte coherence unit, got %d", LineBytes/2, LineBytes, c.L1D.LineBytes)
+	case c.NoC.Rows <= 0 || c.NoC.Cols <= 0:
+		return fmt.Errorf("config: NoC %dx%d must have positive dimensions", c.NoC.Rows, c.NoC.Cols)
+	case c.NoC.Rows > MaxNoCNodes || c.NoC.Cols > MaxNoCNodes || c.NoC.Rows*c.NoC.Cols > MaxNoCNodes:
+		return &RangeError{Field: "NoC.Rows*NoC.Cols", Value: int64(c.NoC.Rows) * int64(c.NoC.Cols), Max: MaxNoCNodes}
 	case c.NoC.Rows*c.NoC.Cols < c.Cores:
 		return fmt.Errorf("config: NoC %dx%d too small for %d cores", c.NoC.Rows, c.NoC.Cols, c.Cores)
 	case !(c.Memory.DriftProb >= 0 && c.Memory.DriftProb < 1):

@@ -57,6 +57,7 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		{"odd cache sets", func(c *Config) { c.L2.SizeBytes = 3 << 20 }},
 		{"line size", func(c *Config) { c.L2.LineBytes = 32 }},
 		{"noc too small", func(c *Config) { c.NoC.Rows, c.NoC.Cols = 1, 2 }},
+		{"noc negative dimensions", func(c *Config) { c.NoC.Rows, c.NoC.Cols = -2, -4 }},
 		{"zero timing", func(c *Config) { c.Memory.Timing.CellSET = 0 }},
 		{"capacity split", func(c *Config) { c.Memory.CapacityBytes = (8 << 30) + 1; c.Memory.Channels = 2 }},
 		{"too many ways", func(c *Config) { c.L2.Ways, c.L2.SizeBytes = 256, 256*64*512 }},
@@ -126,8 +127,9 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 // TestValidateRangeLimits pins the typed errors for values the
 // simulator's tables cannot represent: more cores than the directory's
 // sharer mask has bits, a capacity or spare pool whose line numbers
-// overflow a flat.Key, and a cache level whose pool offsets overflow
-// its set headers.
+// overflow a flat.Key, a cache level whose pool offsets overflow its
+// set headers, and a mesh whose route table would outgrow a byte's
+// link indexes.
 func TestValidateRangeLimits(t *testing.T) {
 	c := Default()
 	c.Cores, c.NoC.Rows, c.NoC.Cols = MaxCores, 4, 4
@@ -162,6 +164,17 @@ func TestValidateRangeLimits(t *testing.T) {
 	}
 	c.DRAMLLC.SizeBytes *= 2
 	wantRange("512 MB LLC", "DRAMLLC.SizeBytes", c.Validate())
+
+	c = Default()
+	c.NoC.Rows, c.NoC.Cols = 8, MaxNoCNodes/8
+	if err := c.Validate(); err != nil {
+		t.Fatalf("%d-node mesh rejected: %v", MaxNoCNodes, err)
+	}
+	c.NoC.Cols++
+	wantRange("72-node mesh", "NoC.Rows*NoC.Cols", c.Validate())
+	// Dimensions whose product wraps to a small count.
+	c.NoC.Rows, c.NoC.Cols = 1<<62+4, 4
+	wantRange("wrapping mesh", "NoC.Rows*NoC.Cols", c.Validate())
 }
 
 func TestWithVariantCopies(t *testing.T) {

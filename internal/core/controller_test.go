@@ -59,6 +59,23 @@ func newTestMemory(t *testing.T, v config.Variant) (*sim.Engine, *Memory) {
 	return eng, m
 }
 
+// TestMemoryChannelMatchesDecode: the facade routes every address, in
+// capacity or not, to the controller its decoded coordinates name.
+func TestMemoryChannelMatchesDecode(t *testing.T) {
+	m, err := NewMemory(sim.NewEngine(), config.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Release()
+	rng := sim.NewRNG(35)
+	for i := 0; i < 10_000; i++ {
+		addr := rng.Uint64()
+		if got, want := m.Channel(addr), m.Ctrls[m.AMap.Decode(addr).Channel]; got != want {
+			t.Fatalf("Channel(%#x) is controller %d, Decode names %d", addr, got.channel, want.channel)
+		}
+	}
+}
+
 // channelAddr builds an address on channel 0 with the given
 // channel-local line number (our mapping interleaves lines across 4
 // channels; with 1 channel every line-aligned address is channel 0).

@@ -44,7 +44,7 @@ func NewMemory(eng *sim.Engine, cfg *config.Config) (*Memory, error) {
 
 // Channel returns the controller owning addr.
 func (m *Memory) Channel(addr uint64) *Controller {
-	return m.Ctrls[m.AMap.Decode(addr).Channel]
+	return m.Ctrls[m.AMap.Channel(addr)]
 }
 
 // Submit presents a request to the owning channel. It reports false

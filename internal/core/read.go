@@ -176,12 +176,11 @@ func (c *Controller) issueRead(r *mem.Request, p readPlan) {
 	ready := start + act + timing.TCL.Time()
 	burst := timing.TBurst.Time()
 	_, done := c.dataBus.Acquire(ready, burst, false)
-	irlp := c.irlp()
 	for _, chip := range involved {
 		c.rank.Chips[chip].Reserve(p.coord.Bank, p.part, now, done-now)
 		c.rank.Chips[chip].OpenRowIn(p.coord.Bank, p.coord.Row)
-		irlp.AddChipService(now, done)
 	}
+	c.irlp().AddChipService(now, done, len(involved))
 
 	// Functional data path. Drift is sampled at the instant the arrays
 	// are sensed, so the same read that triggers a flip also observes it.

@@ -196,7 +196,8 @@ func (c *Controller) issueCoarseWrite(r *mem.Request) {
 // into its total programming time, on the nine chips, and reports the
 // booking to IRLP: the window covers it, and each essential word
 // serves data for the part of its own programming time (wordProg) that
-// falls in the booking. It returns when the booking ends.
+// falls in the booking, the words whose service ends together as one
+// chip count. It returns when the booking ends.
 func (c *Controller) bookCoarse(coord mem.Coord, earliest, act, off, dur sim.Time, wordProg *[ecc.WordsPerLine]sim.Time) sim.Time {
 	end := c.programChips(baselineChipsMask, coord, earliest, act, dur)
 	c.openRowAll(baselineChipsMask, coord.Bank, coord.Row)
@@ -208,10 +209,23 @@ func (c *Controller) bookCoarse(coord mem.Coord, earliest, act, off, dur sim.Tim
 	if dur > 0 {
 		irlp := c.irlp()
 		irlp.AddWriteWindow(earliest, end)
-		for _, pd := range wordProg {
+		var served [ecc.WordsPerLine]sim.Time
+		for w, pd := range wordProg {
 			// A word done before this booking gives pd <= 0: no service.
-			pd = min(pd-off, dur)
-			irlp.AddChipService(earliest+act, earliest+act+pd)
+			served[w] = min(pd-off, dur)
+		}
+		for w := range served {
+			pd := served[w] // zeroed once counted with an earlier word
+			if pd <= 0 {
+				continue
+			}
+			n := 1
+			for v := w + 1; v < len(served); v++ {
+				if served[v] == pd {
+					n, served[v] = n+1, 0
+				}
+			}
+			irlp.AddChipService(earliest+act, earliest+act+pd, n)
 		}
 	}
 	return end

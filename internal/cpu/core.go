@@ -31,7 +31,8 @@ type Core struct {
 	feed *workloads.Feed
 	rng  *sim.RNG
 
-	baseCPI float64 // the workload's CPI for non-memory instructions
+	baseCPI   float64  // the workload's CPI for non-memory instructions
+	issueSlot sim.Time // one issue slot: a CPU cycle over the issue width
 
 	budget uint64 // instruction budget; a zero budget finishes immediately
 
@@ -92,6 +93,7 @@ func NewCore(eng *sim.Engine, cfg *config.Config, id int, hier *cache.Hierarchy,
 		feed:       feed,
 		rng:        rng,
 		baseCPI:    feed.Generator().P.BaseCPI,
+		issueSlot:  sim.CPUCycle / sim.Time(cfg.Core.IssueWidth),
 		commitMin:  100 * sim.CPUCycle,
 		commitMean: float64((2000 * sim.CPUCycle).Ticks()),
 	}
@@ -231,7 +233,7 @@ func (c *Core) step() {
 		}
 		// The memory instruction itself occupies an issue slot.
 		c.instrs++
-		c.now += sim.CPUCycle / sim.Time(c.cfg.IssueWidth)
+		c.now += c.issueSlot
 		c.haveOp = false
 	}
 	// Quantum boundary: yield to the rest of the system.

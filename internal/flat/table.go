@@ -71,8 +71,9 @@ func (s *slot[V]) k() uint32 {
 // tombstones and probe runs never lengthen with churn.
 //
 // The zero Table is empty and ready to use; it allocates its slots on
-// the first Put. A *V returned by Get or Put stays valid until the next
-// Put, Delete or Clear, any of which may move entries.
+// the first Put. A *V returned by Get, Lookup or Put, and a slot
+// returned by Lookup, stay valid until the next Put, Delete, DeleteSlot
+// or Clear, any of which may move entries.
 type Table[V any] struct {
 	slots []slot[V]
 	n     int   // occupied slots
@@ -109,13 +110,21 @@ func (t *Table[V]) find(key uint32) (int, bool) {
 
 // Get returns key's value, or nil if the key is absent.
 func (t *Table[V]) Get(key uint32) *V {
+	_, v := t.Lookup(key)
+	return v
+}
+
+// Lookup returns key's slot and value, or -1 and nil if the key is
+// absent. An owner that may delete what it looked up passes the slot
+// to DeleteSlot rather than probing again through Delete.
+func (t *Table[V]) Lookup(key uint32) (int, *V) {
 	if t.n == 0 {
-		return nil
+		return -1, nil
 	}
 	if i, ok := t.find(key); ok {
-		return &t.slots[i].val
+		return i, &t.slots[i].val
 	}
-	return nil
+	return -1, nil
 }
 
 // Put returns key's value, inserting a zero V first if the key is
@@ -160,13 +169,15 @@ func (t *Table[V]) grow() {
 
 // Delete removes key and reports whether it was present.
 func (t *Table[V]) Delete(key uint32) bool {
-	if t.n == 0 {
-		return false
+	i, v := t.Lookup(key)
+	if v != nil {
+		t.DeleteSlot(i)
 	}
-	i, ok := t.find(key)
-	if !ok {
-		return false
-	}
+	return v != nil
+}
+
+// DeleteSlot removes the entry in slot i, as Lookup returned it.
+func (t *Table[V]) DeleteSlot(i int) {
 	mask := len(t.slots) - 1
 	for j := (i + 1) & mask; t.slots[j].key != [4]byte{}; j = (j + 1) & mask {
 		// The entry at j may fill the hole at i only if i lies on its
@@ -178,7 +189,6 @@ func (t *Table[V]) Delete(key uint32) bool {
 	}
 	t.slots[i] = slot[V]{}
 	t.n--
-	return true
 }
 
 // Clear removes every key but keeps the grown slot array, so a table

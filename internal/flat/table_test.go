@@ -40,10 +40,16 @@ func apply(tb testing.TB, step int, tab *Table[uint64], ref map[uint32]uint64, o
 		}
 		*v = val
 		ref[key] = val
-	case 2:
+	case 2: // Delete, or (when op's bit 2 is set) Lookup and DeleteSlot
 		_, ok := ref[key]
-		if got := tab.Delete(key); got != ok {
-			tb.Fatalf("step %d: Delete(%#x) = %v, reference %v", step, key, got, ok)
+		if op&4 == 0 {
+			if got := tab.Delete(key); got != ok {
+				tb.Fatalf("step %d: Delete(%#x) = %v, reference %v", step, key, got, ok)
+			}
+		} else if i, v := tab.Lookup(key); (v != nil) != ok {
+			tb.Fatalf("step %d: Lookup(%#x) = %d, %v, reference present %v", step, key, i, v, ok)
+		} else if v != nil {
+			tab.DeleteSlot(i)
 		}
 		delete(ref, key)
 	default:
@@ -51,6 +57,9 @@ func apply(tb testing.TB, step int, tab *Table[uint64], ref map[uint32]uint64, o
 		want, ok := ref[key]
 		if (v != nil) != ok || (ok && *v != want) {
 			tb.Fatalf("step %d: Get(%#x) = %v, reference %d (present %v)", step, key, v, want, ok)
+		}
+		if i, lv := tab.Lookup(key); lv != v || (v != nil) != (i >= 0 && &tab.slots[i].val == v) {
+			tb.Fatalf("step %d: Lookup(%#x) = %d, %v, Get %v", step, key, i, lv, v)
 		}
 	}
 }

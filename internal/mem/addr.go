@@ -86,11 +86,19 @@ func (a *AddrMap) Decode(addr uint64) Coord {
 	line >>= uint(a.colBits)
 	c.Bank = int(line & uint64(a.Banks-1))
 	line >>= uint(a.bankBits)
-	c.Row = int64(line % uint64(a.rows))
+	if rows := uint64(a.rows); rows&(rows-1) == 0 {
+		c.Row = int64(line & (rows - 1)) // line % rows, without the division
+	} else {
+		c.Row = int64(line % rows)
+	}
 	c.LineIdx = (uint64(c.Row)*uint64(a.Banks)+uint64(c.Bank))*uint64(a.linesPerRow) + uint64(c.Col)
 	c.RotIdx = uint64(c.Row)*uint64(a.linesPerRow) + uint64(c.Col)
 	return c
 }
+
+// Channel returns the channel of addr, Decode(addr).Channel: the
+// controller facade routes every request by it.
+func (a *AddrMap) Channel(addr uint64) int { return int(addr>>6) & (a.Channels - 1) }
 
 // Encode is the inverse of Decode for in-capacity coordinates, used by
 // tests and trace tooling.

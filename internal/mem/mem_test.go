@@ -30,6 +30,57 @@ func TestAddrMapRoundTrip(t *testing.T) {
 	}
 }
 
+// refDecode is Decode in its modulo form: every field split off the
+// line number by division.
+func refDecode(a *AddrMap, addr uint64) Coord {
+	line := addr >> 6
+	var c Coord
+	c.Channel = int(line % uint64(a.Channels))
+	line /= uint64(a.Channels)
+	c.Col = int(line % uint64(a.linesPerRow))
+	line /= uint64(a.linesPerRow)
+	c.Bank = int(line % uint64(a.Banks))
+	line /= uint64(a.Banks)
+	c.Row = int64(line % uint64(a.rows))
+	c.LineIdx = (uint64(c.Row)*uint64(a.Banks)+uint64(c.Bank))*uint64(a.linesPerRow) + uint64(c.Col)
+	c.RotIdx = uint64(c.Row)*uint64(a.linesPerRow) + uint64(c.Col)
+	return c
+}
+
+// TestAddrMapDecodeMatchesModulo holds Decode, whose row wrap is a mask
+// when the row count is a power of two, and Channel to the modulo form,
+// on the Table I geometry (32,768 rows a bank) and a 6 GB one (24,576),
+// over addresses inside and far beyond the capacity; Encode inverts
+// Decode inside it.
+func TestAddrMapDecodeMatchesModulo(t *testing.T) {
+	six := defaultGeometry()
+	six.CapacityBytes = 6 << 30
+	for _, g := range []Geometry{defaultGeometry(), six} {
+		a, err := NewAddrMap(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := sim.NewRNG(35)
+		for i := 0; i < 200_000; i++ {
+			addr := rng.Uint64()
+			if i%2 == 0 {
+				addr %= uint64(g.CapacityBytes)
+			}
+			addr &^= 63
+			c := a.Decode(addr)
+			if want := refDecode(a, addr); c != want {
+				t.Fatalf("%d rows: Decode(%#x) = %+v, modulo form %+v", a.Rows(), addr, c, want)
+			}
+			if ch := a.Channel(addr); ch != c.Channel {
+				t.Fatalf("%d rows: Channel(%#x) = %d, Decode's %d", a.Rows(), addr, ch, c.Channel)
+			}
+			if addr < uint64(g.CapacityBytes) && a.Encode(c) != addr {
+				t.Fatalf("%d rows: Encode(Decode(%#x)) = %#x", a.Rows(), addr, a.Encode(c))
+			}
+		}
+	}
+}
+
 func TestAddrMapChannelInterleave(t *testing.T) {
 	a, _ := NewAddrMap(defaultGeometry())
 	for i := uint64(0); i < 16; i++ {

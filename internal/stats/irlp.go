@@ -2,6 +2,7 @@ package stats
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"pcmap/internal/sim"
@@ -44,7 +45,7 @@ type IRLP struct {
 type irlpDelta struct {
 	at    sim.Time
 	write int8 // +1 / -1 when a write enters / leaves service
-	chip  int8 // +1 / -1 when a chip begins / ends data service
+	chip  int8 // +n / -n when n chips begin / end data service
 }
 
 // NewIRLP returns an empty tracker.
@@ -82,15 +83,30 @@ func (x *IRLP) AddWriteWindow(start, end sim.Time) {
 	x.add(irlpDelta{at: end, write: -1})
 }
 
-// AddChipService records that one chip is busy serving data during
-// [start, end). Concurrent services on one chip count once each; the
-// count is clamped to the rank's data chips when it is integrated.
-func (x *IRLP) AddChipService(start, end sim.Time) {
-	if end <= start || x.finalized {
+// AddChipService records that n chips are busy serving data during
+// [start, end), where n is the sum of chips, or 1 when no count is
+// given: the count is variadic so that the one-chip form keeps its two
+// arguments. The n chips are one pair of edges, so a read's nine chips
+// cost the heap what one chip does. Concurrent services on one chip
+// count once each; the count is clamped to the rank's data chips when
+// it is integrated. An n outside [0, 127], which an edge cannot carry,
+// panics.
+func (x *IRLP) AddChipService(start, end sim.Time, chips ...int) {
+	n := 1
+	if len(chips) > 0 {
+		n = 0
+		for _, c := range chips {
+			n += c
+		}
+	}
+	if n < 0 || n > math.MaxInt8 {
+		panic(fmt.Sprintf("stats: IRLP chip count %d does not fit an edge", n))
+	}
+	if end <= start || x.finalized || n == 0 {
 		return
 	}
-	x.add(irlpDelta{at: start, chip: 1})
-	x.add(irlpDelta{at: end, chip: -1})
+	x.add(irlpDelta{at: start, chip: int8(n)})
+	x.add(irlpDelta{at: end, chip: -int8(n)})
 }
 
 // Advance sweeps every recorded edge at or before now, clamping the

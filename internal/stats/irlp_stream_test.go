@@ -92,6 +92,66 @@ func TestIRLPStreamingMatchesSortSweep(t *testing.T) {
 	}
 }
 
+// TestIRLPChipCountMatchesUnitEdges reports random streams of write
+// windows and n-chip services to one tracker as one edge pair each, and
+// to a second with each service split into n one-chip services. Many
+// intervals start at the swept frontier (folded in at once) and many
+// edges share an instant; the summaries must be equal bit for bit.
+func TestIRLPChipCountMatchesUnitEdges(t *testing.T) {
+	const maxChips = 8
+	rng := sim.NewRNG(35)
+	for trial := 0; trial < 300; trial++ {
+		counted, unit := NewIRLP(), NewIRLP()
+		var now sim.Time
+		for op := 0; op < 400; op++ {
+			switch r := rng.Intn(20); {
+			case r < 6:
+				now += sim.Time(rng.Intn(4))
+				counted.Advance(now, maxChips)
+				unit.Advance(now, maxChips)
+			case r < 10:
+				s := now + sim.Time(rng.Intn(2))
+				e := s + sim.Time(rng.Intn(40))
+				counted.AddWriteWindow(s, e)
+				unit.AddWriteWindow(s, e)
+			default:
+				s := now + sim.Time(rng.Intn(2))
+				e := s + sim.Time(rng.Intn(25))
+				n := rng.Intn(11)
+				counted.AddChipService(s, e, n)
+				for i := 0; i < n; i++ {
+					unit.AddChipService(s, e)
+				}
+			}
+		}
+		counted.Finalize(maxChips)
+		unit.Finalize(maxChips)
+		if math.Float64bits(counted.Average()) != math.Float64bits(unit.Average()) ||
+			counted.MaxBusy() != unit.MaxBusy() || counted.WriteBusyTime() != unit.WriteBusyTime() {
+			t.Fatalf("trial %d: avg %v max %d busy %v, unit edges avg %v max %d busy %v", trial,
+				counted.Average(), counted.MaxBusy(), counted.WriteBusyTime(),
+				unit.Average(), unit.MaxBusy(), unit.WriteBusyTime())
+		}
+	}
+	for _, n := range []int{-1, math.MaxInt8 + 1, 1 << 8} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("a chip count of %d must panic, not wrap", n)
+				}
+			}()
+			NewIRLP().AddChipService(10, 20, n)
+		}()
+	}
+	x := NewIRLP()
+	x.AddWriteWindow(0, 10)
+	x.AddChipService(0, 10, math.MaxInt8)
+	x.Finalize(math.MaxInt8)
+	if x.MaxBusy() != math.MaxInt8 {
+		t.Errorf("the largest chip count reads %d chips busy, want %d", x.MaxBusy(), math.MaxInt8)
+	}
+}
+
 func TestIRLPAddBeforeFrontierPanics(t *testing.T) {
 	x := NewIRLP()
 	x.AddWriteWindow(100, 300)

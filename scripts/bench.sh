@@ -8,7 +8,7 @@
 #
 # The suite covers the perf-critical substrates (event engine, timers,
 # SECDED, PCC, RNG, PCM line store, op generation and its feed,
-# coherence directory, IRLP accounting), system setup and prewarm on
+# coherence directory, mesh, address map, IRLP accounting), system setup and prewarm on
 # recycled slabs, two end-to-end controller benches (mixed traffic, and
 # the program-and-verify write path), and one reduced-budget Figure 1
 # run — enough to catch both micro-level allocation regressions and
